@@ -160,6 +160,10 @@ func (g *Graph) Nodes() []Node {
 	return out
 }
 
+// Edge returns edge i (an index from OutEdges or InEdges) without copying
+// the edge list.
+func (g *Graph) Edge(i int) Edge { return g.edges[i] }
+
 // Edges returns all edges. The slice is a copy.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, len(g.edges))

@@ -183,7 +183,6 @@ func (d *Deployment) resumeInvocation(old *invocation, committed map[int]journal
 	if err != nil {
 		return // unreachable: the graph was validated acyclic at deploy
 	}
-	edges := d.g.Edges()
 	for _, id := range topo {
 		if _, ok := committed[int(id)]; ok {
 			// Committed: the step's outputs are durable — skip re-execution
@@ -193,7 +192,7 @@ func (d *Deployment) resumeInvocation(old *invocation, committed map[int]journal
 			d.replaySkips++
 			skipped := d.skippedOutEdges(fresh, id)
 			for _, ei := range d.g.OutEdges(id) {
-				succ := edges[ei].To
+				succ := d.g.Edge(ei).To
 				fresh.predsDone[succ]++
 				if !skipped[ei] {
 					fresh.realIn[succ]++
@@ -209,7 +208,7 @@ func (d *Deployment) resumeInvocation(old *invocation, committed map[int]journal
 			// executing, exactly as the live path would have.
 			fresh.started[id] = true
 			for _, ei := range d.g.OutEdges(id) {
-				fresh.predsDone[edges[ei].To]++
+				fresh.predsDone[d.g.Edge(ei).To]++
 			}
 			if d.g.OutDegree(id) == 0 {
 				fresh.sinksLeft--

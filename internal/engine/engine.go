@@ -580,7 +580,7 @@ func (d *Deployment) skippedOutEdges(inv *invocation, id dag.NodeID) map[int]boo
 	taken := false
 	for _, ei := range d.g.OutEdges(id) {
 		compiled, conditional := d.conds[ei]
-		if !conditional && d.g.Edges()[ei].Cond == "" {
+		if !conditional && d.g.Edge(ei).Cond == "" {
 			// Part of a switch (the node has conditional siblings) with no
 			// condition of its own: a default branch.
 			if taken {
@@ -936,7 +936,7 @@ func (d *Deployment) fetchInputs(inv *invocation, id dag.NodeID, workerID string
 		d.rt.Store.Get(workerID, k, func(_ int64, ok bool, err error) {
 			if d.jr != nil && !ok && err == nil && !inv.abandoned &&
 				inv.reexecs < d.opts.MaxReissues {
-				producer := d.g.Edges()[in.edgeIdx].From
+				producer := d.g.Edge(in.edgeIdx).From
 				inv.reexecs++
 				d.lostInputs++
 				d.reexecProducer(inv, producer, func() {

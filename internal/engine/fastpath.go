@@ -171,12 +171,11 @@ func (d *Deployment) issuePrewarms(inv *invocation, id dag.NodeID) {
 // on another predecessor is left alone; pre-warming it would hold a
 // container for an unbounded join wait.
 func (d *Deployment) collectPrewarm(inv *invocation, id dag.NodeID, skipped map[int]bool, out *[]dag.NodeID) {
-	edges := d.g.Edges()
 	for _, ei := range d.g.OutEdges(id) {
 		if skipped[ei] {
 			continue
 		}
-		succ := edges[ei].To
+		succ := d.g.Edge(ei).To
 		if inv.started[succ] || inv.predsDone[succ] != d.g.InDegree(succ)-1 {
 			continue
 		}

@@ -134,7 +134,7 @@ func (d *Deployment) mspComplete(inv *invocation, id dag.NodeID, nodeSkipped boo
 	}
 	skipped := d.skippedOutEdges(inv, id)
 	for _, ei := range d.g.OutEdges(id) {
-		succ := d.g.Edges()[ei].To
+		succ := d.g.Edge(ei).To
 		skip := nodeSkipped || skipped[ei]
 		inv.predsDone[succ]++
 		if !skip {

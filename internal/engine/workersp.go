@@ -108,7 +108,7 @@ func (d *Deployment) wspComplete(inv *invocation, id dag.NodeID, nodeSkipped boo
 		}
 		skipped := d.skippedOutEdges(inv, id)
 		for _, ei := range d.g.OutEdges(id) {
-			succ := d.g.Edges()[ei].To
+			succ := d.g.Edge(ei).To
 			skip := nodeSkipped || skipped[ei]
 			// Same worker → inner RPC (loopback); different worker →
 			// cross-node TCP. The fabric models both through SendMsg.

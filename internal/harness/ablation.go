@@ -114,7 +114,7 @@ func linearize(b *workloads.Benchmark) (*workloads.Benchmark, error) {
 		if prev >= 0 {
 			var bytes int64
 			for _, ei := range b.Graph.OutEdges(id) {
-				if bts := b.Graph.Edges()[ei].Bytes; bts > bytes {
+				if bts := b.Graph.Edge(ei).Bytes; bts > bytes {
 					bytes = bts
 				}
 			}

@@ -71,15 +71,15 @@ func (s OverloadSpec) withDefaults() OverloadSpec {
 // OverloadRow is one rate point of the sweep.
 type OverloadRow struct {
 	Mode       engine.Mode
-	Multiplier float64 // offered rate as a fraction of saturation
-	Rate       float64 // offered arrivals/sec
-	Offered    int     // arrivals scheduled
-	Admitted   int     // past the admission controller
-	Rejected   int     // turned away at the front door
-	Goodput    int     // admitted, completed, neither failed nor deadlined
-	Deadlined  int     // admitted but ran out of deadline
-	Failed     int     // admitted but failed (queue shed inside the engine)
-	Shed       int64   // Acquire-queue rejections across nodes
+	Multiplier float64       // offered rate as a fraction of saturation
+	Rate       float64       // offered arrivals/sec
+	Offered    int           // arrivals scheduled
+	Admitted   int           // past the admission controller
+	Rejected   int           // turned away at the front door
+	Goodput    int           // admitted, completed, neither failed nor deadlined
+	Deadlined  int           // admitted but ran out of deadline
+	Failed     int           // admitted but failed (queue shed inside the engine)
+	Shed       int64         // Acquire-queue rejections across nodes
 	P50, P99   time.Duration // latency of goodput completions
 	// Snapshot is the rate point's flight recorder; identical specs yield
 	// byte-identical snapshots (the CI overload smoke diffs them).

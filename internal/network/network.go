@@ -59,7 +59,11 @@ type link struct {
 	capacity Bandwidth
 	factor   float64 // fault multiplier: 1 healthy, (0,1) degraded, 0 partitioned
 	scale    float64 // what-if multiplier: counterfactual bandwidth scaling (default 1)
-	flows    map[*Flow]struct{}
+
+	// Solver scratch, valid only inside Fabric.resolve.
+	unfixed int     // flows crossing the link whose rate is not yet fixed
+	used    float64 // capacity taken by the flows already fixed
+	solving bool    // the link is in the current solve's link list
 }
 
 // effCap is the capacity currently usable, after fault degradation and any
@@ -84,7 +88,7 @@ type Flow struct {
 	updatedAt sim.Time
 	done      func()
 	src, dst  *link
-	finish    *sim.Event
+	finish    *sim.Event // created by the first solve, re-keyed by later ones
 	fab       *Fabric
 	id        int64
 	startAt   sim.Time
@@ -108,7 +112,12 @@ type Fabric struct {
 	cfg   Config
 	nodes map[string]*node
 	order []string // deterministic iteration order
-	flows map[*Flow]struct{}
+	// active holds the flows that have joined and not completed, in
+	// flow-ID order: the solver's float operations and its same-instant
+	// completion scheduling both follow this order.
+	active []*Flow
+	// solveLinks is resolve's reused list of links carrying a flow.
+	solveLinks []*link
 
 	totalBytes int64
 	totalFlows int64
@@ -170,7 +179,6 @@ func New(env *sim.Env, cfg Config) *Fabric {
 		cfg:      cfg,
 		latScale: 1,
 		nodes:    make(map[string]*node),
-		flows:    make(map[*Flow]struct{}),
 	}
 }
 
@@ -226,8 +234,8 @@ func (f *Fabric) AddNode(id string, egress, ingress Bandwidth) {
 	}
 	f.nodes[id] = &node{
 		id:      id,
-		egress:  &link{capacity: egress, factor: 1, scale: 1, flows: map[*Flow]struct{}{}},
-		ingress: &link{capacity: ingress, factor: 1, scale: 1, flows: map[*Flow]struct{}{}},
+		egress:  &link{capacity: egress, factor: 1, scale: 1},
+		ingress: &link{capacity: ingress, factor: 1, scale: 1},
 	}
 	f.order = append(f.order, id)
 	sort.Strings(f.order)
@@ -367,7 +375,7 @@ func (f *Fabric) Send(from, to string, size int64, done func()) *Flow {
 	if f.bus.Active() {
 		f.bus.Publish(obs.FlowEvent{
 			ID: fl.id, From: from, To: to, Bytes: size,
-			Active: len(f.flows) + 1, At: fl.startAt,
+			Active: len(f.active) + 1, At: fl.startAt,
 		})
 	}
 	// The flow joins the fabric after propagation latency.
@@ -377,9 +385,7 @@ func (f *Fabric) Send(from, to string, size int64, done func()) *Flow {
 		}
 		fl.updatedAt = f.env.Now()
 		f.settleAll()
-		f.flows[fl] = struct{}{}
-		fl.src.flows[fl] = struct{}{}
-		fl.dst.flows[fl] = struct{}{}
+		f.join(fl)
 		f.resolve()
 	})
 	return fl
@@ -433,75 +439,77 @@ func (f *Fabric) deliverMsg(from, to string, size int64, done func()) {
 	f.env.Schedule(f.msgLat()+ser, done)
 }
 
+// join inserts a flow into the active list at its flow-ID position. Joins
+// arrive in ID order unless the message latency changed in between.
+func (f *Fabric) join(fl *Flow) {
+	i := sort.Search(len(f.active), func(i int) bool { return f.active[i].id > fl.id })
+	f.active = append(f.active, nil)
+	copy(f.active[i+1:], f.active[i:])
+	f.active[i] = fl
+}
+
+// leave removes a completed flow from the active list.
+func (f *Fabric) leave(fl *Flow) {
+	i := sort.Search(len(f.active), func(i int) bool { return f.active[i].id >= fl.id })
+	copy(f.active[i:], f.active[i+1:])
+	f.active[len(f.active)-1] = nil
+	f.active = f.active[:len(f.active)-1]
+}
+
 // settleAll advances every active flow's remaining-bytes to the current
-// instant at its old rate and cancels pending finish events. Must be called
-// before any rate change.
+// instant at its old rate. Must be called before any rate change; the
+// resolve that follows re-keys every finish event.
 func (f *Fabric) settleAll() {
 	now := f.env.Now()
-	for fl := range f.flows {
+	for _, fl := range f.active {
 		elapsed := (now - fl.updatedAt).Duration().Seconds()
 		fl.remaining -= fl.rate * elapsed
 		if fl.remaining < 0 {
 			fl.remaining = 0
 		}
 		fl.updatedAt = now
-		if fl.finish != nil {
-			fl.finish.Cancel()
-			fl.finish = nil
-		}
 	}
 }
 
 // resolve computes max-min fair rates for all active flows (progressive
-// filling over the 2-resource path egress→ingress) and schedules each
-// flow's completion. Every loop iterates flows in flow-ID order: float
-// accumulation order and same-instant completion scheduling order both
-// leak into the simulation, and map iteration would make runs
-// irreproducible.
+// filling over the 2-resource path egress→ingress) and re-keys each flow's
+// completion. Every loop iterates flows in flow-ID order and links in
+// first-use order: float accumulation order and same-instant completion
+// scheduling order both leak into the simulation.
 func (f *Fabric) resolve() {
-	if len(f.flows) == 0 {
+	if len(f.active) == 0 {
 		return
 	}
 	f.resolves++
-	ordered := make([]*Flow, 0, len(f.flows))
-	for fl := range f.flows {
-		ordered = append(ordered, fl)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].id < ordered[j].id })
 	// Collect links that carry at least one flow, in first-use order.
-	type linkState struct {
-		l       *link
-		unfixed int
-		used    float64
-	}
-	states := map[*link]*linkState{}
-	var linkOrder []*linkState
-	for _, fl := range ordered {
+	links := f.solveLinks[:0]
+	for _, fl := range f.active {
 		fl.rate = -1 // unfixed
 		for _, l := range [2]*link{fl.src, fl.dst} {
-			st := states[l]
-			if st == nil {
-				st = &linkState{l: l}
-				states[l] = st
-				linkOrder = append(linkOrder, st)
+			if !l.solving {
+				l.solving = true
+				l.unfixed = 0
+				l.used = 0
+				links = append(links, l)
 			}
-			st.unfixed++
+			l.unfixed++
 		}
 	}
-	unfixedFlows := len(f.flows)
+	f.solveLinks = links
+	unfixedFlows := len(f.active)
 	for unfixedFlows > 0 {
 		// Find the bottleneck: the link whose equal share for its unfixed
 		// flows is smallest.
-		var bottleneck *linkState
+		var bottleneck *link
 		share := math.Inf(1)
-		for _, st := range linkOrder {
-			if st.unfixed == 0 {
+		for _, l := range links {
+			if l.unfixed == 0 {
 				continue
 			}
-			s := (st.l.effCap() - st.used) / float64(st.unfixed)
+			s := (l.effCap() - l.used) / float64(l.unfixed)
 			if s < share {
 				share = s
-				bottleneck = st
+				bottleneck = l
 			}
 		}
 		if bottleneck == nil {
@@ -511,42 +519,55 @@ func (f *Fabric) resolve() {
 			share = 0
 		}
 		// Fix every unfixed flow crossing the bottleneck at the share.
-		for _, fl := range ordered {
-			if fl.rate >= 0 || (fl.src != bottleneck.l && fl.dst != bottleneck.l) {
+		for _, fl := range f.active {
+			if fl.rate >= 0 || (fl.src != bottleneck && fl.dst != bottleneck) {
 				continue
 			}
 			fl.rate = share
 			unfixedFlows--
 			for _, l := range [2]*link{fl.src, fl.dst} {
-				st := states[l]
-				st.used += share
-				st.unfixed--
+				l.used += share
+				l.unfixed--
 			}
 		}
 	}
+	for _, l := range links {
+		l.solving = false
+	}
 	// Schedule completions.
 	now := f.env.Now()
-	for _, fl := range ordered {
+	for _, fl := range f.active {
 		fl.scheduleFinish(now)
 	}
 }
 
+// scheduleFinish re-keys the flow's finish event to the instant its
+// remaining bytes drain at the current rate. Re-keying takes a fresh
+// scheduling sequence, exactly as canceling and scheduling anew would.
 func (fl *Flow) scheduleFinish(now sim.Time) {
 	if fl.rate <= 0 {
 		// Starved (zero capacity); it will be re-solved on the next event.
+		if fl.finish != nil {
+			fl.finish.Cancel()
+		}
 		return
 	}
 	secs := fl.remaining / fl.rate
-	fl.finish = fl.fab.env.Schedule(time.Duration(secs*float64(time.Second))+1, func() {
-		fl.fab.complete(fl)
-	})
+	delay := time.Duration(secs*float64(time.Second)) + 1
+	if delay < 0 {
+		delay = 0
+	}
+	at := now + sim.Time(delay)
+	if fl.finish == nil {
+		fl.finish = fl.fab.env.At(at, func() { fl.fab.complete(fl) })
+		return
+	}
+	fl.fab.env.Reschedule(fl.finish, at)
 }
 
 func (f *Fabric) complete(fl *Flow) {
 	f.settleAll()
-	delete(f.flows, fl)
-	delete(fl.src.flows, fl)
-	delete(fl.dst.flows, fl)
+	f.leave(fl)
 	fl.remaining = 0
 	f.resolve()
 	if f.bus.Active() {
@@ -557,7 +578,7 @@ func (f *Fabric) complete(fl *Flow) {
 		}
 		f.bus.Publish(obs.FlowEvent{
 			ID: fl.id, From: fl.from, To: fl.to, Bytes: fl.size,
-			Done: true, Rate: rate, Active: len(f.flows), At: now,
+			Done: true, Rate: rate, Active: len(f.active), At: now,
 		})
 	}
 	if fl.done != nil {
@@ -566,7 +587,7 @@ func (f *Fabric) complete(fl *Flow) {
 }
 
 // ActiveFlows reports how many bulk transfers are currently in flight.
-func (f *Fabric) ActiveFlows() int { return len(f.flows) }
+func (f *Fabric) ActiveFlows() int { return len(f.active) }
 
 // Resolves reports how many times the max-min fair-share solver has run
 // over a non-empty flow set — the hot-path cost driver the perf suite

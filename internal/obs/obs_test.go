@@ -207,14 +207,14 @@ func TestChromeTraceShapes(t *testing.T) {
 	}
 	s := string(data)
 	for _, want := range []string{
-		`"step#2:exec"`,     // replica suffix on phase span
-		`"id": "flow-9"`,    // async pairing id
-		`"ph": "b"`,         // flow begin
-		`"ph": "e"`,         // flow end
-		`"ph": "C"`,         // counter tracks
-		`"pid": "network"`,  // flow process
-		`"pid": "store"`,    // store op process
-		`"name": "memory"`,  // per-node memory counter
+		`"step#2:exec"`,    // replica suffix on phase span
+		`"id": "flow-9"`,   // async pairing id
+		`"ph": "b"`,        // flow begin
+		`"ph": "e"`,        // flow end
+		`"ph": "C"`,        // counter tracks
+		`"pid": "network"`, // flow process
+		`"pid": "store"`,   // store op process
+		`"name": "memory"`, // per-node memory counter
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("chrome trace missing %s\n%s", want, s)

@@ -51,9 +51,9 @@ type family struct {
 
 type series struct {
 	labelValues []string
-	value       float64   // counter/gauge value; histogram sum
-	count       uint64    // histogram observation count
-	bucketCount []uint64  // cumulative per bucket, parallel to family.buckets
+	value       float64  // counter/gauge value; histogram sum
+	count       uint64   // histogram observation count
+	bucketCount []uint64 // cumulative per bucket, parallel to family.buckets
 }
 
 // NewRegistry returns an empty registry.

@@ -62,8 +62,8 @@ func TestDiffIdenticalSnapshotsIsClean(t *testing.T) {
 
 func TestDiffFlagsRegressionPerClass(t *testing.T) {
 	oldS := snap(BenchResult{Name: "a", Metrics: []Metric{
-		timeMetric("ns/op", 100, false),          // tol 100%
-		allocMetric("allocs/op", 10, TolAlloc),   // tol 10%
+		timeMetric("ns/op", 100, false),               // tol 100%
+		allocMetric("allocs/op", 10, TolAlloc),        // tol 10%
 		domainMetric("p99-ms", 100, TolDomain, false), // tol 2%
 	}})
 	newS := snap(BenchResult{Name: "a", Metrics: []Metric{

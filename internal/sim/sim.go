@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -38,6 +37,7 @@ type Event struct {
 	at       Time
 	seq      uint64
 	fn       func()
+	env      *Env
 	index    int // heap index, -1 when not queued
 	canceled bool
 }
@@ -45,40 +45,107 @@ type Event struct {
 // At reports the virtual instant the event will fire.
 func (ev *Event) At() Time { return ev.at }
 
-// Cancel prevents the event from firing. Canceling an already-fired or
-// already-canceled event is a no-op.
-func (ev *Event) Cancel() { ev.canceled = true }
+// Cancel prevents the event from firing and removes it from the queue.
+// Canceling an already-fired or already-canceled event is a no-op.
+func (ev *Event) Cancel() {
+	ev.canceled = true
+	if ev.index >= 0 {
+		ev.env.queue.remove(ev.index)
+	}
+}
 
-// Canceled reports whether Cancel was called on the event.
+// Canceled reports whether Cancel was called on the event since it was
+// last scheduled.
 func (ev *Event) Canceled() bool { return ev.canceled }
 
+// before is the queue order: by instant, then by scheduling sequence. The
+// order is total, so firing order does not depend on the heap's shape.
+func (ev *Event) before(o *Event) bool {
+	if ev.at != o.at {
+		return ev.at < o.at
+	}
+	return ev.seq < o.seq
+}
+
+// eventQueue is a binary min-heap of the live events. Each event tracks its
+// own index, so a canceled event leaves the heap at once instead of lying
+// in it until it reaches the top.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
+func (q *eventQueue) push(ev *Event) {
 	ev.index = len(*q)
 	*q = append(*q, ev)
+	q.up(ev.index)
 }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
+
+// pop removes and returns the earliest event.
+func (q *eventQueue) pop() *Event {
+	ev := (*q)[0]
+	q.remove(0)
 	return ev
+}
+
+// remove takes the event at index i out of the heap.
+func (q *eventQueue) remove(i int) {
+	h := *q
+	last := len(h) - 1
+	ev := h[i]
+	h[i] = h[last]
+	h[i].index = i
+	h[last] = nil
+	*q = h[:last]
+	ev.index = -1
+	if i < last {
+		q.fix(i)
+	}
+}
+
+// fix restores heap order after the key of the event at index i changed.
+func (q *eventQueue) fix(i int) {
+	if !q.down(i) {
+		q.up(i)
+	}
+}
+
+func (q eventQueue) up(i int) {
+	ev := q[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].index = i
+		i = p
+	}
+	q[i] = ev
+	ev.index = i
+}
+
+// down sifts the event at index i toward the leaves and reports whether it
+// moved.
+func (q eventQueue) down(i0 int) bool {
+	n := len(q)
+	ev := q[i0]
+	i := i0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(ev) {
+			break
+		}
+		q[i] = q[c]
+		q[i].index = i
+		i = c
+	}
+	q[i] = ev
+	ev.index = i
+	return i > i0
 }
 
 // Env is a discrete-event simulation environment. It is not safe for
@@ -98,8 +165,8 @@ func NewEnv() *Env { return &Env{} }
 // Now reports the current virtual time.
 func (e *Env) Now() Time { return e.now }
 
-// Pending reports how many events are queued (including canceled ones that
-// have not yet been discarded).
+// Pending reports how many live events are queued. Canceled events leave
+// the queue when they are canceled, so they are never counted.
 func (e *Env) Pending() int { return len(e.queue) }
 
 // Fired reports how many events have executed so far.
@@ -117,31 +184,53 @@ func (e *Env) Schedule(delay time.Duration, fn func()) *Event {
 // At queues fn to run at absolute virtual instant t. Scheduling in the past
 // panics: it would silently reorder causality.
 func (e *Env) At(t Time, fn func()) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
-	}
+	e.checkAt(t)
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	ev := &Event{at: t, seq: e.nextSeq, fn: fn, index: -1}
+	ev := &Event{at: t, seq: e.nextSeq, fn: fn, env: e}
 	e.nextSeq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	return ev
+}
+
+// Reschedule moves ev to fire at absolute instant t, whether it is still
+// queued, already fired, or canceled. It is equivalent to canceling ev and
+// scheduling its callback anew — ev takes a fresh scheduling sequence, so
+// it fires after every event already queued for t — but it reuses the
+// event instead of allocating one. Rescheduling into the past panics.
+func (e *Env) Reschedule(ev *Event, t Time) {
+	e.checkAt(t)
+	if ev.env != e {
+		panic("sim: rescheduling an event from another environment")
+	}
+	ev.at = t
+	ev.seq = e.nextSeq
+	e.nextSeq++
+	ev.canceled = false
+	if ev.index >= 0 {
+		e.queue.fix(ev.index)
+	} else {
+		e.queue.push(ev)
+	}
+}
+
+func (e *Env) checkAt(t Time) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
+	}
 }
 
 // Step fires the next event. It reports false when the queue is empty.
 func (e *Env) Step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
-		if ev.canceled {
-			continue
-		}
-		e.now = ev.at
-		e.fired++
-		ev.fn()
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	ev := e.queue.pop()
+	e.now = ev.at
+	e.fired++
+	ev.fn()
+	return true
 }
 
 // Run fires events until the queue is empty.
@@ -175,16 +264,12 @@ func (e *Env) RunUntil(deadline Time) {
 	}
 }
 
-// peek returns the timestamp of the next live event.
+// peek returns the timestamp of the next event.
 func (e *Env) peek() (Time, bool) {
-	for len(e.queue) > 0 {
-		if e.queue[0].canceled {
-			heap.Pop(&e.queue)
-			continue
-		}
-		return e.queue[0].at, true
+	if len(e.queue) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return e.queue[0].at, true
 }
 
 // NextAt reports the timestamp of the next pending event, or MaxTime when

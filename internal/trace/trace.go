@@ -206,7 +206,7 @@ func FromBenchmark(b *workloads.Benchmark) (*Trace, error) {
 		spec := b.Functions[n.Function]
 		var outBytes int64
 		for _, ei := range g.OutEdges(n.ID) {
-			if bts := g.Edges()[ei].Bytes; bts > outBytes {
+			if bts := g.Edge(ei).Bytes; bts > outBytes {
 				outBytes = bts
 			}
 		}

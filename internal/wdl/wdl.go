@@ -198,7 +198,7 @@ func (c *compiler) propagateVirtualBytes() {
 		}
 		var in int64
 		for _, ei := range c.g.InEdges(id) {
-			in += c.g.Edges()[ei].Bytes
+			in += c.g.Edge(ei).Bytes
 		}
 		for _, ei := range c.g.OutEdges(id) {
 			c.g.SetEdgeBytes(ei, in)
