@@ -5,10 +5,13 @@
 //	faasflow-experiments -run all
 //	faasflow-experiments -run fig12 -n 200
 //	faasflow-experiments -run table4,fig13
+//	faasflow-experiments -run chaos -n 20 -snapshots snaps
 //
 // Experiments: fig4, fig5, fig11, table4, fig12, fig13, fig14, fig15,
-// fig16, sec57. -n scales invocation counts (default 1000, the paper's
-// count, for closed/open loops; co-location uses n/10).
+// fig16, sec57, coldstart, claims, then the gated scenarios of the
+// harness registry (chaos, overload, durable, fastpath, federation,
+// tenants). -n scales invocation counts (default 1000, the paper's count,
+// for closed/open loops; co-location uses n/10; each scenario caps it).
 package main
 
 import (
@@ -70,15 +73,9 @@ func emit(name string, t *metrics.Table) {
 
 func main() {
 	var (
-		run      = flag.String("run", "all", "comma-separated experiment list or 'all'")
-		n        = flag.Int("n", 1000, "invocations per measurement")
-		snap     = flag.String("snapshot", "", "also write a flight-recorder snapshot (Gen+Vid on FaaSFlow-FaaStore) to this file")
-		chaos    = flag.Bool("chaos", false, "run only the chaos availability scenario (shorthand for -run chaos)")
-		overload = flag.Bool("overload", false, "run only the overload-control scenario (shorthand for -run overload)")
-		durable  = flag.Bool("durable", false, "run only the durable-execution scenario (shorthand for -run durable)")
-		fastpath = flag.Bool("fastpath", false, "run only the data-plane fast-path scenario (shorthand for -run fastpath)")
-		fed      = flag.Bool("federation", false, "run only the engine-federation failover scenario (shorthand for -run federation)")
-		tenants  = flag.Bool("tenants", false, "run only the multi-tenant noisy-neighbor scenario (shorthand for -run tenants)")
+		run  = flag.String("run", "all", "comma-separated experiment list or 'all'")
+		n    = flag.Int("n", 1000, "invocations per measurement")
+		snap = flag.String("snapshot", "", "also write a flight-recorder snapshot (Gen+Vid on FaaSFlow-FaaStore) to this file")
 
 		benchjson  = flag.String("benchjson", "", "run the perf suite and write a BENCH snapshot to this file (skips experiments unless -run is passed explicitly)")
 		whatifOut  = flag.String("whatif", "", "run the causal what-if sweep on Genome and write the profile JSON to this file (skips experiments unless -run is passed explicitly)")
@@ -91,13 +88,8 @@ func main() {
 	)
 	flag.StringVar(&csvDir, "csv", "", "also write each experiment's table as CSV into this directory")
 	flag.StringVar(&svgDir, "svg", "", "also write each experiment's figure as SVG into this directory")
-	flag.StringVar(&chaosSnapDir, "chaos-snapshots", "", "write each chaos mode's flight-recorder snapshot into this directory")
+	flag.StringVar(&snapDir, "snapshots", "", "write each scenario run's flight-recorder snapshots into this directory")
 	flag.BoolVar(&noAdmission, "no-admission", false, "overload counterfactual: disable front-door admission control (the goodput gate is expected to fail)")
-	flag.StringVar(&overloadSnapDir, "overload-snapshots", "", "write each overload rate point's flight-recorder snapshot into this directory")
-	flag.StringVar(&durableSnapDir, "durable-snapshots", "", "write each durable mode×scenario's flight-recorder snapshot into this directory")
-	flag.StringVar(&fastpathSnapDir, "fastpath-snapshots", "", "write each fast-path mode×variant's flight-recorder snapshot into this directory")
-	flag.StringVar(&fedSnapDir, "federation-snapshots", "", "write each federation mode×scenario's flight-recorder snapshot into this directory")
-	flag.StringVar(&tenantSnapDir, "tenants-snapshots", "", "write each tenancy mode's flight-recorder snapshot into this directory")
 	flag.Parse()
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -132,25 +124,7 @@ func main() {
 		// still run when -run is given alongside.
 		*run = ""
 	}
-	if *chaos {
-		*run = "chaos"
-	}
-	if *overload {
-		*run = "overload"
-	}
-	if *durable {
-		*run = "durable"
-	}
-	if *fastpath {
-		*run = "fastpath"
-	}
-	if *fed {
-		*run = "federation"
-	}
-	if *tenants {
-		*run = "tenants"
-	}
-	for _, dir := range []string{csvDir, svgDir, chaosSnapDir, overloadSnapDir, durableSnapDir, fastpathSnapDir, fedSnapDir, tenantSnapDir} {
+	for _, dir := range []string{csvDir, svgDir, snapDir} {
 		if dir == "" {
 			continue
 		}
@@ -160,17 +134,8 @@ func main() {
 		}
 	}
 
-	want := map[string]bool{}
-	for _, name := range strings.Split(*run, ",") {
-		want[strings.TrimSpace(name)] = true
-	}
-	all := want["all"]
-	ran := 0
-	for _, exp := range experiments {
-		if !all && !want[exp.name] {
-			continue
-		}
-		ran++
+	selected := selectExperiments(*run)
+	for _, exp := range selected {
 		fmt.Printf("== %s: %s ==\n", exp.name, exp.title)
 		start := time.Now()
 		if err := exp.run(*n); err != nil {
@@ -210,10 +175,30 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if ran == 0 && *snap == "" && *benchjson == "" && *whatifOut == "" {
-		fmt.Fprintf(os.Stderr, "no experiment matched %q; known: fig4 fig5 fig11 table4 fig12 fig13 fig14 fig15 fig16 sec57 coldstart claims chaos overload durable fastpath federation tenants\n", *run)
+	if len(selected) == 0 && *snap == "" && *benchjson == "" && *whatifOut == "" {
+		known := make([]string, len(experiments))
+		for i, exp := range experiments {
+			known[i] = exp.name
+		}
+		fmt.Fprintf(os.Stderr, "no experiment matched %q; known: %s\n", *run, strings.Join(known, " "))
 		os.Exit(1)
 	}
+}
+
+// selectExperiments resolves a -run list ("all", or comma-separated
+// names) to the matching experiments, in table order.
+func selectExperiments(run string) []experiment {
+	want := map[string]bool{}
+	for _, name := range strings.Split(run, ",") {
+		want[strings.TrimSpace(name)] = true
+	}
+	var out []experiment
+	for _, exp := range experiments {
+		if want["all"] || want[exp.name] {
+			out = append(out, exp)
+		}
+	}
+	return out
 }
 
 // flagPassed reports whether the named flag appeared on the command line.
@@ -289,10 +274,15 @@ func runWhatIf(path string, width, n int) error {
 	return nil
 }
 
-var experiments = []struct {
+// experiment is one -run target.
+type experiment struct {
 	name, title string
 	run         func(n int) error
-}{
+}
+
+// experiments lists the paper's figures and tables, then every registered
+// harness scenario.
+var experiments = append([]experiment{
 	{"fig4", "MasterSP scheduling overhead (HyperFlow-serverless)", runFig4},
 	{"fig5", "data movement: monolithic vs FaaS", runFig5},
 	{"fig11", "scheduling overhead: HyperFlow-serverless vs FaaSFlow", runFig11},
@@ -305,197 +295,47 @@ var experiments = []struct {
 	{"sec57", "workflow engine component overhead", runSec57},
 	{"coldstart", "keep-alive vs cold-start trade-off (extension)", runColdStart},
 	{"claims", "the paper's derived headline claims", runClaims},
-	{"chaos", "chaos availability: kill a worker mid-run, require zero lost invocations", runChaos},
-	{"overload", "overload control: sweep arrival rate past saturation, require graceful degradation", runOverload},
-	{"durable", "durable execution: engine crash replays the journal, node kill reads replicas", runDurable},
-	{"fastpath", "data-plane fast path: direct passing, pre-warm, memoization vs the store-hop baseline", runFastPath},
-	{"federation", "engine federation: rolling member kills fail over by lease expiry and journal handoff", runFederation},
-	{"tenants", "multi-tenant isolation: one noisy tenant at 10x fair share, zero starvation required", runTenants},
+}, scenarioExperiments()...)
+
+func scenarioExperiments() []experiment {
+	out := make([]experiment, len(harness.Scenarios))
+	for i, sc := range harness.Scenarios {
+		out[i] = experiment{sc.Name, sc.Title, func(n int) error { return runScenario(sc, n) }}
+	}
+	return out
 }
 
-// tenantSnapDir, when set, receives each tenancy mode's snapshot as
-// tenancy-<mode>.json — byte-identical across same-seed runs, which is what
-// the CI tenancy smoke job diffs.
-var tenantSnapDir string
-
-func runTenants(int) error {
-	rows, err := harness.Tenancy(harness.TenancySpec{}, nil)
-	if err != nil {
-		return err
-	}
-	emit("tenants", harness.RenderTenancy(rows))
-	for _, r := range rows {
-		fmt.Printf("%s: saturation %.2f/s, fair share %.3f/s per tenant, aggregate goodput %d (single-tenant reference %d), shed %d\n",
-			r.Mode, r.SatRate, r.FairRate, r.AggGoodput, r.RefGoodput, r.Shed)
-		if tenantSnapDir == "" {
-			continue
-		}
-		data, err := r.Snapshot.Marshal()
-		if err != nil {
-			return err
-		}
-		name := fmt.Sprintf("tenancy-%s.json", r.Mode)
-		if err := os.WriteFile(filepath.Join(tenantSnapDir, name), data, 0o644); err != nil {
-			return err
-		}
-	}
-	return harness.CheckTenancy(rows, 0.9, 0.1)
-}
-
-// durableSnapDir, when set, receives each durable mode×scenario snapshot as
-// durable-<mode>-<scenario>.json — byte-identical across same-seed runs,
-// which is what the CI durable smoke job diffs.
-var durableSnapDir string
-
-func runDurable(n int) error {
-	inv := n
-	if inv > 40 {
-		inv = 40 // like chaos: the scenario needs in-flight overlap, not volume
-	}
-	rows, err := harness.Durable(harness.DurableSpec{Invocations: inv}, nil)
-	if err != nil {
-		return err
-	}
-	emit("durable", harness.RenderDurable(rows))
-	if durableSnapDir != "" {
-		for _, r := range rows {
-			data, err := r.Snapshot.Marshal()
-			if err != nil {
-				return err
-			}
-			name := fmt.Sprintf("durable-%s-%s.json", r.Mode, r.Scenario)
-			if err := os.WriteFile(filepath.Join(durableSnapDir, name), data, 0o644); err != nil {
-				return err
-			}
-		}
-	}
-	return harness.CheckDurable(rows)
-}
-
-// fastpathSnapDir, when set, receives each fast-path mode×variant snapshot
-// as fastpath-<mode>-<variant>.json — byte-identical across same-seed runs,
-// which is what the CI fastpath smoke job diffs.
-var fastpathSnapDir string
-
-func runFastPath(n int) error {
-	inv := n
-	if inv > 20 {
-		inv = 20 // the sweep runs 8 mode×variant scenarios; volume adds nothing
-	}
-	rows, err := harness.FastPath(harness.FastPathSpec{Invocations: inv}, nil)
-	if err != nil {
-		return err
-	}
-	emit("fastpath", harness.RenderFastPath(rows))
-	if fastpathSnapDir != "" {
-		for _, r := range rows {
-			data, err := r.Snapshot.Marshal()
-			if err != nil {
-				return err
-			}
-			name := fmt.Sprintf("fastpath-%s-%s.json", r.Mode, r.Variant)
-			if err := os.WriteFile(filepath.Join(fastpathSnapDir, name), data, 0o644); err != nil {
-				return err
-			}
-		}
-	}
-	return harness.CheckFastPath(rows)
-}
-
-// fedSnapDir, when set, receives each federation mode×scenario snapshot as
-// federation-<mode>-<scenario>.json — byte-identical across same-seed runs
-// (claim-race winners included), which is what the CI federation smoke job
-// diffs.
-var fedSnapDir string
-
-func runFederation(n int) error {
-	inv := n
-	if inv > 24 {
-		inv = 24 // the scenario needs kills landing mid-flight, not volume
-	}
-	rows, err := harness.Federation(harness.FederationSpec{Invocations: inv}, nil)
-	if err != nil {
-		return err
-	}
-	emit("federation", harness.RenderFederation(rows))
-	if fedSnapDir != "" {
-		for _, r := range rows {
-			data, err := r.Snapshot.Marshal()
-			if err != nil {
-				return err
-			}
-			name := fmt.Sprintf("federation-%s-%s.json", r.Mode, r.Scenario)
-			if err := os.WriteFile(filepath.Join(fedSnapDir, name), data, 0o644); err != nil {
-				return err
-			}
-		}
-	}
-	return harness.CheckFederation(rows)
-}
-
-// noAdmission disables the overload scenario's front-door admission
-// control; overloadSnapDir, when set, receives each rate point's snapshot
-// as overload-<mode>-x<multiplier>.json.
+// snapDir, when set, receives every scenario snapshot under its own file
+// name; same-seed runs write byte-identical files, which is what CI diffs.
+// noAdmission is the overload scenario's counterfactual switch.
 var (
-	noAdmission     bool
-	overloadSnapDir string
+	snapDir     string
+	noAdmission bool
 )
 
-func runOverload(int) error {
-	spec := harness.OverloadSpec{NoAdmission: noAdmission}
-	rows, err := harness.Overload(spec, nil)
+// runScenario runs one harness scenario: it prints the table and summary,
+// writes the snapshots, and returns the scenario's gate.
+func runScenario(sc harness.Scenario, n int) error {
+	res, err := sc.Run(n, noAdmission)
 	if err != nil {
 		return err
 	}
-	emit("overload", harness.RenderOverload(rows))
-	for _, r := range rows {
-		if overloadSnapDir == "" {
-			continue
-		}
-		data, err := r.Snapshot.Marshal()
-		if err != nil {
-			return err
-		}
-		name := fmt.Sprintf("overload-%s-x%g.json", r.Mode, r.Multiplier)
-		if err := os.WriteFile(filepath.Join(overloadSnapDir, name), data, 0o644); err != nil {
-			return err
+	emit(sc.Name, res.Table)
+	for _, line := range res.Summary {
+		fmt.Println(line)
+	}
+	if snapDir != "" {
+		for _, s := range res.Snapshots {
+			data, err := s.Snapshot.Marshal()
+			if err != nil {
+				return err
+			}
+			if err := os.WriteFile(filepath.Join(snapDir, s.Name), data, 0o644); err != nil {
+				return err
+			}
 		}
 	}
-	return harness.CheckOverload(rows, 0.7)
-}
-
-// chaosSnapDir, when set, receives each chaos mode's flight-recorder
-// snapshot as chaos-<mode>.json — byte-identical across same-seed runs,
-// which is what the CI chaos smoke job diffs.
-var chaosSnapDir string
-
-func runChaos(n int) error {
-	inv := n
-	if inv > 40 {
-		inv = 40 // chaos needs in-flight overlap, not volume
-	}
-	rows, err := harness.Chaos(harness.ChaosSpec{Invocations: inv}, nil)
-	if err != nil {
-		return err
-	}
-	emit("chaos", harness.RenderChaos(rows))
-	for _, r := range rows {
-		if r.Lost > 0 {
-			return fmt.Errorf("chaos: %s lost %d of %d invocations", r.Mode, r.Lost, r.Invocations)
-		}
-		if chaosSnapDir == "" {
-			continue
-		}
-		data, err := r.Snapshot.Marshal()
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(chaosSnapDir, "chaos-"+r.Mode.String()+".json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
+	return res.Gate
 }
 
 func runFig4(n int) error {

@@ -59,7 +59,7 @@ func main() {
 		faasflow.WithSeed(*seed),
 	)
 	var observer *faasflow.Observer
-	if *report {
+	if *report || *tracePath != "" {
 		observer = faasflow.NewObserver()
 		cluster.AttachObserver(observer)
 	}
@@ -67,10 +67,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "faasflow:", err)
 		os.Exit(1)
-	}
-
-	if *tracePath != "" {
-		app.StartTrace()
 	}
 
 	fmt.Printf("workflow %s: %d tasks, %.2f MB per invocation, %d groups, %.0f%% payload local\n",
@@ -100,7 +96,7 @@ func main() {
 	if stats.Timeouts > 0 {
 		fmt.Printf("timeouts: %.1f%% of invocations hit the 60s deadline\n", stats.Timeouts*100)
 	}
-	if observer != nil {
+	if *report {
 		text, err := observer.ReportText()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "faasflow:", err)
@@ -109,7 +105,7 @@ func main() {
 		fmt.Printf("\n%s", text)
 	}
 	if *tracePath != "" {
-		data, err := app.TraceJSON()
+		data, err := observer.ChromeTrace()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "faasflow:", err)
 			os.Exit(1)

@@ -48,43 +48,19 @@ type Durability struct {
 // and — when ReplicationFactor > 1 — FaaStore outputs survive node deaths
 // on replica shards.
 func (c *Cluster) DeployDurable(wf *Workflow, mode Mode, dur Durability) (*App, error) {
-	rec := dur.Recovery
-	if rec.TaskTimeout == 0 {
-		rec.TaskTimeout = 30 * time.Second
-	}
-	if rec.BackoffBase == 0 {
-		rec.BackoffBase = 200 * time.Millisecond
-	}
-	if rec.BackoffMax == 0 {
-		rec.BackoffMax = 5 * time.Second
-	}
-	m := engine.ModeWorkerSP
-	if mode == MasterSP {
-		m = engine.ModeMasterSP
-	}
 	if dur.ReplicationFactor > 1 {
-		c.tb.Runtime.Store.SetReplication(dur.ReplicationFactor, dur.RepairInterval)
-		nodes := c.tb.Runtime.Nodes
-		c.tb.Runtime.Store.SetAlive(func(n string) bool {
-			node := nodes[n]
-			return node == nil || !node.Failed()
-		})
+		c.tb.SetReplication(dur.ReplicationFactor, dur.RepairInterval)
 	}
-	opts := engine.Options{
-		Mode:        m,
-		Data:        engine.DataStore,
-		Journal:     journal.New(c.tb.Env, journal.Config{SyncLatency: dur.SyncLatency, BatchWindow: dur.BatchWindow}),
-		TaskTimeout: rec.TaskTimeout,
-		BackoffBase: rec.BackoffBase,
-		BackoffMax:  rec.BackoffMax,
-		MaxReissues: rec.MaxReissues,
-		FastPath:    dur.FastPath,
-	}
-	dep, err := c.tb.Deploy(wf.bench, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &App{cluster: c, dep: dep, opts: opts}, nil
+	return c.deploy(wf, c.durableOptions(dur, mode))
+}
+
+// durableOptions returns the engine options of one durable engine in the
+// given mode: the recovery defaults, a fresh journal, and the fast path.
+func (c *Cluster) durableOptions(dur Durability, mode Mode) engine.Options {
+	opts := dur.Recovery.options(mode)
+	opts.Journal = journal.New(c.tb.Env, journal.Config{SyncLatency: dur.SyncLatency, BatchWindow: dur.BatchWindow})
+	opts.FastPath = dur.FastPath
+	return opts
 }
 
 // Durable reports whether the app was deployed with a journal.

@@ -56,6 +56,14 @@ func (m Mode) String() string {
 	return "WorkerSP"
 }
 
+// engineMode translates the pattern to the engine's mode.
+func (m Mode) engineMode() engine.Mode {
+	if m == MasterSP {
+		return engine.ModeMasterSP
+	}
+	return engine.ModeWorkerSP
+}
+
 // Option configures a Cluster.
 type Option func(*harness.ClusterSpec)
 
@@ -224,7 +232,6 @@ func fromParsed(parsed *wdl.Workflow, fns map[string]FunctionSpec) (*Workflow, e
 type App struct {
 	cluster *Cluster
 	dep     *harness.Deployment
-	tracer  *engine.Tracer
 	// opts records the deployment options so what-if analysis can replay
 	// this exact configuration on a fresh testbed.
 	opts engine.Options
@@ -233,31 +240,15 @@ type App struct {
 	fed *federation.Federation
 }
 
-// StartTrace begins recording per-executor phase spans (container acquire,
-// input fetch, execute, output store) for subsequent runs.
-func (a *App) StartTrace() {
-	a.tracer = engine.NewTracer()
-	a.dep.Engine.SetTracer(a.tracer)
-}
-
-// TraceJSON exports the recorded trace in Chrome trace format (load it in
-// chrome://tracing or Perfetto). It errors when StartTrace was not called.
-func (a *App) TraceJSON() ([]byte, error) {
-	if a.tracer == nil {
-		return nil, fmt.Errorf("faasflow: StartTrace was not called")
-	}
-	return a.tracer.ChromeJSON()
-}
-
 // Deploy schedules the workflow onto the cluster (Algorithm 1 grouping
 // with FaaStore quota reclamation) and prepares it for invocation under
 // the chosen pattern.
 func (c *Cluster) Deploy(wf *Workflow, mode Mode) (*App, error) {
-	m := engine.ModeWorkerSP
-	if mode == MasterSP {
-		m = engine.ModeMasterSP
-	}
-	opts := engine.Options{Mode: m, Data: engine.DataStore}
+	return c.deploy(wf, engine.Options{Mode: mode.engineMode(), Data: engine.DataStore})
+}
+
+// deploy deploys the workflow with the given engine options.
+func (c *Cluster) deploy(wf *Workflow, opts engine.Options) (*App, error) {
 	dep, err := c.tb.Deploy(wf.bench, opts)
 	if err != nil {
 		return nil, err

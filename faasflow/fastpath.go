@@ -33,16 +33,7 @@ type DirectPassingStats = store.DirectStats
 // DeployFast is Deploy with the data-plane fast path enabled. The zero
 // FastPath value is equivalent to Deploy.
 func (c *Cluster) DeployFast(wf *Workflow, mode Mode, fp FastPath) (*App, error) {
-	m := engine.ModeWorkerSP
-	if mode == MasterSP {
-		m = engine.ModeMasterSP
-	}
-	opts := engine.Options{Mode: m, Data: engine.DataStore, FastPath: fp}
-	dep, err := c.tb.Deploy(wf.bench, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &App{cluster: c, dep: dep, opts: opts}, nil
+	return c.deploy(wf, engine.Options{Mode: mode.engineMode(), Data: engine.DataStore, FastPath: fp})
 }
 
 // FastPath reports the fast-path configuration the app was deployed with.

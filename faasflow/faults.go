@@ -121,32 +121,29 @@ type Recovery struct {
 // re-placed onto surviving workers (MasterSP re-issues from the master;
 // WorkerSP re-issues from the task's predecessor worker).
 func (c *Cluster) DeployWithRecovery(wf *Workflow, mode Mode, rec Recovery) (*App, error) {
-	if rec.TaskTimeout == 0 {
-		rec.TaskTimeout = 30 * time.Second
+	return c.deploy(wf, rec.options(mode))
+}
+
+// options returns the engine options of a recovering deployment in the
+// given mode, with the recovery defaults filled in.
+func (r Recovery) options(mode Mode) engine.Options {
+	if r.TaskTimeout == 0 {
+		r.TaskTimeout = 30 * time.Second
 	}
-	if rec.BackoffBase == 0 {
-		rec.BackoffBase = 200 * time.Millisecond
+	if r.BackoffBase == 0 {
+		r.BackoffBase = 200 * time.Millisecond
 	}
-	if rec.BackoffMax == 0 {
-		rec.BackoffMax = 5 * time.Second
+	if r.BackoffMax == 0 {
+		r.BackoffMax = 5 * time.Second
 	}
-	m := engine.ModeWorkerSP
-	if mode == MasterSP {
-		m = engine.ModeMasterSP
-	}
-	opts := engine.Options{
-		Mode:        m,
+	return engine.Options{
+		Mode:        mode.engineMode(),
 		Data:        engine.DataStore,
-		TaskTimeout: rec.TaskTimeout,
-		BackoffBase: rec.BackoffBase,
-		BackoffMax:  rec.BackoffMax,
-		MaxReissues: rec.MaxReissues,
+		TaskTimeout: r.TaskTimeout,
+		BackoffBase: r.BackoffBase,
+		BackoffMax:  r.BackoffMax,
+		MaxReissues: r.MaxReissues,
 	}
-	dep, err := c.tb.Deploy(wf.bench, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &App{cluster: c, dep: dep, opts: opts}, nil
 }
 
 // FailureStats aggregates an app's failure and recovery counters.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/federation"
 	"repro/internal/harness"
-	"repro/internal/journal"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -84,43 +83,12 @@ func (c *Cluster) DeployFederated(wf *Workflow, mode Mode, fo FederationOptions)
 	if members < 0 {
 		return nil, fmt.Errorf("faasflow: federation needs members > 0, got %d", members)
 	}
-	rec := fo.Durability.Recovery
-	if rec.TaskTimeout == 0 {
-		rec.TaskTimeout = 30 * time.Second
-	}
-	if rec.BackoffBase == 0 {
-		rec.BackoffBase = 200 * time.Millisecond
-	}
-	if rec.BackoffMax == 0 {
-		rec.BackoffMax = 5 * time.Second
-	}
-	m := engine.ModeWorkerSP
-	if mode == MasterSP {
-		m = engine.ModeMasterSP
-	}
 	if fo.Durability.ReplicationFactor > 1 {
-		c.tb.Runtime.Store.SetReplication(fo.Durability.ReplicationFactor, fo.Durability.RepairInterval)
-		nodes := c.tb.Runtime.Nodes
-		c.tb.Runtime.Store.SetAlive(func(n string) bool {
-			node := nodes[n]
-			return node == nil || !node.Failed()
-		})
+		c.tb.SetReplication(fo.Durability.ReplicationFactor, fo.Durability.RepairInterval)
 	}
 	var opts0 engine.Options
 	deps, err := c.tb.DeployReplicas(wf.bench, members, func(i int) engine.Options {
-		opts := engine.Options{
-			Mode: m,
-			Data: engine.DataStore,
-			Journal: journal.New(c.tb.Env, journal.Config{
-				SyncLatency: fo.Durability.SyncLatency,
-				BatchWindow: fo.Durability.BatchWindow,
-			}),
-			TaskTimeout: rec.TaskTimeout,
-			BackoffBase: rec.BackoffBase,
-			BackoffMax:  rec.BackoffMax,
-			MaxReissues: rec.MaxReissues,
-			FastPath:    fo.Durability.FastPath,
-		}
+		opts := c.durableOptions(fo.Durability, mode)
 		if i == 0 {
 			opts0 = opts
 		}

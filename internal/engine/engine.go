@@ -321,7 +321,6 @@ type Deployment struct {
 
 	master  *proc
 	workers map[string]*proc
-	tracer  *Tracer
 	obs     *obs.Bus
 
 	nextInv  int64

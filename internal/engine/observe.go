@@ -124,7 +124,26 @@ func (d *Deployment) pubInvocation(inv *invocation, end bool) {
 	})
 }
 
-// phaseComp maps a tracer phase label to its attribution component.
+// span publishes one executor phase — acquire, fetch, exec, store, or a
+// fast-path/journal phase — as a PhaseEvent ending now.
+func (d *Deployment) span(inv *invocation, id dag.NodeID, replica int, phase string, start sim.Time) {
+	if !d.obs.Active() {
+		return
+	}
+	d.obs.Publish(obs.PhaseEvent{
+		Workflow: d.bench.Name,
+		Inv:      inv.id,
+		Node:     int(id),
+		Name:     d.g.Node(id).Name,
+		Replica:  replica,
+		Comp:     phaseComp(phase),
+		Worker:   inv.place[id],
+		Start:    start,
+		End:      d.rt.Env.Now(),
+	})
+}
+
+// phaseComp maps a span's phase label to its attribution component.
 func phaseComp(phase string) obs.Component {
 	switch phase {
 	case "acquire":

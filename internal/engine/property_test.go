@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -33,9 +34,20 @@ func randomBench(seed uint64, n int) *workloads.Benchmark {
 	return &workloads.Benchmark{Name: "rand", Graph: g, Functions: fns, MonolithicBytes: 1}
 }
 
+// execCounts counts exec PhaseEvents per step.
+func execCounts(evs []obs.PhaseEvent) map[string]int {
+	out := map[string]int{}
+	for _, e := range evs {
+		if e.Comp == obs.CompExec {
+			out[e.Name]++
+		}
+	}
+	return out
+}
+
 // Property: for any random DAG under either pattern, every task node
-// executes exactly once per invocation (verified through the tracer) and
-// all intermediate keys are released afterwards.
+// executes exactly once per invocation (verified through its exec
+// PhaseEvents) and all intermediate keys are released afterwards.
 func TestEveryTaskRunsExactlyOnceProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint8, masterMode bool) bool {
 		n := int(nRaw%12) + 2
@@ -50,20 +62,14 @@ func TestEveryTaskRunsExactlyOnceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		tr := NewTracer()
-		d.SetTracer(tr)
+		evs := recordPhases(d)
 		completed := false
 		d.Invoke(func(Result) { completed = true })
 		rt.Env.Run()
 		if !completed {
 			return false
 		}
-		execs := map[string]int{}
-		for _, e := range tr.Events() {
-			if e.Phase == "exec" {
-				execs[e.Node]++
-			}
-		}
+		execs := execCounts(*evs)
 		if len(execs) != n {
 			return false
 		}
@@ -91,17 +97,10 @@ func TestPatternsExecuteSameWorkProperty(t *testing.T) {
 			if err != nil {
 				return nil
 			}
-			tr := NewTracer()
-			d.SetTracer(tr)
+			evs := recordPhases(d)
 			d.Invoke(nil)
 			rt.Env.Run()
-			out := map[string]int{}
-			for _, e := range tr.Events() {
-				if e.Phase == "exec" {
-					out[e.Node]++
-				}
-			}
-			return out
+			return execCounts(*evs)
 		}
 		w, m := execSet(ModeWorkerSP), execSet(ModeMasterSP)
 		if w == nil || m == nil || len(w) != len(m) {

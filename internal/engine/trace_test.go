@@ -1,12 +1,26 @@
 package engine
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
 	"repro/internal/network"
+	"repro/internal/obs"
 )
+
+// recordPhases attaches a bus to the deployment and returns the executor
+// PhaseEvents it publishes, in publish order.
+func recordPhases(d *Deployment) *[]obs.PhaseEvent {
+	var evs []obs.PhaseEvent
+	bus := obs.NewBus()
+	bus.Subscribe(func(ev obs.Event) {
+		if pe, ok := ev.(obs.PhaseEvent); ok {
+			evs = append(evs, pe)
+		}
+	})
+	d.SetObserver(bus)
+	return &evs
+}
 
 func TestTracerRecordsAllPhases(t *testing.T) {
 	rt := rig(2, network.MBps(50))
@@ -15,16 +29,15 @@ func TestTracerRecordsAllPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracer()
-	d.SetTracer(tr)
+	evs := recordPhases(d)
 	run(t, rt, d)
 	// 4 tasks x 4 phases.
-	if tr.Len() != 16 {
-		t.Fatalf("events = %d, want 16", tr.Len())
+	if len(*evs) != 16 {
+		t.Fatalf("events = %d, want 16", len(*evs))
 	}
-	phases := map[string]int{}
-	for _, e := range tr.Events() {
-		phases[e.Phase]++
+	phases := map[obs.Component]int{}
+	for _, e := range *evs {
+		phases[e.Comp]++
 		if e.End < e.Start {
 			t.Fatalf("negative span: %+v", e)
 		}
@@ -32,9 +45,9 @@ func TestTracerRecordsAllPhases(t *testing.T) {
 			t.Fatalf("unknown worker %q", e.Worker)
 		}
 	}
-	for _, p := range []string{"acquire", "fetch", "exec", "store"} {
-		if phases[p] != 4 {
-			t.Fatalf("phase %s count = %d, want 4", p, phases[p])
+	for _, c := range []obs.Component{obs.CompAcquire, obs.CompFetch, obs.CompExec, obs.CompStore} {
+		if phases[c] != 4 {
+			t.Fatalf("phase %s count = %d, want 4", c, phases[c])
 		}
 	}
 }
@@ -46,62 +59,27 @@ func TestTracerEventsOrdered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracer()
-	d.SetTracer(tr)
+	evs := recordPhases(d)
 	run(t, rt, d)
-	evs := tr.Events()
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Start < evs[i-1].Start {
-			t.Fatal("Events() not chronologically sorted")
+	// Source task "a" phases must run in order acquire->fetch->exec->store,
+	// each starting no earlier than the previous one ended.
+	var aPhases []obs.PhaseEvent
+	for _, e := range *evs {
+		if e.Name == "a" {
+			aPhases = append(aPhases, e)
 		}
 	}
-	// Source task "a" phases must run in order acquire->fetch->exec->store.
-	var aPhases []string
-	for _, e := range evs {
-		if e.Node == "a" {
-			aPhases = append(aPhases, e.Phase)
-		}
-	}
-	want := []string{"acquire", "fetch", "exec", "store"}
-	if len(aPhases) != 4 {
+	want := []obs.Component{obs.CompAcquire, obs.CompFetch, obs.CompExec, obs.CompStore}
+	if len(aPhases) != len(want) {
 		t.Fatalf("a phases = %v", aPhases)
 	}
-	for i := range want {
-		if aPhases[i] != want[i] {
-			t.Fatalf("a phases = %v, want %v", aPhases, want)
+	for i, e := range aPhases {
+		if e.Comp != want[i] {
+			t.Fatalf("a phase %d = %s, want %s", i, e.Comp, want[i])
 		}
-	}
-}
-
-func TestTracerChromeJSON(t *testing.T) {
-	rt := rig(2, network.MBps(50))
-	b := miniBench()
-	d, err := NewDeployment(rt, b, placeRoundRobin(b, "w0", "w1"), Options{Mode: ModeMasterSP, Data: DataStore})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := NewTracer()
-	d.SetTracer(tr)
-	run(t, rt, d)
-	data, err := tr.ChromeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parsed []map[string]any
-	if err := json.Unmarshal(data, &parsed); err != nil {
-		t.Fatalf("invalid trace JSON: %v", err)
-	}
-	if len(parsed) != tr.Len() {
-		t.Fatalf("JSON events = %d, want %d", len(parsed), tr.Len())
-	}
-	ev := parsed[0]
-	for _, key := range []string{"name", "ph", "ts", "dur", "pid", "tid"} {
-		if _, ok := ev[key]; !ok {
-			t.Fatalf("event missing %q: %v", key, ev)
+		if i > 0 && e.Start < aPhases[i-1].End {
+			t.Fatalf("a phase %s starts at %v before %s ends at %v", e.Comp, e.Start, aPhases[i-1].Comp, aPhases[i-1].End)
 		}
-	}
-	if ev["ph"] != "X" {
-		t.Fatalf("ph = %v, want X", ev["ph"])
 	}
 }
 
@@ -119,26 +97,16 @@ func TestTracerForeachReplicaNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracer()
-	d.SetTracer(tr)
+	evs := recordPhases(d)
 	run(t, rt, d)
-	replicas := map[string]bool{}
-	for _, e := range tr.Events() {
-		if strings.Contains(e.Node, "#") {
-			replicas[e.Node] = true
+	replicas := map[int]bool{}
+	for _, e := range *evs {
+		if e.Name == "m0" && e.Comp == obs.CompExec {
+			replicas[e.Replica] = true
 		}
 	}
-	if !replicas["m0#0"] || !replicas["m0#1"] {
-		t.Fatalf("foreach replica spans missing: %v", replicas)
-	}
-}
-
-func TestTracerReset(t *testing.T) {
-	tr := NewTracer()
-	tr.add(TraceEvent{Node: "x"})
-	tr.Reset()
-	if tr.Len() != 0 {
-		t.Fatal("Reset did not clear")
+	if len(replicas) != 2 || !replicas[0] || !replicas[1] {
+		t.Fatalf("foreach replica exec spans of m0: %v, want replicas 0 and 1", replicas)
 	}
 }
 
@@ -149,57 +117,9 @@ func TestNoTracerNoOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No tracer attached: must run exactly as before.
+	// No bus attached: must run exactly as before.
 	res := run(t, rt, d)
 	if res.Latency() <= 0 {
-		t.Fatal("run without tracer broken")
-	}
-}
-
-func TestTracerChromeJSONEmpty(t *testing.T) {
-	data, err := NewTracer().ChromeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(string(data)) != "[]" {
-		t.Fatalf("empty tracer renders %q; want [] (null breaks trace viewers)", data)
-	}
-}
-
-func TestTracerChromeJSONChronological(t *testing.T) {
-	tr := NewTracer()
-	tr.add(TraceEvent{Node: "b", Phase: "exec", Start: 300, End: 400})
-	tr.add(TraceEvent{Node: "a", Phase: "exec", Start: 100, End: 200})
-	data, err := tr.ChromeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parsed []map[string]any
-	if err := json.Unmarshal(data, &parsed); err != nil {
-		t.Fatal(err)
-	}
-	var prev float64 = -1
-	for _, ev := range parsed {
-		ts := ev["ts"].(float64)
-		if ts < prev {
-			t.Fatalf("events out of order: ts %v after %v", ts, prev)
-		}
-		prev = ts
-	}
-}
-
-func TestItoa(t *testing.T) {
-	cases := map[int]string{
-		0:          "0",
-		7:          "7",
-		42:         "42",
-		-13:        "-13", // the old hand-rolled version looped forever here
-		123456789:  "123456789",
-		-987654321: "-987654321",
-	}
-	for in, want := range cases {
-		if got := itoa(in); got != want {
-			t.Errorf("itoa(%d) = %q; want %q", in, got, want)
-		}
+		t.Fatal("run without an observer broken")
 	}
 }

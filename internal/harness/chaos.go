@@ -18,43 +18,26 @@ import (
 // recovery layer (task timeouts, re-placement, mode-specific re-issue)
 // completes every invocation anyway. The run is fully deterministic —
 // seeded arrivals, a scheduled fault window — so two runs with the same
-// spec produce byte-identical snapshots, which is what the CI chaos smoke
-// job diffs.
+// spec produce byte-identical snapshots, which is what CI diffs.
 
-// ChaosSpec configures one chaos-availability run. Zero values take
-// defaults sized so the fault window overlaps in-flight work.
+// ChaosSpec configures one chaos-availability run.
 type ChaosSpec struct {
-	Bench       string        // benchmark short name (default "IR")
-	Invocations int           // invocations per mode (default 20)
-	Interval    time.Duration // open-loop arrival spacing (default 400ms)
-	DownFor     time.Duration // victim outage window (default 5s)
-	Seed        uint64
+	Invocations int // invocations per mode (default 20)
 
 	// EngineKillAt, when > 0, additionally crashes the workflow engine at
 	// that offset: a journal is attached to the deployment and the engine
-	// recovers by replay after EngineDownFor (default DownFor).
-	EngineKillAt  time.Duration
-	EngineDownFor time.Duration
+	// recovers by replay after chaosDownFor.
+	EngineKillAt time.Duration
 }
 
-func (s ChaosSpec) withDefaults() ChaosSpec {
-	if s.Bench == "" {
-		s.Bench = "IR"
-	}
-	if s.Invocations == 0 {
-		s.Invocations = 20
-	}
-	if s.Interval == 0 {
-		s.Interval = 400 * time.Millisecond
-	}
-	if s.DownFor == 0 {
-		s.DownFor = 5 * time.Second
-	}
-	if s.EngineKillAt > 0 && s.EngineDownFor == 0 {
-		s.EngineDownFor = s.DownFor
-	}
-	return s
-}
+// Chaos scenario constants, sized so the fault window overlaps in-flight
+// work.
+const (
+	chaosBench       = "IR"
+	chaosInvocations = 20
+	chaosInterval    = 400 * time.Millisecond // open-loop arrival spacing
+	chaosDownFor     = 5 * time.Second        // victim (and engine) outage window
+)
 
 // ChaosRow is one mode's chaos-availability measurement.
 type ChaosRow struct {
@@ -80,94 +63,49 @@ type ChaosRow struct {
 // Chaos runs the chaos-availability scenario once per mode: deploy the
 // benchmark with recovery enabled, start staggered invocations, kill the
 // worker hosting the most placed tasks halfway through the arrival window,
-// recover it after DownFor, and run the simulation dry.
+// recover it after chaosDownFor, and run the simulation dry.
 func Chaos(spec ChaosSpec, modes []engine.Mode) ([]ChaosRow, error) {
-	spec = spec.withDefaults()
-	if len(modes) == 0 {
-		modes = []engine.Mode{engine.ModeWorkerSP, engine.ModeMasterSP}
-	}
-	var rows []ChaosRow
-	for _, mode := range modes {
-		row, err := chaosOne(spec, mode)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	spec.Invocations = orDefault(spec.Invocations, chaosInvocations)
+	return sweep(modes, []ChaosSpec{spec}, chaosOne)
 }
 
-func chaosOne(spec ChaosSpec, mode engine.Mode) (ChaosRow, error) {
-	bench := workloads.ByName(spec.Bench)
-	if bench == nil {
-		return ChaosRow{}, fmt.Errorf("harness: unknown benchmark %q", spec.Bench)
-	}
-	tb := NewTestbed(ClusterSpec{FaaStore: true, Seed: spec.Seed})
-	bus := obs.NewBus()
-	log := obs.NewTraceLog()
-	bus.Subscribe(log.Record)
-	tb.AttachBus(bus)
-
-	opts := engine.Options{
-		Mode: mode,
-		Data: engine.DataStore,
-		// The timeout must exceed the longest healthy attempt end-to-end
-		// (acquire queue + cold start + fetch + exec + store), or healthy
-		// work gets re-issued; it bounds how long a stranded task waits
-		// before the recovery path kicks in.
-		TaskTimeout: 20 * time.Second,
-		BackoffBase: 200 * time.Millisecond,
-		BackoffMax:  5 * time.Second,
-		MaxReissues: 10,
-	}
+func chaosOne(mode engine.Mode, spec ChaosSpec) (ChaosRow, error) {
+	tb := NewTestbed(ClusterSpec{FaaStore: true})
+	bus, log := observe(tb)
+	var jr *journal.WAL
 	if spec.EngineKillAt > 0 {
-		opts.Journal = journal.New(tb.Env, journal.Config{})
+		jr = journal.New(tb.Env, journal.Config{})
 	}
-	d, err := tb.Deploy(bench, opts)
+	d, err := tb.Deploy(workloads.ByName(chaosBench), recoveryOptions(mode, jr))
 	if err != nil {
-		return ChaosRow{}, fmt.Errorf("harness: chaos deploy %s/%s: %w", spec.Bench, mode, err)
+		return ChaosRow{}, fmt.Errorf("harness: chaos deploy %s/%s: %w", chaosBench, mode, err)
 	}
 
 	victim := chaosVictim(d.Placement.Worker, tb.Workers)
-	killAt := spec.Interval * time.Duration(spec.Invocations) / 2
+	killAt := chaosInterval * time.Duration(spec.Invocations) / 2
 	inj := faults.NewInjector(tb.Env, tb.Runtime.Nodes, tb.Fabric, tb.Runtime.Store, bus)
 	schedule := faults.Schedule{{
 		Kind:     faults.NodeDown,
 		Node:     victim,
 		At:       killAt,
-		Duration: spec.DownFor,
+		Duration: chaosDownFor,
 	}}
 	if spec.EngineKillAt > 0 {
 		inj.AttachEngines(d.Engine)
 		schedule = append(schedule, faults.Fault{
-			Kind: faults.EngineDown, At: spec.EngineKillAt, Duration: spec.EngineDownFor,
+			Kind: faults.EngineDown, At: spec.EngineKillAt, Duration: chaosDownFor,
 		})
 	}
 	if err := inj.Install(schedule); err != nil {
 		return ChaosRow{}, err
 	}
 
-	rec := &metrics.Recorder{}
-	completed, failed := 0, 0
-	for i := 0; i < spec.Invocations; i++ {
-		delay := time.Duration(i) * spec.Interval
-		tb.Env.Schedule(delay, func() {
-			d.Engine.Invoke(func(r engine.Result) {
-				completed++
-				if r.Failed {
-					failed++
-				}
-				rec.Add(r.Latency())
-			})
-		})
-	}
-	tb.Env.Run()
-
+	completed, failed, rec := staggeredRun(tb, d.Engine, spec.Invocations, chaosInterval)
 	return ChaosRow{
 		Mode:        mode,
 		Victim:      victim,
 		KillAt:      killAt,
-		DownFor:     spec.DownFor,
+		DownFor:     chaosDownFor,
 		Invocations: spec.Invocations,
 		Completed:   completed,
 		FailedInv:   failed,
@@ -178,10 +116,24 @@ func chaosOne(spec ChaosSpec, mode engine.Mode) (ChaosRow, error) {
 		P99:         rec.P99(),
 		Snapshot: obs.BuildSnapshot(log, map[string]string{
 			"scenario": "chaos",
-			"bench":    spec.Bench,
+			"bench":    chaosBench,
 			"mode":     mode.String(),
 		}),
 	}, nil
+}
+
+func (r ChaosRow) snapshot() NamedSnapshot {
+	return NamedSnapshot{"chaos-" + r.Mode.String() + ".json", r.Snapshot}
+}
+
+// CheckChaos is the availability gate: no mode may lose an invocation.
+func CheckChaos(rows []ChaosRow) error {
+	for _, r := range rows {
+		if r.Lost > 0 {
+			return fmt.Errorf("chaos %s: lost %d of %d invocations", r.Mode, r.Lost, r.Invocations)
+		}
+	}
+	return nil
 }
 
 // chaosVictim picks the worker hosting the most placed tasks — the node

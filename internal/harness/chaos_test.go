@@ -43,7 +43,7 @@ func TestChaosZeroLostInvocations(t *testing.T) {
 // TestChaosDeterministic runs the same chaos spec twice and requires
 // byte-identical snapshots — faults, recovery, and re-placement are all on
 // the simulation clock, so nothing about a chaos run may depend on host
-// state. This is the property the CI chaos smoke job diffs.
+// state. This is the property the CI scenario-smoke job diffs.
 func TestChaosDeterministic(t *testing.T) {
 	spec := ChaosSpec{Invocations: 12}
 	a, err := Chaos(spec, nil)

@@ -19,56 +19,30 @@ import (
 //     in-flight invocation orphans), restart it after a window, and require
 //     that replay completes everything with zero lost invocations and zero
 //     re-execution of committed steps (journal DupDrops == 0).
-//   - node-kill: with ReplicationFactor >= 2, kill the busiest worker and
+//   - node-kill: with 2-way replication, kill the busiest worker and
 //     require that consumers of its committed outputs recover by *fetching*
 //     a surviving replica (ReplicaReads > 0) instead of re-executing
 //     producers (Reexecs == 0, LostInputs == 0).
 //
 // Both runs are deterministic; same-spec runs yield byte-identical
-// snapshots, which the CI durable smoke job diffs across two invocations.
+// snapshots, which CI diffs across two invocations.
 
-// DurableSpec configures one durable-execution run. Zero values take
-// defaults sized so the fault window overlaps in-flight work.
+// DurableSpec configures one durable-execution run.
 type DurableSpec struct {
-	Bench       string        // benchmark short name (default "IR")
-	Invocations int           // invocations per mode/scenario (default 20)
-	Interval    time.Duration // open-loop arrival spacing (default 400ms)
-	Seed        uint64
-
-	SyncLatency time.Duration // journal fsync latency (journal default when 0)
-	BatchWindow time.Duration // journal group-commit window (default when 0)
-
-	ReplicationFactor int           // node-kill scenario factor (default 2)
-	RepairDelay       time.Duration // re-replication delay (default 50ms)
-
-	EngineDownFor time.Duration // engine crash window (default 5s)
-	NodeDownFor   time.Duration // worker kill window (default 5s)
+	Invocations int // invocations per mode/scenario (default 20)
 }
 
-func (s DurableSpec) withDefaults() DurableSpec {
-	if s.Bench == "" {
-		s.Bench = "IR"
-	}
-	if s.Invocations == 0 {
-		s.Invocations = 20
-	}
-	if s.Interval == 0 {
-		s.Interval = 400 * time.Millisecond
-	}
-	if s.ReplicationFactor == 0 {
-		s.ReplicationFactor = 2
-	}
-	if s.RepairDelay == 0 {
-		s.RepairDelay = 50 * time.Millisecond
-	}
-	if s.EngineDownFor == 0 {
-		s.EngineDownFor = 5 * time.Second
-	}
-	if s.NodeDownFor == 0 {
-		s.NodeDownFor = 5 * time.Second
-	}
-	return s
-}
+// Durable scenario constants, sized so the fault window overlaps in-flight
+// work. The journal keeps its default fsync latency and batch window.
+const (
+	durableBench       = "IR"
+	durableInvocations = 20
+	durableInterval    = 400 * time.Millisecond // open-loop arrival spacing
+	durableReplication = 2                      // node-kill replication factor
+	durableRepairDelay = 50 * time.Millisecond  // re-replication delay
+	durableEngineDown  = 5 * time.Second        // engine crash window
+	durableNodeDown    = 5 * time.Second        // worker kill window
+)
 
 // Durable scenario names.
 const (
@@ -95,60 +69,27 @@ type DurableRow struct {
 
 // Durable runs both durability scenarios under each mode.
 func Durable(spec DurableSpec, modes []engine.Mode) ([]DurableRow, error) {
-	spec = spec.withDefaults()
-	if len(modes) == 0 {
-		modes = []engine.Mode{engine.ModeWorkerSP, engine.ModeMasterSP}
-	}
-	var rows []DurableRow
-	for _, mode := range modes {
-		for _, scenario := range []string{ScenarioEngineKill, ScenarioNodeKill} {
-			row, err := durableOne(spec, mode, scenario)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
+	n := orDefault(spec.Invocations, durableInvocations)
+	return sweep(modes, []string{ScenarioEngineKill, ScenarioNodeKill},
+		func(mode engine.Mode, scenario string) (DurableRow, error) { return durableOne(n, mode, scenario) })
 }
 
-func durableOne(spec DurableSpec, mode engine.Mode, scenario string) (DurableRow, error) {
-	bench := workloads.ByName(spec.Bench)
-	if bench == nil {
-		return DurableRow{}, fmt.Errorf("harness: unknown benchmark %q", spec.Bench)
-	}
-	tb := NewTestbed(ClusterSpec{FaaStore: true, Seed: spec.Seed})
-	bus := obs.NewBus()
-	log := obs.NewTraceLog()
-	bus.Subscribe(log.Record)
-	tb.AttachBus(bus)
-
-	jr := journal.New(tb.Env, journal.Config{
-		SyncLatency: spec.SyncLatency,
-		BatchWindow: spec.BatchWindow,
-	})
-	opts := engine.Options{
-		Mode:        mode,
-		Data:        engine.DataStore,
-		Journal:     jr,
-		TaskTimeout: 20 * time.Second,
-		BackoffBase: 200 * time.Millisecond,
-		BackoffMax:  5 * time.Second,
-		MaxReissues: 10,
-	}
-	d, err := tb.Deploy(bench, opts)
+func durableOne(n int, mode engine.Mode, scenario string) (DurableRow, error) {
+	tb := NewTestbed(ClusterSpec{FaaStore: true})
+	bus, log := observe(tb)
+	d, err := tb.Deploy(workloads.ByName(durableBench), recoveryOptions(mode, journal.New(tb.Env, journal.Config{})))
 	if err != nil {
-		return DurableRow{}, fmt.Errorf("harness: durable deploy %s/%s: %w", spec.Bench, mode, err)
+		return DurableRow{}, fmt.Errorf("harness: durable deploy %s/%s: %w", durableBench, mode, err)
 	}
 
 	inj := faults.NewInjector(tb.Env, tb.Runtime.Nodes, tb.Fabric, tb.Runtime.Store, bus)
-	killAt := spec.Interval * time.Duration(spec.Invocations) / 2
+	killAt := durableInterval * time.Duration(n) / 2
 	victim := ""
 	switch scenario {
 	case ScenarioEngineKill:
 		inj.AttachEngines(d.Engine)
 		if err := inj.Install(faults.Schedule{{
-			Kind: faults.EngineDown, At: killAt, Duration: spec.EngineDownFor,
+			Kind: faults.EngineDown, At: killAt, Duration: durableEngineDown,
 		}}); err != nil {
 			return DurableRow{}, err
 		}
@@ -156,11 +97,7 @@ func durableOne(spec DurableSpec, mode engine.Mode, scenario string) (DurableRow
 		// k-way replicated FaaStore: sibling shards need quota headroom to
 		// hold the extra copies, which per-deployment reclamation does not
 		// grant on workers without placed tasks.
-		tb.Runtime.Store.SetReplication(spec.ReplicationFactor, spec.RepairDelay)
-		tb.Runtime.Store.SetAlive(func(n string) bool {
-			node := tb.Runtime.Nodes[n]
-			return node == nil || !node.Failed()
-		})
+		tb.SetReplication(durableReplication, durableRepairDelay)
 		for _, w := range tb.Workers {
 			mem := tb.Mems[w]
 			mem.SetQuota(mem.Quota() + 512<<20)
@@ -171,7 +108,7 @@ func durableOne(spec DurableSpec, mode engine.Mode, scenario string) (DurableRow
 		})
 		victim = chaosVictim(d.Placement.Worker, tb.Workers)
 		if err := inj.Install(faults.Schedule{{
-			Kind: faults.NodeDown, Node: victim, At: killAt, Duration: spec.NodeDownFor,
+			Kind: faults.NodeDown, Node: victim, At: killAt, Duration: durableNodeDown,
 		}}); err != nil {
 			return DurableRow{}, err
 		}
@@ -179,41 +116,30 @@ func durableOne(spec DurableSpec, mode engine.Mode, scenario string) (DurableRow
 		return DurableRow{}, fmt.Errorf("harness: unknown durable scenario %q", scenario)
 	}
 
-	rec := &metrics.Recorder{}
-	completed, failed := 0, 0
-	for i := 0; i < spec.Invocations; i++ {
-		delay := time.Duration(i) * spec.Interval
-		tb.Env.Schedule(delay, func() {
-			d.Engine.Invoke(func(r engine.Result) {
-				completed++
-				if r.Failed {
-					failed++
-				}
-				rec.Add(r.Latency())
-			})
-		})
-	}
-	tb.Env.Run()
-
+	completed, failed, rec := staggeredRun(tb, d.Engine, n, durableInterval)
 	return DurableRow{
 		Mode:        mode,
 		Scenario:    scenario,
 		Victim:      victim,
 		KillAt:      killAt,
-		Invocations: spec.Invocations,
+		Invocations: n,
 		Completed:   completed,
 		FailedInv:   failed,
-		Lost:        spec.Invocations - completed,
+		Lost:        n - completed,
 		Durable:     d.Engine.DurableStatsSnapshot(),
 		Repl:        tb.Runtime.Store.ReplStats(),
 		Mean:        rec.Mean(),
 		P99:         rec.P99(),
 		Snapshot: obs.BuildSnapshot(log, map[string]string{
 			"scenario": "durable-" + scenario,
-			"bench":    spec.Bench,
+			"bench":    durableBench,
 			"mode":     mode.String(),
 		}),
 	}, nil
+}
+
+func (r DurableRow) snapshot() NamedSnapshot {
+	return NamedSnapshot{fmt.Sprintf("durable-%s-%s.json", r.Mode, r.Scenario), r.Snapshot}
 }
 
 // CheckDurable enforces the durability gates:

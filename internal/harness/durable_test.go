@@ -35,7 +35,7 @@ func TestDurableGatesPass(t *testing.T) {
 
 // TestDurableDeterministic runs the same durable spec twice and requires
 // byte-identical snapshots — crash, replay, replica reads, and repair are
-// all on the simulation clock. This is the property the CI durable smoke
+// all on the simulation clock. This is the property the CI scenario-smoke
 // job diffs across two process invocations.
 func TestDurableDeterministic(t *testing.T) {
 	spec := DurableSpec{Invocations: 10}

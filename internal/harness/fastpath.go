@@ -24,24 +24,18 @@ import (
 // workflow makespan, cold start longer than any stage) so pre-warm has
 // latency to hide; direct passing and memoization gain regardless. Runs
 // are deterministic; same-spec runs yield byte-identical snapshots, which
-// the CI fastpath smoke job diffs across two invocations.
+// CI diffs across two invocations.
 
 // FastPathSpec configures one fast-path scenario sweep.
 type FastPathSpec struct {
-	Width       int // Genome task-node count (default 10)
 	Invocations int // closed-loop invocations per variant (default 10)
-	Seed        uint64
 }
 
-func (s FastPathSpec) withDefaults() FastPathSpec {
-	if s.Width == 0 {
-		s.Width = 10
-	}
-	if s.Invocations == 0 {
-		s.Invocations = 10
-	}
-	return s
-}
+// Fast-path scenario constants.
+const (
+	fastPathWidth       = 10 // Genome task-node count
+	fastPathInvocations = 10
+)
 
 // Fast-path variant names, in sweep order.
 const (
@@ -78,34 +72,19 @@ type FastPathRow struct {
 
 // FastPath runs the fast-path sweep under each mode.
 func FastPath(spec FastPathSpec, modes []engine.Mode) ([]FastPathRow, error) {
-	spec = spec.withDefaults()
-	if len(modes) == 0 {
-		modes = []engine.Mode{engine.ModeWorkerSP, engine.ModeMasterSP}
-	}
-	var rows []FastPathRow
-	for _, mode := range modes {
-		for _, variant := range []string{VariantOff, VariantDirect, VariantPrewarm, VariantFull} {
-			row, err := fastPathOne(spec, mode, variant)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
+	n := orDefault(spec.Invocations, fastPathInvocations)
+	return sweep(modes, []string{VariantOff, VariantDirect, VariantPrewarm, VariantFull},
+		func(mode engine.Mode, variant string) (FastPathRow, error) { return fastPathOne(n, mode, variant) })
 }
 
-func fastPathOne(spec FastPathSpec, mode engine.Mode, variant string) (FastPathRow, error) {
+func fastPathOne(n int, mode engine.Mode, variant string) (FastPathRow, error) {
 	cfg := cluster.DefaultConfig()
 	cfg.KeepAlive = 100 * time.Millisecond
 	cfg.ColdStart = 2 * time.Second
-	tb := NewTestbed(ClusterSpec{FaaStore: true, Cluster: cfg, Seed: spec.Seed})
-	bus := obs.NewBus()
-	log := obs.NewTraceLog()
-	bus.Subscribe(log.Record)
-	tb.AttachBus(bus)
+	tb := NewTestbed(ClusterSpec{FaaStore: true, Cluster: cfg})
+	_, log := observe(tb)
 
-	bench := workloads.Genome(spec.Width)
+	bench := workloads.Genome(fastPathWidth)
 	opts := engine.Options{
 		Mode:     mode,
 		Data:     engine.DataStore,
@@ -115,7 +94,7 @@ func fastPathOne(spec FastPathSpec, mode engine.Mode, variant string) (FastPathR
 	if err != nil {
 		return FastPathRow{}, fmt.Errorf("harness: fastpath deploy %s/%s: %w", mode, variant, err)
 	}
-	rec := ClosedLoop(tb.Env, d.Engine, 1, spec.Invocations)
+	rec := ClosedLoop(tb.Env, d.Engine, 1, n)
 
 	return FastPathRow{
 		Mode:        mode,
@@ -131,6 +110,10 @@ func fastPathOne(spec FastPathSpec, mode engine.Mode, variant string) (FastPathR
 			"mode":     mode.String(),
 		}),
 	}, nil
+}
+
+func (r FastPathRow) snapshot() NamedSnapshot {
+	return NamedSnapshot{fmt.Sprintf("fastpath-%s-%s.json", r.Mode, r.Variant), r.Snapshot}
 }
 
 // CheckFastPath enforces the fast-path gates:

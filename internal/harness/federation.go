@@ -31,70 +31,34 @@ import (
 //     exactly once.
 //
 // Both runs are deterministic; same-spec runs yield byte-identical
-// snapshots, diffed by the CI federation smoke job.
+// snapshots, which CI diffs across two invocations.
 
 // FederationSpec configures one federated chaos run.
 type FederationSpec struct {
-	Bench       string        // benchmark short name (default "IR")
-	Members     int           // federation size (default 3)
-	Invocations int           // total submissions (default 24)
-	Interval    time.Duration // open-loop arrival spacing (default 400ms)
+	Members     int // federation size (default 3)
+	Invocations int // total submissions (default 24)
 	Seed        uint64
-
-	Shards       int           // ownership shards (default 16)
-	LeaseTTL     time.Duration // lease TTL (default 1s)
-	RenewEvery   time.Duration // renewal period (default 250ms)
-	CheckEvery   time.Duration // detector sweep period (default 250ms)
-	HandoffDelay time.Duration // claim -> replay grace (default 100ms)
-
-	KillStart time.Duration // first kill instant (default 2s)
-	KillEvery time.Duration // kill spacing (default 4s)
-	DownFor   time.Duration // restart delay per kill (default 2s)
-	StallFor  time.Duration // stall scenario window (default 3*LeaseTTL)
 }
 
-func (s FederationSpec) withDefaults() FederationSpec {
-	if s.Bench == "" {
-		s.Bench = "IR"
-	}
-	if s.Members == 0 {
-		s.Members = 3
-	}
-	if s.Invocations == 0 {
-		s.Invocations = 24
-	}
-	if s.Interval == 0 {
-		s.Interval = 400 * time.Millisecond
-	}
-	if s.Shards == 0 {
-		s.Shards = 16
-	}
-	if s.LeaseTTL == 0 {
-		s.LeaseTTL = time.Second
-	}
-	if s.RenewEvery == 0 {
-		s.RenewEvery = 250 * time.Millisecond
-	}
-	if s.CheckEvery == 0 {
-		s.CheckEvery = 250 * time.Millisecond
-	}
-	if s.HandoffDelay == 0 {
-		s.HandoffDelay = 100 * time.Millisecond
-	}
-	if s.KillStart == 0 {
-		s.KillStart = 2 * time.Second
-	}
-	if s.KillEvery == 0 {
-		s.KillEvery = 4 * time.Second
-	}
-	if s.DownFor == 0 {
-		s.DownFor = 2 * time.Second
-	}
-	if s.StallFor == 0 {
-		s.StallFor = 3 * s.LeaseTTL
-	}
-	return s
-}
+// Federation scenario constants.
+const (
+	federationBench        = "IR"
+	federationMembers      = 3
+	federationInvocations  = 24
+	federationInterval     = 400 * time.Millisecond // open-loop arrival spacing
+	federationShards       = 16                     // ownership shards
+	federationLeaseTTL     = time.Second
+	federationRenewEvery   = 250 * time.Millisecond // lease renewal period
+	federationCheckEvery   = 250 * time.Millisecond // detector sweep period
+	federationHandoffDelay = 100 * time.Millisecond // claim -> replay grace
+	federationKillStart    = 2 * time.Second        // first kill instant
+	federationKillEvery    = 4 * time.Second        // kill spacing
+	federationDownFor      = 2 * time.Second        // restart delay per kill
+	federationStallFor     = 3 * federationLeaseTTL // stall scenario window
+	// federationHandoffBudget is FederationRow.HandoffBudget.
+	federationHandoffBudget = federationCheckEvery + federationCheckEvery/4 +
+		federationHandoffDelay + 500*time.Millisecond
+)
 
 // Federation scenario names.
 const (
@@ -128,32 +92,17 @@ type FederationRow struct {
 
 // Federation runs both federated chaos scenarios under each mode.
 func Federation(spec FederationSpec, modes []engine.Mode) ([]FederationRow, error) {
-	spec = spec.withDefaults()
-	if len(modes) == 0 {
-		modes = []engine.Mode{engine.ModeWorkerSP, engine.ModeMasterSP}
-	}
-	var rows []FederationRow
-	for _, mode := range modes {
-		for _, scenario := range []string{ScenarioRollingKill, ScenarioStall} {
-			row, err := federationOne(spec, mode, scenario)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
+	spec.Members = orDefault(spec.Members, federationMembers)
+	spec.Invocations = orDefault(spec.Invocations, federationInvocations)
+	return sweep(modes, []string{ScenarioRollingKill, ScenarioStall},
+		func(mode engine.Mode, scenario string) (FederationRow, error) {
+			return federationOne(spec, mode, scenario)
+		})
 }
 
 func federationOne(spec FederationSpec, mode engine.Mode, scenario string) (FederationRow, error) {
-	bench := workloads.ByName(spec.Bench)
-	if bench == nil {
-		return FederationRow{}, fmt.Errorf("harness: unknown benchmark %q", spec.Bench)
-	}
 	tb := NewTestbed(ClusterSpec{FaaStore: true, Seed: spec.Seed})
-	bus := obs.NewBus()
-	log := obs.NewTraceLog()
-	bus.Subscribe(log.Record)
+	bus, log := observe(tb)
 	handoffs := 0
 	var maxHandoff sim.Time
 	bus.Subscribe(func(ev obs.Event) {
@@ -164,21 +113,12 @@ func federationOne(spec FederationSpec, mode engine.Mode, scenario string) (Fede
 			}
 		}
 	})
-	tb.AttachBus(bus)
 
-	deps, err := tb.DeployReplicas(bench, spec.Members, func(i int) engine.Options {
-		return engine.Options{
-			Mode:        mode,
-			Data:        engine.DataStore,
-			Journal:     journal.New(tb.Env, journal.Config{}),
-			TaskTimeout: 20 * time.Second,
-			BackoffBase: 200 * time.Millisecond,
-			BackoffMax:  5 * time.Second,
-			MaxReissues: 10,
-		}
+	deps, err := tb.DeployReplicas(workloads.ByName(federationBench), spec.Members, func(i int) engine.Options {
+		return recoveryOptions(mode, journal.New(tb.Env, journal.Config{}))
 	})
 	if err != nil {
-		return FederationRow{}, fmt.Errorf("harness: federated deploy %s/%s: %w", spec.Bench, mode, err)
+		return FederationRow{}, fmt.Errorf("harness: federated deploy %s/%s: %w", federationBench, mode, err)
 	}
 	members := make([]federation.Member, len(deps))
 	for i, d := range deps {
@@ -189,11 +129,11 @@ func federationOne(spec FederationSpec, mode engine.Mode, scenario string) (Fede
 		}
 	}
 	fed, err := federation.New(tb.Env, federation.Config{
-		Shards:       spec.Shards,
-		LeaseTTL:     spec.LeaseTTL,
-		RenewEvery:   spec.RenewEvery,
-		CheckEvery:   spec.CheckEvery,
-		HandoffDelay: spec.HandoffDelay,
+		Shards:       federationShards,
+		LeaseTTL:     federationLeaseTTL,
+		RenewEvery:   federationRenewEvery,
+		CheckEvery:   federationCheckEvery,
+		HandoffDelay: federationHandoffDelay,
 		Seed:         spec.Seed + 1, // 0 would fall back to the default seed
 	}, bus, members...)
 	if err != nil {
@@ -205,11 +145,11 @@ func federationOne(spec FederationSpec, mode engine.Mode, scenario string) (Fede
 	var sched faults.Schedule
 	switch scenario {
 	case ScenarioRollingKill:
-		sched = faults.RollingEngineKills(fed.MemberIDs(), spec.KillStart, spec.KillEvery, spec.DownFor)
+		sched = faults.RollingEngineKills(fed.MemberIDs(), federationKillStart, federationKillEvery, federationDownFor)
 	case ScenarioStall:
 		sched = faults.Schedule{{
 			Kind: faults.EngineStall, Engine: fed.MemberIDs()[0],
-			At: spec.KillStart, Duration: spec.StallFor,
+			At: federationKillStart, Duration: federationStallFor,
 		}}
 	default:
 		return FederationRow{}, fmt.Errorf("harness: unknown federation scenario %q", scenario)
@@ -221,7 +161,7 @@ func federationOne(spec FederationSpec, mode engine.Mode, scenario string) (Fede
 	rec := &metrics.Recorder{}
 	completed, failed, retried := 0, 0, 0
 	for i := 0; i < spec.Invocations; i++ {
-		delay := time.Duration(i) * spec.Interval
+		delay := time.Duration(i) * federationInterval
 		var submit func()
 		submit = func() {
 			_, err := fed.Invoke(engine.InvokeOptions{}, func(r engine.Result) {
@@ -242,34 +182,37 @@ func federationOne(spec FederationSpec, mode engine.Mode, scenario string) (Fede
 	}
 	// The lease/detector timers tick forever; run to a horizon that covers
 	// every fault window plus recovery, stop the control plane, and drain.
-	horizon := spec.KillStart + time.Duration(spec.Members)*spec.KillEvery +
-		time.Duration(spec.Invocations)*spec.Interval + 2*time.Minute
+	horizon := federationKillStart + time.Duration(spec.Members)*federationKillEvery +
+		time.Duration(spec.Invocations)*federationInterval + 2*time.Minute
 	tb.Env.RunUntil(sim.Time(horizon))
 	fed.Stop()
 	tb.Env.Run()
 
 	return FederationRow{
-		Mode:        mode,
-		Scenario:    scenario,
-		Members:     spec.Members,
-		Invocations: spec.Invocations,
-		Completed:   completed,
-		FailedInv:   failed,
-		Lost:        spec.Invocations - completed,
-		Retried:     retried,
-		Fed:         fed.Stats(),
-		Handoffs:    handoffs,
-		MaxHandoff:  maxHandoff.Duration(),
-		HandoffBudget: spec.CheckEvery + spec.CheckEvery/4 +
-			spec.HandoffDelay + 500*time.Millisecond,
-		Mean: rec.Mean(),
-		P99:  rec.P99(),
+		Mode:          mode,
+		Scenario:      scenario,
+		Members:       spec.Members,
+		Invocations:   spec.Invocations,
+		Completed:     completed,
+		FailedInv:     failed,
+		Lost:          spec.Invocations - completed,
+		Retried:       retried,
+		Fed:           fed.Stats(),
+		Handoffs:      handoffs,
+		MaxHandoff:    maxHandoff.Duration(),
+		HandoffBudget: federationHandoffBudget,
+		Mean:          rec.Mean(),
+		P99:           rec.P99(),
 		Snapshot: obs.BuildSnapshot(log, map[string]string{
 			"scenario": "federation-" + scenario,
-			"bench":    spec.Bench,
+			"bench":    federationBench,
 			"mode":     mode.String(),
 		}),
 	}, nil
+}
+
+func (r FederationRow) snapshot() NamedSnapshot {
+	return NamedSnapshot{fmt.Sprintf("federation-%s-%s.json", r.Mode, r.Scenario), r.Snapshot}
 }
 
 // CheckFederation enforces the federated-chaos gates:

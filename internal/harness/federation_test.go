@@ -48,7 +48,7 @@ func TestFederationBothModes(t *testing.T) {
 // TestFederationDeterministic runs the same spec twice and requires
 // byte-identical snapshots — lease expiries, claim-race winners, fences,
 // and handoff replays are all pure functions of the seed. This is the
-// property the CI federation smoke job diffs across two process
+// property the CI scenario-smoke job diffs across two process
 // invocations.
 func TestFederationDeterministic(t *testing.T) {
 	spec := FederationSpec{Invocations: 10, Members: 3, Seed: 42}

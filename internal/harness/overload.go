@@ -10,7 +10,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/store"
 	"repro/internal/workloads"
 )
 
@@ -25,48 +24,28 @@ import (
 // goodput at 2x offered load falls off the peak. Both variants are fully
 // deterministic: same spec, byte-identical snapshots.
 
-// OverloadSpec configures one overload sweep. Zero values take defaults
-// sized for a CI smoke run.
+// OverloadSpec configures one overload sweep.
 type OverloadSpec struct {
-	Bench  string        // benchmark short name (default "IR")
-	Window time.Duration // arrival window per rate point (default 20s)
-	// Multipliers are the offered-rate points as fractions of the measured
-	// saturation rate (default 0.25, 0.5, 1, 1.5, 2).
-	Multipliers []float64
-	// Deadline is each invocation's end-to-end budget (default 8s).
-	Deadline time.Duration
-	// MaxQueueDepth bounds each per-function Acquire queue (default 8).
-	MaxQueueDepth int
-	// Probe is the closed-loop client count of the saturation probe; the
-	// admission concurrency cap is derived from it (default 8).
-	Probe int
 	// NoAdmission removes the front-door controller (the counterfactual:
 	// backpressure and deadlines alone, goodput collapses past saturation).
 	NoAdmission bool
-	Seed        uint64
 }
 
-func (s OverloadSpec) withDefaults() OverloadSpec {
-	if s.Bench == "" {
-		s.Bench = "IR"
-	}
-	if s.Window == 0 {
-		s.Window = 20 * time.Second
-	}
-	if len(s.Multipliers) == 0 {
-		s.Multipliers = []float64{0.25, 0.5, 1, 1.5, 2}
-	}
-	if s.Deadline == 0 {
-		s.Deadline = 8 * time.Second
-	}
-	if s.MaxQueueDepth == 0 {
-		s.MaxQueueDepth = 8
-	}
-	if s.Probe == 0 {
-		s.Probe = 8
-	}
-	return s
-}
+// Overload scenario constants, sized for a CI smoke run. The tenancy
+// scenario shares the bench, deadline, queue depth and probe.
+const (
+	overloadBench      = "IR"
+	overloadWindow     = 20 * time.Second // arrival window per rate point
+	overloadDeadline   = 8 * time.Second  // each invocation's end-to-end budget
+	overloadQueueDepth = 8                // per-function Acquire queue bound
+	// overloadProbe is the closed-loop client count of the saturation
+	// probe; the admission concurrency cap is derived from it.
+	overloadProbe = 8
+)
+
+// overloadMultipliers are the offered-rate points as fractions of the
+// measured saturation rate.
+var overloadMultipliers = []float64{0.25, 0.5, 1, 1.5, 2}
 
 // OverloadRow is one rate point of the sweep.
 type OverloadRow struct {
@@ -82,7 +61,7 @@ type OverloadRow struct {
 	Shed       int64         // Acquire-queue rejections across nodes
 	P50, P99   time.Duration // latency of goodput completions
 	// Snapshot is the rate point's flight recorder; identical specs yield
-	// byte-identical snapshots (the CI overload smoke diffs them).
+	// byte-identical snapshots (CI diffs them).
 	Snapshot *obs.Snapshot
 }
 
@@ -90,18 +69,10 @@ type OverloadRow struct {
 // row of each mode for rendering.
 func (r OverloadRow) SatRate() float64 { return r.Rate / r.Multiplier }
 
-func overloadCluster(spec OverloadSpec) cluster.Config {
+func overloadTestbed() *Testbed {
 	cfg := cluster.DefaultConfig()
-	cfg.MaxQueueDepth = spec.MaxQueueDepth
-	return cfg
-}
-
-func overloadTestbed(spec OverloadSpec) *Testbed {
-	return NewTestbed(ClusterSpec{
-		FaaStore: true,
-		Cluster:  overloadCluster(spec),
-		Seed:     spec.Seed,
-	})
+	cfg.MaxQueueDepth = overloadQueueDepth
+	return NewTestbed(ClusterSpec{FaaStore: true, Cluster: cfg})
 }
 
 func overloadOptions(mode engine.Mode) engine.Options {
@@ -109,25 +80,22 @@ func overloadOptions(mode engine.Mode) engine.Options {
 }
 
 // overloadSaturation measures the cluster's saturation throughput for the
-// benchmark under one mode: Probe closed-loop clients drive it flat out
-// and the completion rate is the capacity every sweep point is sized from.
-func overloadSaturation(spec OverloadSpec, mode engine.Mode) (float64, error) {
-	bench := workloads.ByName(spec.Bench)
-	if bench == nil {
-		return 0, fmt.Errorf("harness: unknown benchmark %q", spec.Bench)
-	}
-	tb := overloadTestbed(spec)
-	d, err := tb.Deploy(bench, overloadOptions(mode))
+// benchmark under one mode: overloadProbe closed-loop clients drive it
+// flat out and the completion rate is the capacity every sweep point is
+// sized from.
+func overloadSaturation(mode engine.Mode) (float64, error) {
+	tb := overloadTestbed()
+	d, err := tb.Deploy(workloads.ByName(overloadBench), overloadOptions(mode))
 	if err != nil {
-		return 0, fmt.Errorf("harness: overload probe deploy %s/%s: %w", spec.Bench, mode, err)
+		return 0, fmt.Errorf("harness: overload probe deploy %s/%s: %w", overloadBench, mode, err)
 	}
-	// Probe closed-loop clients, bounded per client. Elapsed time is the
-	// last completion instant — not the drained clock, which would include
-	// the keep-alive eviction tail and dwarf the measurement.
+	// overloadProbe closed-loop clients, bounded per client. Elapsed time
+	// is the last completion instant — not the drained clock, which would
+	// include the keep-alive eviction tail and dwarf the measurement.
 	const perClient = 8
 	total := 0
 	var lastDone sim.Time
-	for i := 0; i < spec.Probe; i++ {
+	for i := 0; i < overloadProbe; i++ {
 		remaining := perClient
 		var next func()
 		next = func() {
@@ -155,60 +123,42 @@ func overloadSaturation(spec OverloadSpec, mode engine.Mode) (float64, error) {
 // testbed so points are independent; the saturation probe runs once per
 // mode and fixes the admission rate and every offered rate.
 func Overload(spec OverloadSpec, modes []engine.Mode) ([]OverloadRow, error) {
-	spec = spec.withDefaults()
-	if len(modes) == 0 {
-		modes = []engine.Mode{engine.ModeWorkerSP, engine.ModeMasterSP}
-	}
-	var rows []OverloadRow
-	for _, mode := range modes {
-		sat, err := overloadSaturation(spec, mode)
-		if err != nil {
-			return nil, err
-		}
-		for _, m := range spec.Multipliers {
-			row, err := overloadOne(spec, mode, sat, m)
-			if err != nil {
-				return nil, err
+	sats := map[engine.Mode]float64{}
+	return sweep(modes, overloadMultipliers, func(mode engine.Mode, m float64) (OverloadRow, error) {
+		sat, ok := sats[mode]
+		if !ok {
+			var err error
+			if sat, err = overloadSaturation(mode); err != nil {
+				return OverloadRow{}, err
 			}
-			rows = append(rows, row)
+			sats[mode] = sat
 		}
-	}
-	return rows, nil
+		return overloadOne(mode, sat, m, overloadWindow, !spec.NoAdmission)
+	})
 }
 
-func overloadOne(spec OverloadSpec, mode engine.Mode, satRate, multiplier float64) (OverloadRow, error) {
-	bench := workloads.ByName(spec.Bench)
-	if bench == nil {
-		return OverloadRow{}, fmt.Errorf("harness: unknown benchmark %q", spec.Bench)
-	}
-	tb := overloadTestbed(spec)
-	bus := obs.NewBus()
-	log := obs.NewTraceLog()
-	bus.Subscribe(log.Record)
-	tb.AttachBus(bus)
-	// Arm the store breaker: overload must not be able to wedge the run on
-	// a browned-out database (no brownout is injected here, but the armed
-	// watchdog is part of the configuration under test).
-	breaker, err := store.NewBreaker(tb.Env, store.BreakerConfig{Timeout: 30 * time.Second})
-	if err != nil {
+// overloadOne offers multiplier × satRate arrivals/sec for window on a
+// fresh testbed, behind front-door admission when admit is set.
+func overloadOne(mode engine.Mode, satRate, multiplier float64, window time.Duration, admit bool) (OverloadRow, error) {
+	bench := workloads.ByName(overloadBench)
+	tb := overloadTestbed()
+	bus, log := observe(tb)
+	if err := armBreaker(tb, bus); err != nil {
 		return OverloadRow{}, err
 	}
-	breaker.SetBus(bus)
-	tb.Runtime.Store.SetBreaker(breaker)
-
 	d, err := tb.Deploy(bench, overloadOptions(mode))
 	if err != nil {
-		return OverloadRow{}, fmt.Errorf("harness: overload deploy %s/%s: %w", spec.Bench, mode, err)
+		return OverloadRow{}, fmt.Errorf("harness: overload deploy %s/%s: %w", overloadBench, mode, err)
 	}
 
 	var ctl *admission.Controller
-	if !spec.NoAdmission {
+	if admit {
 		// Admit at the measured capacity with headroom for in-flight work:
 		// the rate limiter pins sustained admissions to saturation and the
 		// concurrency cap bounds how much admitted work can pile up.
 		ctl, err = admission.New(tb.Env, admission.Config{
 			RatePerSec:    satRate,
-			MaxConcurrent: 2 * spec.Probe,
+			MaxConcurrent: 2 * overloadProbe,
 		})
 		if err != nil {
 			return OverloadRow{}, err
@@ -217,7 +167,7 @@ func overloadOne(spec OverloadSpec, mode engine.Mode, satRate, multiplier float6
 	}
 
 	rate := satRate * multiplier
-	offered := int(rate * spec.Window.Seconds())
+	offered := int(rate * window.Seconds())
 	if offered < 1 {
 		offered = 1
 	}
@@ -234,7 +184,7 @@ func overloadOne(spec OverloadSpec, mode engine.Mode, satRate, multiplier float6
 			}
 			admitted++
 			d.Engine.InvokeOpts(engine.InvokeOptions{
-				Deadline: tb.Env.Now() + sim.Time(spec.Deadline),
+				Deadline: tb.Env.Now() + sim.Time(overloadDeadline),
 			}, func(r engine.Result) {
 				ctl.Release()
 				switch {
@@ -251,10 +201,6 @@ func overloadOne(spec OverloadSpec, mode engine.Mode, satRate, multiplier float6
 	}
 	tb.Env.Run()
 
-	var shed int64
-	for _, w := range tb.Workers {
-		shed += tb.Runtime.Nodes[w].Stats().Shed
-	}
 	return OverloadRow{
 		Mode:       mode,
 		Multiplier: multiplier,
@@ -265,17 +211,21 @@ func overloadOne(spec OverloadSpec, mode engine.Mode, satRate, multiplier float6
 		Goodput:    goodN,
 		Deadlined:  deadlined,
 		Failed:     failed,
-		Shed:       shed,
+		Shed:       tb.shed(),
 		P50:        good.Percentile(0.5),
 		P99:        good.P99(),
 		Snapshot: obs.BuildSnapshot(log, map[string]string{
 			"scenario":   "overload",
-			"bench":      spec.Bench,
+			"bench":      overloadBench,
 			"mode":       mode.String(),
 			"multiplier": fmt.Sprintf("%g", multiplier),
-			"admission":  fmt.Sprintf("%t", !spec.NoAdmission),
+			"admission":  fmt.Sprintf("%t", admit),
 		}),
 	}, nil
+}
+
+func (r OverloadRow) snapshot() NamedSnapshot {
+	return NamedSnapshot{fmt.Sprintf("overload-%s-x%g.json", r.Mode, r.Multiplier), r.Snapshot}
 }
 
 // RenderOverload builds the per-rate overload table.

@@ -20,10 +20,7 @@ func RunSnapshot(sys System, benchNames []string, invocations int, storageBW net
 		invocations = 1
 	}
 	tb := newSystemTestbed(sys, storageBW)
-	bus := obs.NewBus()
-	log := obs.NewTraceLog()
-	bus.Subscribe(log.Record)
-	tb.AttachBus(bus)
+	_, log := observe(tb)
 
 	for _, name := range benchNames {
 		bench := workloads.ByName(name)

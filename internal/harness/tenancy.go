@@ -10,69 +10,38 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/store"
 	"repro/internal/workloads"
 )
 
 // This file drives the multi-tenant noisy-neighbor scenario: N well-behaved
 // tenants each offering exactly their fair share of the cluster's measured
-// saturation rate, plus one noisy tenant offering NoisyFactor times its
-// share. With per-tenant weighted admission buckets and weighted-fair
+// saturation rate, plus one noisy tenant offering tenancyNoisyFactor times
+// its share. With per-tenant weighted admission buckets and weighted-fair
 // Acquire queueing, the noisy tenant must be clipped to its slice at the
 // front door while every well-behaved tenant keeps its goodput — zero
 // starvation — and the aggregate goodput must match what a single
 // untenanted stream achieves at the same offered rate (isolation costs
 // nothing). Fully deterministic: same spec, byte-identical snapshots.
 
-// TenancySpec configures one noisy-neighbor run. Zero values take defaults
-// sized for a CI smoke run.
-type TenancySpec struct {
-	Bench  string        // benchmark short name (default "IR")
-	Window time.Duration // arrival window (default 20s)
-	// Deadline is each invocation's end-to-end budget (default 8s).
-	Deadline time.Duration
-	// MaxQueueDepth bounds each per-(function, tenant) Acquire queue
-	// (default 8).
-	MaxQueueDepth int
-	// Probe is the closed-loop client count of the saturation probe; the
-	// admission concurrency cap is derived from it (default 8).
-	Probe int
-	// Tenants is the well-behaved tenant count (default 20). One noisy
-	// tenant is always added on top.
-	Tenants int
-	// NoisyFactor is the noisy tenant's offered load as a multiple of its
-	// fair share (default 10).
-	NoisyFactor float64
-	Seed        uint64
-}
+// TenancySpec configures one noisy-neighbor run. It has no settable
+// field: the scenario runs at fixed size, on the overload scenario's
+// bench, deadline, queue depth and probe.
+type TenancySpec struct{}
 
-func (s TenancySpec) withDefaults() TenancySpec {
-	if s.Bench == "" {
-		s.Bench = "IR"
-	}
-	if s.Window == 0 {
-		// Longer than the overload default: each well-behaved tenant offers
-		// only 1/(Tenants+1) of saturation, and the 90% zero-starvation gate
-		// needs per-tenant counts coarse truncation can't dominate.
-		s.Window = 200 * time.Second
-	}
-	if s.Deadline == 0 {
-		s.Deadline = 8 * time.Second
-	}
-	if s.MaxQueueDepth == 0 {
-		s.MaxQueueDepth = 8
-	}
-	if s.Probe == 0 {
-		s.Probe = 8
-	}
-	if s.Tenants == 0 {
-		s.Tenants = 20
-	}
-	if s.NoisyFactor == 0 {
-		s.NoisyFactor = 10
-	}
-	return s
-}
+// Tenancy scenario constants, sized for a CI smoke run.
+const (
+	// tenancyWindow is the arrival window, longer than the overload one:
+	// each well-behaved tenant offers only 1/(tenancyTenants+1) of
+	// saturation, and the 90% zero-starvation gate needs per-tenant counts
+	// coarse truncation can't dominate.
+	tenancyWindow = 200 * time.Second
+	// tenancyTenants is the well-behaved tenant count; one noisy tenant is
+	// always added on top.
+	tenancyTenants = 20
+	// tenancyNoisyFactor is the noisy tenant's offered load as a multiple
+	// of its fair share.
+	tenancyNoisyFactor = 10
+)
 
 // noisyTenant is the misbehaving tenant's identity in the scenario.
 const noisyTenant = "noisy"
@@ -90,16 +59,6 @@ type TenantOutcome struct {
 	P50, P99  time.Duration // latency of goodput completions
 }
 
-// FairShare is the tenant's zero-starvation target: its full offered count
-// for a well-behaved tenant (it asked for no more than its share), and the
-// fair fraction of its overload for the noisy one.
-func (t TenantOutcome) FairShare() int {
-	if !t.Noisy {
-		return t.Offered
-	}
-	return t.Offered / 10 // informational; the gate only binds well-behaved tenants
-}
-
 // TenancyRow is one mode's noisy-neighbor run.
 type TenancyRow struct {
 	Mode     engine.Mode
@@ -115,15 +74,15 @@ type TenancyRow struct {
 	RefGoodput int
 	Shed       int64 // Acquire-queue rejections across nodes
 	// Snapshot is the run's flight recorder; identical specs yield
-	// byte-identical snapshots (the CI tenancy smoke diffs them).
+	// byte-identical snapshots (CI diffs them).
 	Snapshot *obs.Snapshot
 }
 
 // tenantNames returns the scenario's tenant identities in deterministic
 // order: well-behaved tenants first, the noisy tenant last.
-func tenantNames(spec TenancySpec) []string {
-	names := make([]string, 0, spec.Tenants+1)
-	for i := 0; i < spec.Tenants; i++ {
+func tenantNames() []string {
+	names := make([]string, 0, tenancyTenants+1)
+	for i := 0; i < tenancyTenants; i++ {
 		names = append(names, fmt.Sprintf("tenant-%02d", i))
 	}
 	return append(names, noisyTenant)
@@ -134,75 +93,48 @@ func tenantNames(spec TenancySpec) []string {
 // run and the single-tenant reference each get a fresh testbed so they are
 // independent.
 func Tenancy(spec TenancySpec, modes []engine.Mode) ([]TenancyRow, error) {
-	spec = spec.withDefaults()
-	if len(modes) == 0 {
-		modes = []engine.Mode{engine.ModeWorkerSP, engine.ModeMasterSP}
-	}
-	var rows []TenancyRow
-	for _, mode := range modes {
-		ovSpec := OverloadSpec{
-			Bench:         spec.Bench,
-			Window:        spec.Window,
-			Deadline:      spec.Deadline,
-			MaxQueueDepth: spec.MaxQueueDepth,
-			Probe:         spec.Probe,
-			Seed:          spec.Seed,
-		}
-		sat, err := overloadSaturation(ovSpec, mode)
+	return sweep(modes, []TenancySpec{spec}, func(mode engine.Mode, _ TenancySpec) (TenancyRow, error) {
+		sat, err := overloadSaturation(mode)
 		if err != nil {
-			return nil, err
+			return TenancyRow{}, err
 		}
-		row, err := tenancyOne(spec, mode, sat)
+		row, err := tenancyOne(mode, sat)
 		if err != nil {
-			return nil, err
+			return TenancyRow{}, err
 		}
 		// Single-tenant reference: one untenanted admitted stream at the
 		// same aggregate offered rate, same admission rate and cap — the
 		// goodput a non-isolated front door achieves with the same demand.
-		ref, err := overloadOne(ovSpec, mode, sat, row.AggRate/sat)
+		ref, err := overloadOne(mode, sat, row.AggRate/sat, tenancyWindow, true)
 		if err != nil {
-			return nil, err
+			return TenancyRow{}, err
 		}
 		row.RefGoodput = ref.Goodput
-		rows = append(rows, row)
-	}
-	return rows, nil
+		return row, nil
+	})
 }
 
-func tenancyOne(spec TenancySpec, mode engine.Mode, satRate float64) (TenancyRow, error) {
-	bench := workloads.ByName(spec.Bench)
-	if bench == nil {
-		return TenancyRow{}, fmt.Errorf("harness: unknown benchmark %q", spec.Bench)
-	}
-	tb := overloadTestbed(OverloadSpec{
-		Bench:         spec.Bench,
-		MaxQueueDepth: spec.MaxQueueDepth,
-		Seed:          spec.Seed,
-	})
-	bus := obs.NewBus()
-	log := obs.NewTraceLog()
-	bus.Subscribe(log.Record)
-	tb.AttachBus(bus)
-	breaker, err := store.NewBreaker(tb.Env, store.BreakerConfig{Timeout: 30 * time.Second})
-	if err != nil {
+func tenancyOne(mode engine.Mode, satRate float64) (TenancyRow, error) {
+	bench := workloads.ByName(overloadBench)
+	tb := overloadTestbed()
+	bus, log := observe(tb)
+	if err := armBreaker(tb, bus); err != nil {
 		return TenancyRow{}, err
 	}
-	breaker.SetBus(bus)
-	tb.Runtime.Store.SetBreaker(breaker)
-
 	d, err := tb.Deploy(bench, overloadOptions(mode))
 	if err != nil {
-		return TenancyRow{}, fmt.Errorf("harness: tenancy deploy %s/%s: %w", spec.Bench, mode, err)
+		return TenancyRow{}, fmt.Errorf("harness: tenancy deploy %s/%s: %w", overloadBench, mode, err)
 	}
 
-	names := tenantNames(spec)
+	names := tenantNames()
 	total := len(names)
 	fairRate := satRate / float64(total)
 
 	// Every tenant weighs 1: the fair share is an equal slice. The rate
 	// buckets clip each tenant to its slice at the front door; the
-	// per-tenant concurrency override stays generous (Probe) so isolation
-	// under this scenario is enforced by rate, not by in-flight caps.
+	// per-tenant concurrency override stays generous (overloadProbe) so
+	// isolation under this scenario is enforced by rate, not by in-flight
+	// caps.
 	tenantCfgs := make(map[string]admission.TenantConfig, total)
 	weights := make(map[string]float64, total)
 	for _, name := range names {
@@ -210,13 +142,13 @@ func tenancyOne(spec TenancySpec, mode engine.Mode, satRate float64) (TenancyRow
 		// under one token apart once intervals truncate to integer
 		// nanoseconds, and a burst-1 bucket would alternate admit/reject on
 		// that knife edge.
-		tenantCfgs[name] = admission.TenantConfig{Weight: 1, Burst: 2, MaxConcurrent: spec.Probe}
+		tenantCfgs[name] = admission.TenantConfig{Weight: 1, Burst: 2, MaxConcurrent: overloadProbe}
 		weights[name] = 1
 	}
 	tb.SetTenantWeights(weights)
 	ctl, err := admission.New(tb.Env, admission.Config{
 		RatePerSec:    satRate,
-		MaxConcurrent: 2 * spec.Probe,
+		MaxConcurrent: 2 * overloadProbe,
 		Tenants:       tenantCfgs,
 	})
 	if err != nil {
@@ -231,10 +163,10 @@ func tenancyOne(spec TenancySpec, mode engine.Mode, satRate float64) (TenancyRow
 		idx := idx
 		rate := fairRate
 		if name == noisyTenant {
-			rate = fairRate * spec.NoisyFactor
+			rate = fairRate * tenancyNoisyFactor
 		}
 		aggRate += rate
-		offered := int(rate * spec.Window.Seconds())
+		offered := int(rate * tenancyWindow.Seconds())
 		if offered < 1 {
 			offered = 1
 		}
@@ -260,7 +192,7 @@ func tenancyOne(spec TenancySpec, mode engine.Mode, satRate float64) (TenancyRow
 				}
 				outcomes[idx].Admitted++
 				d.Engine.InvokeOpts(engine.InvokeOptions{
-					Deadline: tb.Env.Now() + sim.Time(spec.Deadline),
+					Deadline: tb.Env.Now() + sim.Time(overloadDeadline),
 					Tenant:   tenant,
 				}, func(r engine.Result) {
 					release()
@@ -285,10 +217,6 @@ func tenancyOne(spec TenancySpec, mode engine.Mode, satRate float64) (TenancyRow
 		outcomes[i].P99 = recs[i].P99()
 		agg += outcomes[i].Goodput
 	}
-	var shed int64
-	for _, w := range tb.Workers {
-		shed += tb.Runtime.Nodes[w].Stats().Shed
-	}
 	return TenancyRow{
 		Mode:       mode,
 		SatRate:    satRate,
@@ -296,15 +224,19 @@ func tenancyOne(spec TenancySpec, mode engine.Mode, satRate float64) (TenancyRow
 		AggRate:    aggRate,
 		Tenants:    outcomes,
 		AggGoodput: agg,
-		Shed:       shed,
+		Shed:       tb.shed(),
 		Snapshot: obs.BuildSnapshot(log, map[string]string{
 			"scenario": "tenancy",
-			"bench":    spec.Bench,
+			"bench":    overloadBench,
 			"mode":     mode.String(),
-			"tenants":  fmt.Sprintf("%d", spec.Tenants),
-			"noisy":    fmt.Sprintf("%g", spec.NoisyFactor),
+			"tenants":  fmt.Sprintf("%d", tenancyTenants),
+			"noisy":    fmt.Sprintf("%g", float64(tenancyNoisyFactor)),
 		}),
 	}, nil
+}
+
+func (r TenancyRow) snapshot() NamedSnapshot {
+	return NamedSnapshot{"tenancy-" + r.Mode.String() + ".json", r.Snapshot}
 }
 
 // RenderTenancy builds the per-tenant tenancy table.

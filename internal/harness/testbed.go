@@ -127,6 +127,18 @@ func (tb *Testbed) SetTenantWeights(weights map[string]float64) {
 	}
 }
 
+// SetReplication turns on k-way replication of FaaStore outputs with the
+// given re-replication delay. A shard counts as alive while its worker
+// node has not failed.
+func (tb *Testbed) SetReplication(factor int, repairDelay time.Duration) {
+	nodes := tb.Runtime.Nodes
+	tb.Runtime.Store.SetReplication(factor, repairDelay)
+	tb.Runtime.Store.SetAlive(func(n string) bool {
+		node := nodes[n]
+		return node == nil || !node.Failed()
+	})
+}
+
 // Engines reports every engine deployment made on this testbed, in
 // deployment order — fault injectors attach EngineDown targets through it.
 func (tb *Testbed) Engines() []*engine.Deployment {
