@@ -63,7 +63,7 @@ func main() {
 		observer = faasflow.NewObserver()
 		cluster.AttachObserver(observer)
 	}
-	app, err := cluster.Deploy(wf, m)
+	app, err := cluster.Deploy(wf, faasflow.DeployOptions{Mode: m})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "faasflow:", err)
 		os.Exit(1)
@@ -85,7 +85,7 @@ func main() {
 		stats = app.RunOpenLoop(*rate, *n)
 	case args != nil:
 		fmt.Printf("\nclosed loop with args %v: %d invocations (%s)\n", args, *n, m)
-		stats = app.RunWithArgs(args, *n)
+		stats = app.RunOpts(faasflow.InvokeOptions{Args: args}, *n)
 	default:
 		fmt.Printf("\nclosed loop: %d invocations (%s, faastore=%v)\n", *n, m, *faastore)
 		stats = app.Run(*n)

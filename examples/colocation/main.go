@@ -30,7 +30,7 @@ func main() {
 		solo := map[string]faasflow.Stats{}
 		for _, name := range names {
 			cluster := faasflow.NewCluster(faasflow.WithFaaStore(cfg.faastore), faasflow.WithSeed(9))
-			app, err := cluster.Deploy(faasflow.Benchmark(name), cfg.mode)
+			app, err := cluster.Deploy(faasflow.Benchmark(name), faasflow.DeployOptions{Mode: cfg.mode})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -42,7 +42,7 @@ func main() {
 		shared := faasflow.NewCluster(faasflow.WithFaaStore(cfg.faastore), faasflow.WithSeed(9))
 		var apps []*faasflow.App
 		for _, name := range names {
-			app, err := shared.Deploy(faasflow.Benchmark(name), cfg.mode)
+			app, err := shared.Deploy(faasflow.Benchmark(name), faasflow.DeployOptions{Mode: cfg.mode})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -23,7 +23,7 @@ func run(mode faasflow.Mode, faastore bool) (*faasflow.Observer, faasflow.Stats)
 	)
 	o := faasflow.NewObserver()
 	cluster.AttachObserver(o)
-	app, err := cluster.Deploy(faasflow.Benchmark("Vid"), mode)
+	app, err := cluster.Deploy(faasflow.Benchmark("Vid"), faasflow.DeployOptions{Mode: mode})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,15 +41,16 @@ func main() {
 	// the saturation of the resource each segment ran on. Under MasterSP
 	// every intermediate crosses the storage link; FaaStore keeps them
 	// worker-local, so the dominant bottleneck moves off that link.
-	for name, o := range map[string]*faasflow.Observer{
-		"MasterSP": masterObs, "WorkerSP+FaaStore": workerObs,
-	} {
-		sums, err := o.Bottlenecks()
+	for _, run := range []struct {
+		name string
+		o    *faasflow.Observer
+	}{{"MasterSP", masterObs}, {"WorkerSP+FaaStore", workerObs}} {
+		sums, err := run.o.Bottlenecks()
 		if err != nil {
 			log.Fatal(err)
 		}
 		for _, s := range sums {
-			fmt.Printf("[%s] %s", name, s)
+			fmt.Printf("[%s] %s", run.name, s)
 		}
 	}
 

@@ -6,6 +6,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"repro/faasflow"
 )
@@ -32,15 +33,21 @@ func main() {
 		faasflow.WithWorkers(3),
 		faasflow.WithFaaStore(true),
 	)
-	app, err := cluster.Deploy(wf, faasflow.WorkerSP)
+	app, err := cluster.Deploy(wf, faasflow.DeployOptions{Mode: faasflow.WorkerSP})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("deployed %q: %d tasks in %d group(s), %.0f%% of payload stays worker-local\n",
 		wf.Name(), wf.Tasks(), app.Groups(), app.LocalizedFraction()*100)
-	for step, worker := range app.Placement() {
-		fmt.Printf("  %-16s -> %s\n", step, worker)
+	placement := app.Placement()
+	steps := make([]string, 0, len(placement))
+	for step := range placement {
+		steps = append(steps, step)
+	}
+	sort.Strings(steps)
+	for _, step := range steps {
+		fmt.Printf("  %-16s -> %s\n", step, placement[step])
 	}
 
 	stats := app.Run(100)

@@ -14,7 +14,7 @@ import (
 func main() {
 	wf := faasflow.Benchmark("Gen")
 	cluster := faasflow.NewCluster(faasflow.WithFaaStore(true), faasflow.WithSeed(3))
-	app, err := cluster.Deploy(wf, faasflow.WorkerSP)
+	app, err := cluster.Deploy(wf, faasflow.DeployOptions{Mode: faasflow.WorkerSP})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func main() {
 
 	// Compare against the centralized baseline on a fresh cluster.
 	base, err := faasflow.NewCluster(faasflow.WithFaaStore(false), faasflow.WithSeed(3)).
-		Deploy(faasflow.Benchmark("Gen"), faasflow.MasterSP)
+		Deploy(faasflow.Benchmark("Gen"), faasflow.DeployOptions{Mode: faasflow.MasterSP})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func run(wf *faasflow.Workflow, mode faasflow.Mode, faastore bool, storageMB flo
 		faasflow.WithStorageBandwidthMBps(storageMB),
 		faasflow.WithSeed(42),
 	)
-	app, err := cluster.Deploy(wf, mode)
+	app, err := cluster.Deploy(wf, faasflow.DeployOptions{Mode: mode})
 	if err != nil {
 		log.Fatal(err)
 	}

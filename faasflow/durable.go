@@ -14,8 +14,9 @@ import (
 // outputs so a node death recovers by fetching a surviving replica instead
 // of re-executing producers.
 
-// Durability tunes the durable-execution layer. The zero value enables
-// journaling with default I/O costs and leaves replication off.
+// Durability tunes the durable-execution layer (DeployOptions.Durability).
+// The zero value enables journaling with default I/O costs and leaves
+// replication off.
 type Durability struct {
 	// SyncLatency is the journal's per-fsync cost (default 2ms).
 	SyncLatency time.Duration
@@ -26,41 +27,12 @@ type Durability struct {
 	// shards, chosen by graph locality (consumers first, then the
 	// producer). 0 or 1 keeps the single-copy behaviour. Replication is a
 	// cluster-wide store property; the factor applies to every durable app
-	// on the cluster.
+	// on the cluster. With ReplicationFactor > 1, FaaStore outputs survive
+	// node deaths on replica shards.
 	ReplicationFactor int
 	// RepairInterval is the delay before a dead shard's surviving keys are
 	// re-replicated back up to the factor (default 10ms).
 	RepairInterval time.Duration
-	// Recovery tunes the fault-recovery layer, exactly as in
-	// DeployWithRecovery; the zero value takes its defaults.
-	Recovery Recovery
-	// FastPath enables the data-plane fast path for this deployment, as in
-	// DeployFast. Direct passing is automatically skipped while
-	// ReplicationFactor > 1 (durability requires the replicated store hop);
-	// memo hits still commit journal records so crash replay skips them.
-	FastPath FastPath
-}
-
-// DeployDurable is DeployWithRecovery plus durable execution: every
-// completed step commits a journal record before its successors observe
-// it, CrashEngine/RestartEngine (or an injected EngineDown fault) recover
-// by replaying the journal and re-dispatching only the uncommitted cut,
-// and — when ReplicationFactor > 1 — FaaStore outputs survive node deaths
-// on replica shards.
-func (c *Cluster) DeployDurable(wf *Workflow, mode Mode, dur Durability) (*App, error) {
-	if dur.ReplicationFactor > 1 {
-		c.tb.SetReplication(dur.ReplicationFactor, dur.RepairInterval)
-	}
-	return c.deploy(wf, c.durableOptions(dur, mode))
-}
-
-// durableOptions returns the engine options of one durable engine in the
-// given mode: the recovery defaults, a fresh journal, and the fast path.
-func (c *Cluster) durableOptions(dur Durability, mode Mode) engine.Options {
-	opts := dur.Recovery.options(mode)
-	opts.Journal = journal.New(c.tb.Env, journal.Config{SyncLatency: dur.SyncLatency, BatchWindow: dur.BatchWindow})
-	opts.FastPath = dur.FastPath
-	return opts
 }
 
 // Durable reports whether the app was deployed with a journal.

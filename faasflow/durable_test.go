@@ -9,7 +9,7 @@ import (
 // every invocation commits one journal record, readable back in order.
 func TestDeployDurableJournalsSteps(t *testing.T) {
 	c := NewCluster()
-	app, err := c.DeployDurable(Benchmark("IR"), WorkerSP, Durability{})
+	app, err := c.Deploy(Benchmark("IR"), DeployOptions{Mode: WorkerSP, Durability: &Durability{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestDeployDurableJournalsSteps(t *testing.T) {
 // restart, and lose nothing.
 func TestEngineDownFaultPublic(t *testing.T) {
 	c := NewCluster()
-	app, err := c.DeployDurable(Benchmark("IR"), WorkerSP, Durability{})
+	app, err := c.Deploy(Benchmark("IR"), DeployOptions{Mode: WorkerSP, Durability: &Durability{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +84,10 @@ func TestEngineDownWithoutDurableAppRejected(t *testing.T) {
 // producer re-executions and zero lost inputs.
 func TestReplicatedDeploySurvivesNodeDeath(t *testing.T) {
 	c := NewCluster()
-	app, err := c.DeployDurable(Benchmark("IR"), WorkerSP, Durability{
-		ReplicationFactor: 2,
-		Recovery:          Recovery{TaskTimeout: 20 * time.Second},
+	app, err := c.Deploy(Benchmark("IR"), DeployOptions{
+		Mode:       WorkerSP,
+		Recovery:   &Recovery{TaskTimeout: 20 * time.Second},
+		Durability: &Durability{ReplicationFactor: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ func Example() {
 		panic(err)
 	}
 	cluster := faasflow.NewCluster(faasflow.WithFaaStore(true), faasflow.WithSeed(1))
-	app, err := cluster.Deploy(wf, faasflow.WorkerSP)
+	app, err := cluster.Deploy(wf, faasflow.DeployOptions{Mode: faasflow.WorkerSP})
 	if err != nil {
 		panic(err)
 	}
@@ -28,6 +28,29 @@ func Example() {
 		wf.Tasks(), app.Groups(), app.LocalizedFraction()*100)
 	// Output:
 	// 2 tasks in 1 group(s), 100% of payload local
+}
+
+// Deploy with a write-ahead journal and output memoization: every step
+// commits one journal record, and repeated inputs replay cached outputs
+// instead of executing.
+func ExampleCluster_Deploy() {
+	cluster := faasflow.NewCluster(faasflow.WithSeed(1))
+	app, err := cluster.Deploy(faasflow.Benchmark("IR"), faasflow.DeployOptions{
+		Mode:       faasflow.WorkerSP,
+		FastPath:   faasflow.FastPath{Memoize: true},
+		Durability: &faasflow.Durability{},
+	})
+	if err != nil {
+		panic(err)
+	}
+	stats := app.Run(3)
+	fmt.Println("durable:", app.Durable(), "completed:", stats.Count)
+	fmt.Println("journal records:", len(app.JournalEntries()))
+	fmt.Println("memo hits:", app.FastPathStats().MemoHits)
+	// Output:
+	// durable: true completed: 3
+	// journal records: 24
+	// memo hits: 18
 }
 
 // Compile a workflow from the paper's Workflow Definition Language.
@@ -84,7 +107,7 @@ func ExampleDiffSnapshots() {
 		cluster := faasflow.NewCluster(faasflow.WithSeed(1))
 		o := faasflow.NewObserver()
 		cluster.AttachObserver(o)
-		app, err := cluster.Deploy(faasflow.Benchmark("FP"), faasflow.WorkerSP)
+		app, err := cluster.Deploy(faasflow.Benchmark("FP"), faasflow.DeployOptions{Mode: faasflow.WorkerSP})
 		if err != nil {
 			panic(err)
 		}
@@ -98,7 +121,7 @@ func ExampleDiffSnapshots() {
 }
 
 // Switch steps route per invocation when arguments are supplied.
-func ExampleApp_RunWithArgs() {
+func ExampleApp_RunOpts() {
 	src := `
 name: router
 steps:
@@ -123,12 +146,12 @@ steps:
 	if err != nil {
 		panic(err)
 	}
-	app, err := faasflow.NewCluster(faasflow.WithSeed(1)).Deploy(wf, faasflow.WorkerSP)
+	app, err := faasflow.NewCluster(faasflow.WithSeed(1)).Deploy(wf, faasflow.DeployOptions{Mode: faasflow.WorkerSP})
 	if err != nil {
 		panic(err)
 	}
-	premium := app.RunWithArgs(map[string]any{"tier": "premium"}, 3)
-	free := app.RunWithArgs(map[string]any{"tier": "free"}, 3)
+	premium := app.RunOpts(faasflow.InvokeOptions{Args: map[string]any{"tier": "premium"}}, 3)
+	free := app.RunOpts(faasflow.InvokeOptions{Args: map[string]any{"tier": "free"}}, 3)
 	fmt.Println(premium.Mean > free.Mean)
 	// Output:
 	// true

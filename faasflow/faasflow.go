@@ -15,7 +15,7 @@
 //		Build()
 //
 //	cluster := faasflow.NewCluster(faasflow.WithFaaStore(true))
-//	app, _ := cluster.Deploy(wf, faasflow.WorkerSP)
+//	app, _ := cluster.Deploy(wf, faasflow.DeployOptions{Mode: faasflow.WorkerSP})
 //	stats := app.Run(100)
 //	fmt.Println(stats.Mean, stats.P99)
 //
@@ -25,6 +25,7 @@
 package faasflow
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -33,6 +34,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/federation"
 	"repro/internal/harness"
+	"repro/internal/journal"
 	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/wdl"
@@ -54,14 +56,6 @@ func (m Mode) String() string {
 		return "MasterSP"
 	}
 	return "WorkerSP"
-}
-
-// engineMode translates the pattern to the engine's mode.
-func (m Mode) engineMode() engine.Mode {
-	if m == MasterSP {
-		return engine.ModeMasterSP
-	}
-	return engine.ModeWorkerSP
 }
 
 // Option configures a Cluster.
@@ -99,6 +93,9 @@ func WithSeed(seed uint64) Option {
 type Cluster struct {
 	tb  *harness.Testbed
 	adm *admission.Controller // nil until SetAdmission; nil admits everything
+	// federated is set once a federated app is deployed: its lease timers
+	// reschedule forever, so the clock never drains again.
+	federated bool
 }
 
 // NewCluster builds a cluster with the paper's defaults (7 workers, 8
@@ -235,25 +232,123 @@ type App struct {
 	// opts records the deployment options so what-if analysis can replay
 	// this exact configuration on a fresh testbed.
 	opts engine.Options
-	// fed is non-nil for DeployFederated apps: dep is then member 0 of the
+	// fed is non-nil for federated apps: dep is then member 0 of the
 	// federation and invocations must route through fed (see federation.go).
 	fed *federation.Federation
 }
 
-// Deploy schedules the workflow onto the cluster (Algorithm 1 grouping
-// with FaaStore quota reclamation) and prepares it for invocation under
-// the chosen pattern.
-func (c *Cluster) Deploy(wf *Workflow, mode Mode) (*App, error) {
-	return c.deploy(wf, engine.Options{Mode: mode.engineMode(), Data: engine.DataStore})
+// DeployOptions selects the layers a deployment runs with. The zero value
+// is the paper's deployment: WorkerSP, no recovery layer, no journal, and
+// the fast path off.
+type DeployOptions struct {
+	// Mode is the scheduling pattern.
+	Mode Mode
+	// FastPath enables data-plane fast-path features (all off by default).
+	// Direct passing is skipped while Durability.ReplicationFactor > 1
+	// (durability requires the replicated store hop); memo hits still
+	// commit journal records so crash replay skips them.
+	FastPath FastPath
+	// Recovery enables the fault-recovery layer: tasks time out and
+	// re-issue, and tasks stranded on dead nodes are re-placed onto
+	// surviving workers (MasterSP re-issues from the master; WorkerSP from
+	// the task's predecessor worker). Nil leaves it off unless Durability
+	// or Federation is set; those take the recovery defaults.
+	Recovery *Recovery
+	// Durability gives the engine a write-ahead journal: every completed
+	// step commits a record before its successors observe it, and an
+	// engine crash (an injected EngineDown fault) recovers by replaying the
+	// journal and re-dispatching only the uncommitted cut. Nil means no
+	// journal; Federation alone implies the zero Durability.
+	Durability *Durability
+	// Federation deploys the workflow behind a sharded engine federation of
+	// journaled member engines (see FederationOptions). Nil deploys one
+	// engine.
+	Federation *FederationOptions
 }
 
-// deploy deploys the workflow with the given engine options.
-func (c *Cluster) deploy(wf *Workflow, opts engine.Options) (*App, error) {
-	dep, err := c.tb.Deploy(wf.bench, opts)
+// Deploy schedules the workflow onto the cluster (Algorithm 1 grouping
+// with FaaStore quota reclamation) and prepares it for invocation with the
+// layers o selects. Every option default is applied here.
+func (c *Cluster) Deploy(wf *Workflow, o DeployOptions) (*App, error) {
+	opts := engine.Options{Mode: engine.ModeWorkerSP, Data: engine.DataStore, FastPath: o.FastPath}
+	if o.Mode == MasterSP {
+		opts.Mode = engine.ModeMasterSP
+	}
+	dur, rec := o.Durability, o.Recovery
+	if dur == nil && o.Federation != nil {
+		dur = &Durability{}
+	}
+	if rec == nil && dur != nil {
+		rec = &Recovery{}
+	}
+	if rec != nil {
+		opts.TaskTimeout = cmp.Or(rec.TaskTimeout, 30*time.Second)
+		opts.BackoffBase = cmp.Or(rec.BackoffBase, 200*time.Millisecond)
+		opts.BackoffMax = cmp.Or(rec.BackoffMax, 5*time.Second)
+		opts.MaxReissues = rec.MaxReissues
+	}
+	members := 1
+	if o.Federation != nil {
+		members = cmp.Or(o.Federation.Members, 3)
+		if members < 0 {
+			return nil, fmt.Errorf("faasflow: federation needs members > 0, got %d", members)
+		}
+	}
+	if dur != nil && dur.ReplicationFactor > 1 {
+		c.tb.SetReplication(dur.ReplicationFactor, dur.RepairInterval)
+	}
+	// Every engine gets its own journal; a federation's handoff replays
+	// read the union view across members.
+	deps, err := c.tb.DeployReplicas(wf.bench, members, func(int) engine.Options {
+		eo := opts
+		if dur != nil {
+			eo.Journal = journal.New(c.tb.Env, journal.Config{SyncLatency: dur.SyncLatency, BatchWindow: dur.BatchWindow})
+		}
+		return eo
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &App{cluster: c, dep: dep, opts: opts}, nil
+	app := &App{cluster: c, dep: deps[0], opts: opts}
+	app.opts.Journal = app.dep.Engine.Journal()
+	if o.Federation == nil {
+		return app, nil
+	}
+	fo := o.Federation
+	fedMembers := make([]federation.Member, len(deps))
+	for i, d := range deps {
+		fedMembers[i] = federation.Member{
+			ID:      fmt.Sprintf("engine-%d", i),
+			Engine:  d.Engine,
+			Journal: d.Engine.Journal(),
+		}
+	}
+	app.fed, err = federation.New(c.tb.Env, federation.Config{
+		Shards:       fo.Shards,
+		LeaseTTL:     fo.LeaseTTL,
+		RenewEvery:   fo.RenewEvery,
+		CheckEvery:   fo.CheckEvery,
+		HandoffDelay: fo.HandoffDelay,
+		Seed:         cmp.Or(fo.Seed, c.tb.Spec.Seed+1),
+	}, c.tb.Bus(), fedMembers...)
+	if err != nil {
+		return nil, err
+	}
+	c.federated = true
+	return app, nil
+}
+
+// singleEngine panics when a run method that drives one engine and then
+// drains the clock is called on a federated app, which must route through
+// the shard router, or on any app of a cluster hosting one, whose lease
+// timers keep the clock from ever draining.
+func (a *App) singleEngine(method string) {
+	switch {
+	case a.fed != nil:
+		panic("faasflow: " + method + " cannot drive a federated app; use RunFederated")
+	case a.cluster.federated:
+		panic("faasflow: " + method + " cannot drain a cluster that hosts a federated app; deploy this app on its own cluster")
+	}
 }
 
 // Stats summarizes a batch of invocations.
@@ -280,35 +375,15 @@ func statsOf(rec *metrics.Recorder) Stats {
 // Run sends n closed-loop invocations (each starts when the previous
 // completes) after one warm-up pass and returns latency statistics.
 func (a *App) Run(n int) Stats {
+	a.singleEngine("Run")
 	rec := harness.ClosedLoop(a.cluster.tb.Env, a.dep.Engine, 1, n)
-	return statsOf(rec)
-}
-
-// RunWithArgs sends n closed-loop invocations carrying input arguments;
-// switch steps evaluate their conditions against the arguments and run
-// only the matching branch.
-func (a *App) RunWithArgs(args map[string]any, n int) Stats {
-	rec := &metrics.Recorder{}
-	remaining := n
-	var next func()
-	next = func() {
-		if remaining == 0 {
-			return
-		}
-		remaining--
-		a.dep.Engine.InvokeArgs(args, func(r engine.Result) {
-			rec.Add(r.Latency())
-			next()
-		})
-	}
-	next()
-	a.cluster.tb.Env.Run()
 	return statsOf(rec)
 }
 
 // RunOpenLoop sends n invocations at a fixed arrival rate regardless of
 // completions; latencies clamp at the 60 s deadline.
 func (a *App) RunOpenLoop(perMinute float64, n int) Stats {
+	a.singleEngine("RunOpenLoop")
 	rec := harness.OpenLoop(a.cluster.tb.Env, a.dep.Engine, perMinute, 1, n)
 	return statsOf(rec)
 }
@@ -317,6 +392,7 @@ func (a *App) RunOpenLoop(perMinute float64, n int) Stats {
 // inter-arrival) traffic instead of a fixed interval. Deterministic for a
 // given seed.
 func (a *App) RunOpenLoopPoisson(perMinute float64, n int, seed uint64) Stats {
+	a.singleEngine("RunOpenLoopPoisson")
 	rec := harness.OpenLoopPoisson(a.cluster.tb.Env, a.dep.Engine, perMinute, 1, n, seed)
 	return statsOf(rec)
 }
@@ -329,6 +405,9 @@ func RunConcurrently(apps []*App, n int) ([]Stats, error) {
 		return nil, nil
 	}
 	c := apps[0].cluster
+	if c.federated {
+		return nil, fmt.Errorf("faasflow: RunConcurrently cannot drain a cluster that hosts a federated app; use RunFederated for it")
+	}
 	engines := make([]*engine.Deployment, len(apps))
 	for i, a := range apps {
 		if a.cluster != c {

@@ -71,7 +71,7 @@ func TestBuilderErrors(t *testing.T) {
 func TestDeployAndRun(t *testing.T) {
 	wf := buildPipeline(t)
 	c := NewCluster(WithWorkers(3), WithFaaStore(true), WithSeed(1))
-	app, err := c.Deploy(wf, WorkerSP)
+	app, err := c.Deploy(wf, DeployOptions{Mode: WorkerSP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestDeployAndRun(t *testing.T) {
 func TestChainLocalizesFully(t *testing.T) {
 	wf := buildPipeline(t)
 	c := NewCluster(WithFaaStore(true))
-	app, err := c.Deploy(wf, WorkerSP)
+	app, err := c.Deploy(wf, DeployOptions{Mode: WorkerSP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestWorkerSPFasterThanMasterSP(t *testing.T) {
 	run := func(mode Mode) Stats {
 		wf := buildPipeline(t)
 		c := NewCluster(WithSeed(7))
-		app, err := c.Deploy(wf, mode)
+		app, err := c.Deploy(wf, DeployOptions{Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestWorkerSPFasterThanMasterSP(t *testing.T) {
 func TestOpenLoopStats(t *testing.T) {
 	wf := Benchmark("WC")
 	c := NewCluster()
-	app, err := c.Deploy(wf, WorkerSP)
+	app, err := c.Deploy(wf, DeployOptions{Mode: WorkerSP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ steps:
 		t.Fatalf("tasks = %d", wf.Tasks())
 	}
 	c := NewCluster(WithWorkers(2))
-	app, err := c.Deploy(wf, WorkerSP)
+	app, err := c.Deploy(wf, DeployOptions{Mode: WorkerSP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestWorkflowFromJSON(t *testing.T) {
 func TestRefresh(t *testing.T) {
 	wf := Benchmark("Gen")
 	c := NewCluster(WithFaaStore(true))
-	app, err := c.Deploy(wf, WorkerSP)
+	app, err := c.Deploy(wf, DeployOptions{Mode: WorkerSP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestRefresh(t *testing.T) {
 func TestBandwidthOptionMatters(t *testing.T) {
 	run := func(bw float64) Stats {
 		c := NewCluster(WithFaaStore(false), WithStorageBandwidthMBps(bw))
-		app, err := c.Deploy(Benchmark("Vid"), MasterSP)
+		app, err := c.Deploy(Benchmark("Vid"), DeployOptions{Mode: MasterSP})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,12 +281,12 @@ steps:
 		t.Fatal(err)
 	}
 	c := NewCluster(WithWorkers(2))
-	app, err := c.Deploy(wf, WorkerSP)
+	app, err := c.Deploy(wf, DeployOptions{Mode: WorkerSP})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdStats := app.RunWithArgs(map[string]any{"q": 1080.0}, 5)
-	sdStats := app.RunWithArgs(map[string]any{"q": 480.0}, 5)
+	hdStats := app.RunOpts(InvokeOptions{Args: map[string]any{"q": 1080.0}}, 5)
+	sdStats := app.RunOpts(InvokeOptions{Args: map[string]any{"q": 480.0}}, 5)
 	if hdStats.Count != 5 || sdStats.Count != 5 {
 		t.Fatalf("counts = %d/%d", hdStats.Count, sdStats.Count)
 	}
@@ -308,7 +308,7 @@ func TestModeString(t *testing.T) {
 
 func TestUtilizationSnapshot(t *testing.T) {
 	c := NewCluster(WithFaaStore(true))
-	app, err := c.Deploy(Benchmark("Vid"), WorkerSP)
+	app, err := c.Deploy(Benchmark("Vid"), DeployOptions{Mode: WorkerSP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestObserverReportAndTrace(t *testing.T) {
 	if wf == nil {
 		t.Fatal("Gen benchmark missing")
 	}
-	app, err := c.Deploy(wf, WorkerSP)
+	app, err := c.Deploy(wf, DeployOptions{Mode: WorkerSP})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // acquires a step's containers while its last predecessor is still
 // executing, and Memoize returns cached outputs for repeated
 // (function, input) pairs. MemoLookup is the simulated cache-probe cost
-// (default 200µs).
+// (default 200µs). Set it through DeployOptions.FastPath.
 type FastPath = engine.FastPathOptions
 
 // FastPathStats aggregates a deployment's fast-path counters: memo
@@ -29,12 +29,6 @@ type FastPathStats = engine.FastPathStats
 // per-worker copies, bytes moved, fallback reads served by a surviving
 // holder, and keys lost with every holder.
 type DirectPassingStats = store.DirectStats
-
-// DeployFast is Deploy with the data-plane fast path enabled. The zero
-// FastPath value is equivalent to Deploy.
-func (c *Cluster) DeployFast(wf *Workflow, mode Mode, fp FastPath) (*App, error) {
-	return c.deploy(wf, engine.Options{Mode: mode.engineMode(), Data: engine.DataStore, FastPath: fp})
-}
 
 // FastPath reports the fast-path configuration the app was deployed with.
 func (a *App) FastPath() FastPath { return a.opts.FastPath }

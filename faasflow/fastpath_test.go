@@ -5,12 +5,12 @@ import "testing"
 func TestDeployFastBeatsBaseline(t *testing.T) {
 	wf := Benchmark("Vid")
 	base := NewCluster(WithSeed(1))
-	appBase, err := base.Deploy(wf, WorkerSP)
+	appBase, err := base.Deploy(wf, DeployOptions{Mode: WorkerSP})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fast := NewCluster(WithSeed(1))
-	appFast, err := fast.DeployFast(wf, WorkerSP, FastPath{DirectPassing: true, Prewarm: true})
+	appFast, err := fast.Deploy(wf, DeployOptions{Mode: WorkerSP, FastPath: FastPath{DirectPassing: true, Prewarm: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +39,10 @@ func TestDeployFastBeatsBaseline(t *testing.T) {
 
 func TestDeployDurableWithMemoization(t *testing.T) {
 	c := NewCluster(WithSeed(2))
-	app, err := c.DeployDurable(Benchmark("Vid"), WorkerSP, Durability{
-		FastPath: FastPath{Memoize: true},
+	app, err := c.Deploy(Benchmark("Vid"), DeployOptions{
+		Mode:       WorkerSP,
+		FastPath:   FastPath{Memoize: true},
+		Durability: &Durability{},
 	})
 	if err != nil {
 		t.Fatal(err)

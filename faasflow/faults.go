@@ -28,8 +28,8 @@ const (
 	StoreOutage
 	// EngineDown crashes every deployed workflow engine for the window:
 	// in-flight invocations orphan, the journal tears at the crash instant,
-	// and restart replays committed steps (see DeployDurable). Node is
-	// unused.
+	// and restart replays committed steps (see DeployOptions.Durability).
+	// Node is unused.
 	EngineDown
 )
 
@@ -98,9 +98,9 @@ func RandomNodeKills(seed uint64, workers []string, n int, window, minDown, maxD
 	return out
 }
 
-// Recovery tunes the engine's fault-recovery layer for a deployment. Zero
-// values take defaults; the zero struct enables recovery with a 30 s task
-// timeout.
+// Recovery tunes the engine's fault-recovery layer for a deployment
+// (DeployOptions.Recovery). Zero values take defaults; the zero struct
+// enables recovery with a 30 s task timeout.
 type Recovery struct {
 	// TaskTimeout bounds one executor attempt end-to-end; a stranded
 	// attempt is abandoned and re-issued when it expires. It must exceed
@@ -114,36 +114,6 @@ type Recovery struct {
 	// MaxReissues bounds fault-driven re-issues per task before the
 	// invocation is marked failed (default 8).
 	MaxReissues int
-}
-
-// DeployWithRecovery is Deploy with the fault-recovery layer enabled:
-// tasks time out and re-issue, and tasks stranded on dead nodes are
-// re-placed onto surviving workers (MasterSP re-issues from the master;
-// WorkerSP re-issues from the task's predecessor worker).
-func (c *Cluster) DeployWithRecovery(wf *Workflow, mode Mode, rec Recovery) (*App, error) {
-	return c.deploy(wf, rec.options(mode))
-}
-
-// options returns the engine options of a recovering deployment in the
-// given mode, with the recovery defaults filled in.
-func (r Recovery) options(mode Mode) engine.Options {
-	if r.TaskTimeout == 0 {
-		r.TaskTimeout = 30 * time.Second
-	}
-	if r.BackoffBase == 0 {
-		r.BackoffBase = 200 * time.Millisecond
-	}
-	if r.BackoffMax == 0 {
-		r.BackoffMax = 5 * time.Second
-	}
-	return engine.Options{
-		Mode:        mode.engineMode(),
-		Data:        engine.DataStore,
-		TaskTimeout: r.TaskTimeout,
-		BackoffBase: r.BackoffBase,
-		BackoffMax:  r.BackoffMax,
-		MaxReissues: r.MaxReissues,
-	}
 }
 
 // FailureStats aggregates an app's failure and recovery counters.

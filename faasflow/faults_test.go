@@ -11,10 +11,10 @@ import (
 // complete with re-issues recorded.
 func TestFaultInjectionAndRecovery(t *testing.T) {
 	c := NewCluster()
-	app, err := c.DeployWithRecovery(Benchmark("IR"), WorkerSP, Recovery{
+	app, err := c.Deploy(Benchmark("IR"), DeployOptions{Mode: WorkerSP, Recovery: &Recovery{
 		TaskTimeout: 20 * time.Second,
 		BackoffBase: 100 * time.Millisecond,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

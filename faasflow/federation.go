@@ -19,8 +19,15 @@ import (
 // resume the claimed invocations by replay (committed steps skipped,
 // the uncommitted cut re-dispatched exactly once).
 
-// FederationOptions tunes a federated deployment. Zero values take the
-// defaults noted per field.
+// FederationOptions tunes a federated deployment (DeployOptions.Federation):
+// Members journaled engines share ownership of the invocation space, and a
+// member crash (KillFederationMember, or an injected EngineKill fault)
+// triggers lease expiry, an epoch-fenced shard claim by a survivor, and a
+// journal handoff that resumes the dead member's invocations by replay.
+// Determinism holds end to end: the same seed reproduces the same claim
+// winners, fences, and replays. Each member's journal and recovery layer
+// come from DeployOptions.Durability and DeployOptions.Recovery. Zero values
+// take the defaults noted per field.
 type FederationOptions struct {
 	// Members is the number of member engines (default 3). Every member is
 	// a full control-plane replica over the same scheduled placement; the
@@ -44,10 +51,6 @@ type FederationOptions struct {
 	HandoffDelay time.Duration
 	// Seed drives the claim-race jitter (default: cluster seed + 1).
 	Seed uint64
-	// Durability tunes each member's journal and recovery layer, exactly
-	// as in DeployDurable; every member gets its OWN journal — handoff
-	// replays read the union view across members.
-	Durability Durability
 }
 
 // FederationStats is the federation's counter set: epochs, lease
@@ -67,61 +70,6 @@ type HandoffError = federation.HandoffError
 // budget: workflow, invocation, step name, and attempt count. It is also
 // a typed error (errors.As against *ExhaustionRecord).
 type ExhaustionRecord = engine.ErrReissuesExhausted
-
-// DeployFederated deploys the workflow behind a sharded engine federation:
-// Members durable engines share ownership of the invocation space, and a
-// member crash (KillFederationMember, or an injected EngineKill fault)
-// triggers lease expiry, an epoch-fenced shard claim by a survivor, and a
-// journal handoff that resumes the dead member's invocations by replay.
-// Determinism holds end to end: the same seed reproduces the same claim
-// winners, fences, and replays.
-func (c *Cluster) DeployFederated(wf *Workflow, mode Mode, fo FederationOptions) (*App, error) {
-	members := fo.Members
-	if members == 0 {
-		members = 3
-	}
-	if members < 0 {
-		return nil, fmt.Errorf("faasflow: federation needs members > 0, got %d", members)
-	}
-	if fo.Durability.ReplicationFactor > 1 {
-		c.tb.SetReplication(fo.Durability.ReplicationFactor, fo.Durability.RepairInterval)
-	}
-	var opts0 engine.Options
-	deps, err := c.tb.DeployReplicas(wf.bench, members, func(i int) engine.Options {
-		opts := c.durableOptions(fo.Durability, mode)
-		if i == 0 {
-			opts0 = opts
-		}
-		return opts
-	})
-	if err != nil {
-		return nil, err
-	}
-	fedMembers := make([]federation.Member, len(deps))
-	for i, d := range deps {
-		fedMembers[i] = federation.Member{
-			ID:      fmt.Sprintf("engine-%d", i),
-			Engine:  d.Engine,
-			Journal: d.Engine.Journal(),
-		}
-	}
-	seed := fo.Seed
-	if seed == 0 {
-		seed = c.tb.Spec.Seed + 1
-	}
-	fed, err := federation.New(c.tb.Env, federation.Config{
-		Shards:       fo.Shards,
-		LeaseTTL:     fo.LeaseTTL,
-		RenewEvery:   fo.RenewEvery,
-		CheckEvery:   fo.CheckEvery,
-		HandoffDelay: fo.HandoffDelay,
-		Seed:         seed,
-	}, c.tb.Bus(), fedMembers...)
-	if err != nil {
-		return nil, err
-	}
-	return &App{cluster: c, dep: deps[0], opts: opts0, fed: fed}, nil
-}
 
 // Federated reports whether the app was deployed behind a federation.
 func (a *App) Federated() bool { return a.fed != nil }

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-func fastFederation() FederationOptions {
-	return FederationOptions{
+func fastFederation() *FederationOptions {
+	return &FederationOptions{
 		Members:      2,
 		Shards:       8,
 		LeaseTTL:     500 * time.Millisecond,
@@ -22,7 +22,7 @@ func fastFederation() FederationOptions {
 // shard and completes them all.
 func TestDeployFederatedRoutesAndCompletes(t *testing.T) {
 	c := NewCluster()
-	app, err := c.DeployFederated(Benchmark("IR"), WorkerSP, fastFederation())
+	app, err := c.Deploy(Benchmark("IR"), DeployOptions{Mode: WorkerSP, Federation: fastFederation()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestDeployFederatedRoutesAndCompletes(t *testing.T) {
 // journal handoff, and the batch still completes exactly.
 func TestKillMemberFailsOverPublic(t *testing.T) {
 	c := NewCluster()
-	app, err := c.DeployFederated(Benchmark("IR"), WorkerSP, fastFederation())
+	app, err := c.Deploy(Benchmark("IR"), DeployOptions{Mode: WorkerSP, Federation: fastFederation()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestKillMemberFailsOverPublic(t *testing.T) {
 // plain deploys.
 func TestFederationMethodsRejectNonFederatedApps(t *testing.T) {
 	c := NewCluster()
-	app, err := c.Deploy(Benchmark("IR"), WorkerSP)
+	app, err := c.Deploy(Benchmark("IR"), DeployOptions{Mode: WorkerSP})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -233,6 +233,7 @@ type AdmittedStats struct {
 // retried; admitted work is invoked with the deadline propagated through
 // dispatch, so queued and in-flight steps cancel once it passes.
 func (a *App) RunAdmitted(perMinute float64, n int, deadline time.Duration) AdmittedStats {
+	a.singleEngine("RunAdmitted")
 	c := a.cluster
 	rec := &metrics.Recorder{}
 	var st AdmittedStats

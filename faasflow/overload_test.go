@@ -79,7 +79,7 @@ func TestRunAdmittedAccountsEveryArrival(t *testing.T) {
 	if err := c.SetAdmission(AdmissionConfig{RatePerSec: 0.5, MaxConcurrent: 4}); err != nil {
 		t.Fatal(err)
 	}
-	app, err := c.Deploy(Benchmark("IR"), WorkerSP)
+	app, err := c.Deploy(Benchmark("IR"), DeployOptions{Mode: WorkerSP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestRunAdmittedAccountsEveryArrival(t *testing.T) {
 
 func TestRunAdmittedDeadlineBoundsResidency(t *testing.T) {
 	c := NewCluster(WithSeed(7))
-	app, err := c.Deploy(Benchmark("IR"), WorkerSP)
+	app, err := c.Deploy(Benchmark("IR"), DeployOptions{Mode: WorkerSP})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,6 +31,7 @@ type InvokeOptions struct {
 // admission controller — pair it with Cluster.AdmitTenant when front-door
 // accounting matters.
 func (a *App) RunOpts(opts InvokeOptions, n int) Stats {
+	a.singleEngine("RunOpts")
 	rec := &metrics.Recorder{}
 	remaining := n
 	var next func()

@@ -15,7 +15,7 @@ func TestRunAdmittedNeverLeaksSlots(t *testing.T) {
 	if err := c.SetAdmission(AdmissionConfig{RatePerSec: 0.5, MaxConcurrent: 4}); err != nil {
 		t.Fatal(err)
 	}
-	app, err := c.Deploy(Benchmark("IR"), WorkerSP)
+	app, err := c.Deploy(Benchmark("IR"), DeployOptions{Mode: WorkerSP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestTenantAdmissionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := c.Deploy(Benchmark("IR"), WorkerSP)
+	app, err := c.Deploy(Benchmark("IR"), DeployOptions{Mode: WorkerSP})
 	if err != nil {
 		t.Fatal(err)
 	}

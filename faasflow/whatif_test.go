@@ -7,7 +7,7 @@ import "testing"
 // scenario and a scoped speedup must measurably help.
 func TestAppWhatIf(t *testing.T) {
 	cluster := NewCluster()
-	app, err := cluster.Deploy(Benchmark("IR"), WorkerSP)
+	app, err := cluster.Deploy(Benchmark("IR"), DeployOptions{Mode: WorkerSP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestAppWhatIf(t *testing.T) {
 
 func TestAppExplainRanksDimensions(t *testing.T) {
 	cluster := NewCluster()
-	app, err := cluster.Deploy(Benchmark("IR"), WorkerSP)
+	app, err := cluster.Deploy(Benchmark("IR"), DeployOptions{Mode: WorkerSP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestAppExplainRanksDimensions(t *testing.T) {
 
 func TestAppCausalProfileDeterministic(t *testing.T) {
 	cluster := NewCluster()
-	app, err := cluster.Deploy(Benchmark("IR"), WorkerSP)
+	app, err := cluster.Deploy(Benchmark("IR"), DeployOptions{Mode: WorkerSP})
 	if err != nil {
 		t.Fatal(err)
 	}

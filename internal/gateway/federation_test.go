@@ -185,6 +185,27 @@ func TestFederationEndpointRequiresFederatedDeploy(t *testing.T) {
 	}
 }
 
+// TestPlainInvokeRejectedOnFederatedCluster checks a plain workflow on a
+// cluster that also hosts a federated one gets 409 at once, instead of a
+// run that waits forever for the federation's lease timers to drain while
+// holding the server lock; the federated workflow still runs.
+func TestPlainInvokeRejectedOnFederatedCluster(t *testing.T) {
+	srv := newTestServer(t)
+	deployETL(t, srv)
+	if code := doJSON(t, http.MethodPost, srv.URL+"/workflows",
+		map[string]any{"benchmark": "IR", "federated": true}, nil); code != http.StatusCreated {
+		t.Fatalf("federated deploy status = %d", code)
+	}
+	if code := doJSON(t, http.MethodPost, srv.URL+"/workflows/etl/invoke",
+		map[string]any{"n": 1}, nil); code != http.StatusConflict {
+		t.Fatalf("plain invoke on a federated cluster = %d, want 409", code)
+	}
+	if code := doJSON(t, http.MethodPost, srv.URL+"/workflows/IR/invoke",
+		map[string]any{"n": 1}, nil); code != http.StatusOK {
+		t.Fatalf("federated invoke = %d, want 200", code)
+	}
+}
+
 // TestFederationAdminValidation pins the 400 contracts of the admin ops.
 func TestFederationAdminValidation(t *testing.T) {
 	srv := newTestServer(t)

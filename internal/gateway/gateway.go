@@ -8,6 +8,8 @@
 //	POST /workflows/{name}/invoke  {"n", "ratePerMinute", "args"}   run
 //	                           (429 + Retry-After when admission rejects;
 //	                           503 + Retry-After mid federation handoff;
+//	                           409 for a non-federated workflow once the
+//	                           cluster hosts a federated one;
 //	                           the "Tenant" header attributes the session
 //	                           to a tenant for weighted-fair admission and
 //	                           queueing — see docs/TENANCY.md)
@@ -53,6 +55,10 @@ type Server struct {
 	apps    map[string]*faasflow.App
 	wfs     map[string]*faasflow.Workflow
 	obs     *faasflow.Observer
+	// federated is set once a federated workflow is deployed: its lease
+	// timers keep the simulation clock from ever draining, so no other
+	// workflow's run could finish.
+	federated bool
 }
 
 // Config selects the cluster the server manages.
@@ -193,6 +199,34 @@ type deployRequest struct {
 	} `json:"federation,omitempty"`
 }
 
+// durability is the journal configuration of a durable or federated
+// deploy, nil otherwise.
+func (r *deployRequest) durability() *faasflow.Durability {
+	if !r.Durable && !r.Federated {
+		return nil
+	}
+	return &faasflow.Durability{ReplicationFactor: r.ReplicationFactor}
+}
+
+// federation is the federation configuration of a federated deploy, nil
+// otherwise.
+func (r *deployRequest) federation() *faasflow.FederationOptions {
+	if !r.Federated {
+		return nil
+	}
+	fc := r.Federation
+	ms := func(v int) time.Duration { return time.Duration(v) * time.Millisecond }
+	return &faasflow.FederationOptions{
+		Members:      fc.Members,
+		Shards:       fc.Shards,
+		LeaseTTL:     ms(fc.LeaseTTLMs),
+		RenewEvery:   ms(fc.RenewEveryMs),
+		CheckEvery:   ms(fc.CheckEveryMs),
+		HandoffDelay: ms(fc.HandoffDelayMs),
+		Seed:         fc.Seed,
+	}
+}
+
 // workflowInfo is the GET /workflows/{name} response.
 type workflowInfo struct {
 	Name             string            `json:"name"`
@@ -259,44 +293,22 @@ func (s *Server) deploy(req deployRequest) (*workflowInfo, error) {
 	if _, dup := s.apps[name]; dup {
 		return nil, &httpError{http.StatusConflict, fmt.Sprintf("workflow %q already deployed", name)}
 	}
-	fp := faasflow.FastPath{
-		DirectPassing: req.FastPath.DirectPassing,
-		Prewarm:       req.FastPath.Prewarm,
-		Memoize:       req.FastPath.Memoize,
-	}
-	var app *faasflow.App
-	var err error
-	switch {
-	case req.Federated:
-		fc := req.Federation
-		app, err = s.cluster.DeployFederated(wf, s.mode, faasflow.FederationOptions{
-			Members:      fc.Members,
-			Shards:       fc.Shards,
-			LeaseTTL:     time.Duration(fc.LeaseTTLMs) * time.Millisecond,
-			RenewEvery:   time.Duration(fc.RenewEveryMs) * time.Millisecond,
-			CheckEvery:   time.Duration(fc.CheckEveryMs) * time.Millisecond,
-			HandoffDelay: time.Duration(fc.HandoffDelayMs) * time.Millisecond,
-			Seed:         fc.Seed,
-			Durability: faasflow.Durability{
-				ReplicationFactor: req.ReplicationFactor,
-				FastPath:          fp,
-			},
-		})
-	case req.Durable:
-		app, err = s.cluster.DeployDurable(wf, s.mode, faasflow.Durability{
-			ReplicationFactor: req.ReplicationFactor,
-			FastPath:          fp,
-		})
-	case fp.Enabled():
-		app, err = s.cluster.DeployFast(wf, s.mode, fp)
-	default:
-		app, err = s.cluster.Deploy(wf, s.mode)
-	}
+	app, err := s.cluster.Deploy(wf, faasflow.DeployOptions{
+		Mode: s.mode,
+		FastPath: faasflow.FastPath{
+			DirectPassing: req.FastPath.DirectPassing,
+			Prewarm:       req.FastPath.Prewarm,
+			Memoize:       req.FastPath.Memoize,
+		},
+		Durability: req.durability(),
+		Federation: req.federation(),
+	})
 	if err != nil {
 		return nil, &httpError{http.StatusUnprocessableEntity, err.Error()}
 	}
 	s.apps[name] = app
 	s.wfs[name] = wf
+	s.federated = s.federated || app.Federated()
 	return s.info(name), nil
 }
 
@@ -402,14 +414,16 @@ func (s *Server) handleWorkflow(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			stats = st
+		case s.federated:
+			fail(w, &httpError{http.StatusConflict,
+				"the cluster hosts a federated workflow; only federated workflows can be invoked"})
+			return
 		case req.RatePerMinute > 0:
 			// Open-loop runs keep tenant attribution at the admission layer
 			// only; the per-invocation label rides on closed-loop runs.
 			stats = app.RunOpenLoop(req.RatePerMinute, req.N)
-		case tenant != "":
+		case tenant != "" || req.Args != nil:
 			stats = app.RunOpts(faasflow.InvokeOptions{Args: req.Args, Tenant: tenant}, req.N)
-		case req.Args != nil:
-			stats = app.RunWithArgs(req.Args, req.N)
 		default:
 			stats = app.Run(req.N)
 		}
