@@ -97,8 +97,8 @@ type Container struct {
 	id   int
 
 	idle   bool
-	dead   bool // node failed while the container was alive
-	expiry *sim.Event
+	dead   bool       // node failed while the container was alive
+	expiry *sim.Event // keep-alive eviction, built on the first Release and re-keyed after
 }
 
 // Dead reports whether the container was lost to a node failure. Release
@@ -119,8 +119,9 @@ type Node struct {
 	live       map[*Container]struct{}
 	failed     bool
 
-	// Processor-sharing CPU state.
-	running map[*cpuTask]struct{}
+	// Processor-sharing CPU state: in-flight Exec tasks in Exec order, so
+	// tasks finishing at the same instant complete in the order they began.
+	running []*cpuTask
 
 	// coldScale multiplies Config.ColdStart at provisioning time
 	// (NewNode sets 1). Counterfactual profiling sets it so cold-start
@@ -475,7 +476,7 @@ type cpuTask struct {
 	remaining float64 // CPU-seconds of work left
 	rate      float64 // current share of one core (0..1]
 	updatedAt sim.Time
-	finish    *sim.Event
+	finish    *sim.Event // created on the first schedule, re-keyed after
 	done      func()
 }
 
@@ -492,7 +493,6 @@ func NewNode(env *sim.Env, id string, cfg Config) *Node {
 		coldScale: 1,
 		pools:     map[string]*fnPool{},
 		live:      map[*Container]struct{}{},
-		running:   map[*cpuTask]struct{}{},
 	}
 }
 
@@ -502,10 +502,15 @@ func (n *Node) ID() string { return n.id }
 // Config reports the node's configuration.
 func (n *Node) Config() Config { return n.cfg }
 
-// Stats returns a snapshot of lifetime counters.
+// Stats returns a snapshot of lifetime counters. CPUBusy includes the work
+// in-flight tasks have done so far; reading it changes no simulation state.
 func (n *Node) Stats() NodeStats {
-	n.settleCPU()
-	return n.stats
+	st := n.stats
+	now := n.env.Now()
+	for _, t := range n.running {
+		st.CPUBusy += time.Duration(t.workSince(now) * float64(time.Second))
+	}
+	return st
 }
 
 // MemUsed reports bytes currently held by containers.
@@ -769,10 +774,7 @@ func (n *Node) grant(fn string, p *fnPool, w *waiter) {
 		c := p.warm[len(p.warm)-1]
 		p.warm = p.warm[:len(p.warm)-1]
 		c.idle = false
-		if c.expiry != nil {
-			c.expiry.Cancel()
-			c.expiry = nil
-		}
+		c.expiry.Cancel()
 		n.stats.WarmReuses++
 		n.pubContainer(fn, obs.ContainerWarmReuse)
 		n.pubTenantQueue(fn, w.tenant, "grant")
@@ -877,7 +879,12 @@ func (n *Node) Release(c *Container) {
 	}
 	c.idle = true
 	p.warm = append(p.warm, c)
-	c.expiry = n.env.Schedule(n.cfg.KeepAlive, func() { n.evict(c) })
+	at := n.env.Now() + sim.Time(max(n.cfg.KeepAlive, 0))
+	if c.expiry == nil {
+		c.expiry = n.env.At(at, func() { n.evict(c) })
+	} else {
+		n.env.Reschedule(c.expiry, at)
+	}
 	n.pubContainer(c.Fn, obs.ContainerReleased)
 }
 
@@ -891,7 +898,6 @@ func (n *Node) Destroy(c *Container) {
 	}
 	if c.expiry != nil {
 		c.expiry.Cancel()
-		c.expiry = nil
 	}
 	p := n.pools[c.Fn]
 	if c.idle {
@@ -946,21 +952,18 @@ func (n *Node) Fail() {
 	// Kill in-flight compute. Settle first so CPUBusy integrates the work
 	// actually done before the crash; the tasks' done callbacks are dropped.
 	n.settleCPU()
-	for t := range n.running {
-		if t.finish != nil {
-			t.finish.Cancel()
-			t.finish = nil
-		}
+	for _, t := range n.running {
+		t.finish.Cancel()
 	}
 	hadTasks := len(n.running) > 0
-	n.running = map[*cpuTask]struct{}{}
+	clear(n.running)
+	n.running = n.running[:0]
 	// Mark every container dead so late Release/Destroy calls from engines
 	// holding them become no-ops. Flag-setting only: order-independent.
 	for c := range n.live {
 		c.dead = true
 		if c.expiry != nil {
 			c.expiry.Cancel()
-			c.expiry = nil
 		}
 	}
 	n.live = map[*Container]struct{}{}
@@ -1021,7 +1024,7 @@ func (n *Node) Exec(cpuSeconds float64, done func()) {
 	}
 	n.settleCPU()
 	t := &cpuTask{remaining: cpuSeconds, updatedAt: n.env.Now(), done: done}
-	n.running[t] = struct{}{}
+	n.running = append(n.running, t)
 	if len(n.running) > n.stats.PeakConcurrent {
 		n.stats.PeakConcurrent = len(n.running)
 	}
@@ -1032,29 +1035,32 @@ func (n *Node) Exec(cpuSeconds float64, done func()) {
 // RunningTasks reports how many Exec calls are in flight.
 func (n *Node) RunningTasks() int { return len(n.running) }
 
+// workSince reports the CPU-seconds t has done between its last update
+// and now at its current rate, capped at what it had left.
+func (t *cpuTask) workSince(now sim.Time) float64 {
+	elapsed := (now - t.updatedAt).Duration().Seconds()
+	if elapsed <= 0 {
+		return 0
+	}
+	return min(t.rate*elapsed, t.remaining)
+}
+
 // settleCPU advances all running tasks to the current instant at their old
-// rates, integrating core-busy time, and cancels their finish events.
+// rates, integrating core-busy time. Finish events stay queued; the next
+// rescheduleCPU re-keys them.
 func (n *Node) settleCPU() {
 	now := n.env.Now()
-	for t := range n.running {
-		elapsed := (now - t.updatedAt).Duration().Seconds()
-		if elapsed > 0 {
-			work := t.rate * elapsed
-			if work > t.remaining {
-				work = t.remaining
-			}
-			t.remaining -= work
-			n.stats.CPUBusy += time.Duration(work * float64(time.Second))
-		}
+	for _, t := range n.running {
+		work := t.workSince(now)
+		t.remaining -= work
+		n.stats.CPUBusy += time.Duration(work * float64(time.Second))
 		t.updatedAt = now
-		if t.finish != nil {
-			t.finish.Cancel()
-			t.finish = nil
-		}
 	}
 }
 
-// rescheduleCPU assigns equal shares and schedules every task's finish.
+// rescheduleCPU assigns equal shares and re-keys every task's finish event,
+// in Exec order. Each re-key takes a fresh scheduling sequence, so tasks
+// due at the same instant fire in Exec order.
 func (n *Node) rescheduleCPU() {
 	k := len(n.running)
 	if k == 0 {
@@ -1064,19 +1070,35 @@ func (n *Node) rescheduleCPU() {
 	if k > n.cfg.Cores {
 		rate = float64(n.cfg.Cores) / float64(k)
 	}
-	for t := range n.running {
+	now := n.env.Now()
+	for _, t := range n.running {
 		t.rate = rate
-		t := t
 		secs := t.remaining / rate
-		t.finish = n.env.Schedule(time.Duration(secs*float64(time.Second))+1, func() {
-			n.finishTask(t)
-		})
+		n.keyFinish(t, now+sim.Time(time.Duration(secs*float64(time.Second))+1))
 	}
 }
 
+// keyFinish queues t's finish event at instant at: it builds the event and
+// its callback on the first call and re-keys the same event after that.
+func (n *Node) keyFinish(t *cpuTask, at sim.Time) {
+	if t.finish == nil {
+		t.finish = n.env.At(at, func() { n.finishTask(t) })
+		return
+	}
+	n.env.Reschedule(t.finish, at)
+}
+
+// finishTask retires t, keeping the remaining tasks in Exec order.
 func (n *Node) finishTask(t *cpuTask) {
 	n.settleCPU()
-	delete(n.running, t)
+	for i, r := range n.running {
+		if r == t {
+			copy(n.running[i:], n.running[i+1:])
+			n.running[len(n.running)-1] = nil
+			n.running = n.running[:len(n.running)-1]
+			break
+		}
+	}
 	n.pubTask(false)
 	n.rescheduleCPU()
 	t.done()

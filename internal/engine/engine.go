@@ -21,6 +21,7 @@ package engine
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -619,8 +620,20 @@ func execJitter(invID int64, node dag.NodeID) float64 {
 	return 0.85 + 0.3*r.Float64()
 }
 
+// key names the store object one edge replica carries:
+// "<workflow>/<invocation>/e<edge>.<replica>". It appends with strconv, not
+// fmt: fmt's printer pool drops entries at random under the race detector,
+// which would make dispatch allocation counts vary from run to run.
 func (d *Deployment) key(inv *invocation, edgeIdx, replica int) string {
-	return fmt.Sprintf("%s/%d/e%d.%d", d.bench.Name, inv.id, edgeIdx, replica)
+	b := make([]byte, 0, 64)
+	b = append(b, d.bench.Name...)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, inv.id, 10)
+	b = append(b, "/e"...)
+	b = strconv.AppendInt(b, int64(edgeIdx), 10)
+	b = append(b, '.')
+	b = strconv.AppendInt(b, int64(replica), 10)
+	return string(b)
 }
 
 // Invoke starts one workflow invocation; done fires when every sink has

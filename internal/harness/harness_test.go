@@ -305,6 +305,25 @@ func TestBandwidthSweepShape(t *testing.T) {
 	}
 }
 
+// TestCoLocationDeterministic reruns Fig 14 in one process: co-running
+// workflows put equal-cost steps on shared workers, so same-instant CPU
+// completions are common, and every run must print the same table.
+func TestCoLocationDeterministic(t *testing.T) {
+	var first string
+	for run := 0; run < 20; run++ {
+		rows, err := CoLocation([]System{HyperFlow, FaaSFlowFaaStore}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := RenderCoLocation(rows).String()
+		if run == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("run %d printed a different Fig 14 table:\n%s\nwant:\n%s", run, got, first)
+		}
+	}
+}
+
 func TestCoLocationShape(t *testing.T) {
 	rows, err := CoLocation([]System{HyperFlow, FaaSFlowFaaStore}, 6)
 	if err != nil {
