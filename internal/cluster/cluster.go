@@ -122,6 +122,9 @@ type Node struct {
 	// Processor-sharing CPU state: in-flight Exec tasks in Exec order, so
 	// tasks finishing at the same instant complete in the order they began.
 	running []*cpuTask
+	// spare holds finished tasks, each with its finish event and bound
+	// callback, for Exec to reuse.
+	spare []*cpuTask
 
 	// coldScale multiplies Config.ColdStart at provisioning time
 	// (NewNode sets 1). Counterfactual profiling sets it so cold-start
@@ -476,7 +479,7 @@ type cpuTask struct {
 	remaining float64 // CPU-seconds of work left
 	rate      float64 // current share of one core (0..1]
 	updatedAt sim.Time
-	finish    *sim.Event // created on the first schedule, re-keyed after
+	finish    *sim.Event // built with the task, re-keyed for every Exec that uses it
 	done      func()
 }
 
@@ -715,7 +718,8 @@ func (n *Node) acquire(fn string, opts AcquireOptions, ready func(c *Container, 
 	n.pubContainer(fn, obs.ContainerQueued)
 	n.pubTenantQueue(fn, w.tenant, "enqueue")
 	if opts.Deadline > 0 {
-		w.expire = n.env.At(opts.Deadline, func() { n.expireWaiter(fn, w) })
+		w.expire = n.env.NewEvent(func() { n.expireWaiter(fn, w) })
+		n.env.Reschedule(w.expire, opts.Deadline)
 	}
 }
 
@@ -815,7 +819,7 @@ func (n *Node) pumpAll() {
 	if n.failed {
 		return
 	}
-	fns := make([]string, 0, len(n.pools))
+	var fns []string // allocated only when some pool has waiters
 	for fn, p := range n.pools {
 		if p.q.size > 0 {
 			fns = append(fns, fn)
@@ -881,10 +885,9 @@ func (n *Node) Release(c *Container) {
 	p.warm = append(p.warm, c)
 	at := n.env.Now() + sim.Time(max(n.cfg.KeepAlive, 0))
 	if c.expiry == nil {
-		c.expiry = n.env.At(at, func() { n.evict(c) })
-	} else {
-		n.env.Reschedule(c.expiry, at)
+		c.expiry = n.env.NewEvent(func() { n.evict(c) })
 	}
+	n.env.Reschedule(c.expiry, at)
 	n.pubContainer(c.Fn, obs.ContainerReleased)
 }
 
@@ -954,8 +957,10 @@ func (n *Node) Fail() {
 	n.settleCPU()
 	for _, t := range n.running {
 		t.finish.Cancel()
+		t.done = nil
 	}
 	hadTasks := len(n.running) > 0
+	n.spare = append(n.spare, n.running...)
 	clear(n.running)
 	n.running = n.running[:0]
 	// Mark every container dead so late Release/Destroy calls from engines
@@ -1023,13 +1028,28 @@ func (n *Node) Exec(cpuSeconds float64, done func()) {
 		done = func() {}
 	}
 	n.settleCPU()
-	t := &cpuTask{remaining: cpuSeconds, updatedAt: n.env.Now(), done: done}
+	t := n.spareTask()
+	t.remaining, t.rate, t.updatedAt, t.done = cpuSeconds, 0, n.env.Now(), done
 	n.running = append(n.running, t)
 	if len(n.running) > n.stats.PeakConcurrent {
 		n.stats.PeakConcurrent = len(n.running)
 	}
 	n.pubTask(true)
 	n.rescheduleCPU()
+}
+
+// spareTask returns a finished task for reuse, or a new one with its
+// finish event bound to it.
+func (n *Node) spareTask() *cpuTask {
+	if k := len(n.spare); k > 0 {
+		t := n.spare[k-1]
+		n.spare[k-1] = nil
+		n.spare = n.spare[:k-1]
+		return t
+	}
+	t := &cpuTask{}
+	t.finish = n.env.NewEvent(func() { n.finishTask(t) })
+	return t
 }
 
 // RunningTasks reports how many Exec calls are in flight.
@@ -1074,21 +1094,13 @@ func (n *Node) rescheduleCPU() {
 	for _, t := range n.running {
 		t.rate = rate
 		secs := t.remaining / rate
-		n.keyFinish(t, now+sim.Time(time.Duration(secs*float64(time.Second))+1))
+		n.env.Reschedule(t.finish, now+sim.Time(time.Duration(secs*float64(time.Second))+1))
 	}
 }
 
-// keyFinish queues t's finish event at instant at: it builds the event and
-// its callback on the first call and re-keys the same event after that.
-func (n *Node) keyFinish(t *cpuTask, at sim.Time) {
-	if t.finish == nil {
-		t.finish = n.env.At(at, func() { n.finishTask(t) })
-		return
-	}
-	n.env.Reschedule(t.finish, at)
-}
-
-// finishTask retires t, keeping the remaining tasks in Exec order.
+// finishTask retires t, keeping the remaining tasks in Exec order, and
+// puts it back on the spare list before its done callback runs, so an Exec
+// from that callback reuses it.
 func (n *Node) finishTask(t *cpuTask) {
 	n.settleCPU()
 	for i, r := range n.running {
@@ -1101,5 +1113,8 @@ func (n *Node) finishTask(t *cpuTask) {
 	}
 	n.pubTask(false)
 	n.rescheduleCPU()
-	t.done()
+	done := t.done
+	t.done = nil
+	n.spare = append(n.spare, t)
+	done()
 }

@@ -69,6 +69,48 @@ func TestFailWithTiesDropsEveryTask(t *testing.T) {
 	}
 }
 
+// TestSpareTasksReused: tasks killed by Fail, and finished ones, go back
+// on the spare list and later Execs reuse them. A reused task runs only its
+// new done callback, at the instant a fresh task would finish.
+func TestSpareTasksReused(t *testing.T) {
+	start := sim.Time(100 * time.Millisecond)
+	run := func(n *Node, env *sim.Env) []int {
+		var order []int
+		for i := 0; i < 3; i++ {
+			n.Exec(0.5, func() { order = append(order, i) })
+		}
+		env.Run()
+		return order
+	}
+	refEnv := sim.NewEnv()
+	ref := NewNode(refEnv, "w1", smallConfig())
+	refEnv.RunUntil(start)
+	wantOrder := run(ref, refEnv)
+
+	env := sim.NewEnv()
+	n := NewNode(env, "w1", smallConfig())
+	stale := 0
+	for i := 0; i < 3; i++ {
+		n.Exec(1, func() { stale++ })
+	}
+	env.RunUntil(start)
+	n.Fail()
+	n.Recover()
+	if len(n.spare) != 3 {
+		t.Fatalf("%d spare tasks after Fail, want 3", len(n.spare))
+	}
+	order := run(n, env)
+	if stale != 0 {
+		t.Fatalf("%d done callbacks of killed tasks fired", stale)
+	}
+	if fmt.Sprint(order) != fmt.Sprint(wantOrder) || env.Now() != refEnv.Now() {
+		t.Fatalf("reused tasks finished %v at %v, fresh ones %v at %v", order, env.Now(), wantOrder, refEnv.Now())
+	}
+	if len(n.spare) != 3 {
+		t.Fatalf("%d spare tasks after every task finished, want 3", len(n.spare))
+	}
+}
+
 // TestStatsMidRunLeavesTasksRunning reads Stats while a task is in flight:
 // the read reports the work done so far and does not disturb the task,
 // which finishes at exactly the instant it would without the read.
@@ -119,20 +161,14 @@ func residentNode(k int) func() {
 	}
 }
 
-// TestExecAllocsIndependentOfRunning gates the processor-sharing cost: one
-// Exec and its finish allocate the task, its finish event and the event's
-// callback, however many tasks are already running on the node.
+// TestExecAllocsIndependentOfRunning gates the processor-sharing cost: a
+// finished task, with its finish event and bound callback, is reused by
+// the next Exec, so one Exec and its finish allocate nothing, however many
+// tasks are already running on the node.
 func TestExecAllocsIndependentOfRunning(t *testing.T) {
-	var base float64
-	for i, k := range []int{1, 16, 64} {
-		allocs := testing.AllocsPerRun(100, residentNode(k))
-		if allocs > 3 {
-			t.Errorf("k=%d: Exec+finish allocates %v, want <= 3", k, allocs)
-		}
-		if i == 0 {
-			base = allocs
-		} else if allocs != base {
-			t.Errorf("k=%d: Exec+finish allocates %v, %v at k=1", k, allocs, base)
+	for _, k := range []int{1, 16, 64} {
+		if allocs := testing.AllocsPerRun(100, residentNode(k)); allocs != 0 {
+			t.Errorf("k=%d: Exec+finish allocates %v, want 0", k, allocs)
 		}
 	}
 }

@@ -242,6 +242,10 @@ func (g *Graph) OutEdges(id NodeID) []int {
 	return out
 }
 
+// OutEdge returns the index of id's i-th out-edge (0 <= i < OutDegree(id)),
+// in insertion order. Hot loops use it instead of OutEdges, which copies.
+func (g *Graph) OutEdge(id NodeID, i int) int { return g.succ[id][i] }
+
 // InEdges returns indexes of the edges entering id.
 func (g *Graph) InEdges(id NodeID) []int {
 	out := make([]int, len(g.pred[id]))

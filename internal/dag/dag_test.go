@@ -62,6 +62,28 @@ func TestSuccsPreds(t *testing.T) {
 	}
 }
 
+// TestOutEdgeMatchesOutEdges: the non-copying accessor walks the same
+// edge indexes, in the same order, as the copying one, and OutEdges still
+// hands out a copy.
+func TestOutEdgeMatchesOutEdges(t *testing.T) {
+	g, n := diamond()
+	for _, id := range n {
+		want := g.OutEdges(id)
+		if len(want) != g.OutDegree(id) {
+			t.Fatalf("node %d: OutEdges has %d entries, OutDegree %d", id, len(want), g.OutDegree(id))
+		}
+		for i, ei := range want {
+			if got := g.OutEdge(id, i); got != ei {
+				t.Fatalf("node %d: OutEdge(%d) = %d, OutEdges has %d", id, i, got, ei)
+			}
+		}
+	}
+	g.OutEdges(n[0])[0] = 99
+	if g.OutEdge(n[0], 0) != 0 {
+		t.Fatal("writing to the OutEdges result changed the graph")
+	}
+}
+
 func TestSourcesSinks(t *testing.T) {
 	g, n := diamond()
 	src := g.Sources()

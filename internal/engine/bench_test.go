@@ -25,3 +25,9 @@ func BenchmarkDispatchObsIdle(b *testing.B) {
 func BenchmarkDispatchObsOn(b *testing.B) {
 	perf.BenchEngineDispatch(b, engine.ModeWorkerSP, perf.ObsOn)
 }
+
+// BenchmarkDispatchWorkerSPControl runs Genome(50) under WorkerSP with no
+// data movement, the setup of bench's gen-control workload.
+func BenchmarkDispatchWorkerSPControl(b *testing.B) {
+	perf.BenchDispatchControl(b)
+}

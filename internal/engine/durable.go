@@ -191,7 +191,8 @@ func (d *Deployment) resumeInvocation(old *invocation, committed map[int]journal
 			fresh.started[id] = true
 			d.replaySkips++
 			skipped := d.skippedOutEdges(fresh, id)
-			for _, ei := range d.g.OutEdges(id) {
+			for i := range d.g.OutDegree(id) {
+				ei := d.g.OutEdge(id, i)
 				succ := d.g.Edge(ei).To
 				fresh.predsDone[succ]++
 				if !skipped[ei] {
@@ -207,7 +208,8 @@ func (d *Deployment) resumeInvocation(old *invocation, committed map[int]journal
 			// Resolved entirely by skips: forward the skip wave without
 			// executing, exactly as the live path would have.
 			fresh.started[id] = true
-			for _, ei := range d.g.OutEdges(id) {
+			for i := range d.g.OutDegree(id) {
+				ei := d.g.OutEdge(id, i)
 				fresh.predsDone[d.g.Edge(ei).To]++
 			}
 			if d.g.OutDegree(id) == 0 {
@@ -255,23 +257,23 @@ func (d *Deployment) redispatchStep(inv *invocation, id dag.NodeID, committed ma
 	d.redispatched++
 	switch d.opts.Mode {
 	case ModeMasterSP:
-		var enq, st, done sim.Time
-		enq, st, done = d.master.process(func() {
+		s := d.master.reserve()
+		d.master.run(s, func() {
 			if inv.abandoned {
 				return
 			}
 			d.pubStep(inv, id, obs.StepReplayed)
-			d.mspAssign(inv, id, from, d.chainProc(d.replaySeg(comp, replayFrom, enq), enq, st, done))
+			d.mspAssign(inv, id, from, d.chainProc(d.replaySeg(comp, replayFrom, s.enq), s))
 		})
 	default: // ModeWorkerSP: the master re-delivers the assignment to the
 		// worker whose engine owns the step, like the initial invocation.
-		var enq, st, done sim.Time
-		enq, st, done = d.master.process(func() {
+		s := d.master.reserve()
+		d.master.run(s, func() {
 			if inv.abandoned {
 				return
 			}
 			d.pubStep(inv, id, obs.StepReplayed)
-			pre := d.chainProc(d.replaySeg(comp, replayFrom, enq), enq, st, done)
+			pre := d.chainProc(d.replaySeg(comp, replayFrom, s.enq), s)
 			sendAt := d.rt.Env.Now()
 			d.rt.Fabric.SendMsg(d.rt.Master, inv.place[id], d.opts.AssignMsgBytes, func() {
 				d.wspTrigger(inv, id, from, d.chainTransfer(pre, sendAt, d.rt.Env.Now()))

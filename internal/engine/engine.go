@@ -184,22 +184,30 @@ type proc struct {
 	events    int64
 }
 
-// process enqueues fn on the loop and reports the slot's timing — enqueue
-// instant, slot start (later than enq when the loop was busy), and slot
-// end, when fn actually runs. Callers that observe feed these to the
-// trigger-chain builders; everyone else ignores them.
-func (p *proc) process(fn func()) (enq, start, done sim.Time) {
-	enq = p.env.Now()
-	start = enq
-	if p.busyUntil > start {
-		start = p.busyUntil
-	}
-	p.busyUntil = start + sim.Time(p.cost)
+// turn is one slot of an engine loop: the enqueue instant, the slot start
+// (later than enq when the loop was busy), and the slot end, when the
+// turn's callback runs. Callers that observe feed it to the trigger-chain
+// builders; everyone else ignores it.
+type turn struct{ enq, start, done sim.Time }
+
+// reserve books the loop's next turn. Its timing is known before the
+// callback exists, so the callback captures it by value; run queues it.
+func (p *proc) reserve() turn {
+	s := turn{enq: p.env.Now()}
+	s.start = max(s.enq, p.busyUntil)
+	p.busyUntil = s.start + sim.Time(p.cost)
 	p.busy += p.cost
 	p.events++
-	p.env.At(p.busyUntil, fn)
-	return enq, start, p.busyUntil
+	s.done = p.busyUntil
+	return s
 }
+
+// run queues fn to run at the end of the reserved turn s.
+func (p *proc) run(s turn, fn func()) { p.env.At(s.done, fn) }
+
+// process queues fn on the loop's next turn, for callers that ignore its
+// timing.
+func (p *proc) process(fn func()) { p.run(p.reserve(), fn) }
 
 // EngineStats reports one engine loop's lifetime counters (§5.7).
 type EngineStats struct {
@@ -578,7 +586,8 @@ func (d *Deployment) skippedOutEdges(inv *invocation, id dag.NodeID) map[int]boo
 	}
 	skipped := map[int]bool{}
 	taken := false
-	for _, ei := range d.g.OutEdges(id) {
+	for i := range d.g.OutDegree(id) {
+		ei := d.g.OutEdge(id, i)
 		compiled, conditional := d.conds[ei]
 		if !conditional && d.g.Edge(ei).Cond == "" {
 			// Part of a switch (the node has conditional siblings) with no
@@ -792,9 +801,6 @@ func (d *Deployment) runTask(inv *invocation, id dag.NodeID, onDone func(failed 
 		d.rt.Env.Schedule(0, func() { onDone(false) })
 		return
 	}
-	width := node.Width
-	pending := width
-	anyFailed := false
 	complete := onDone
 	if d.jr != nil {
 		inv.stepSeq[id]++
@@ -826,17 +832,30 @@ func (d *Deployment) runTask(inv *invocation, id dag.NodeID, onDone func(failed 
 			inner(failed)
 		}
 	}
-	for replica := 0; replica < width; replica++ {
-		st := &execState{}
-		d.startAttempt(inv, id, replica, 1, 0, st, func(failed bool) {
-			if failed {
-				anyFailed = true
-			}
-			pending--
-			if pending == 0 {
-				complete(anyFailed)
-			}
-		})
+	if node.Width == 1 {
+		d.startAttempt(inv, id, 0, 1, 0, &execState{}, complete)
+		return
+	}
+	j := &join{pending: node.Width, complete: complete}
+	done := j.done
+	for replica := 0; replica < node.Width; replica++ {
+		d.startAttempt(inv, id, replica, 1, 0, &execState{}, done)
+	}
+}
+
+// join completes a foreach step once every one of its executors has; the
+// step fails if any executor did.
+type join struct {
+	pending  int
+	failed   bool
+	complete func(failed bool)
+}
+
+func (j *join) done(failed bool) {
+	j.failed = j.failed || failed
+	j.pending--
+	if j.pending == 0 {
+		j.complete(j.failed)
 	}
 }
 
@@ -844,11 +863,11 @@ func (d *Deployment) runTask(inv *invocation, id dag.NodeID, onDone func(failed 
 // mixes the full (invocation, node, replica, attempt) tuple through
 // splitmix rounds so nearby tuples — high attempt counts, wide foreach
 // fan-outs — never collide or correlate.
-func (d *Deployment) crashes(inv *invocation, id dag.NodeID, replica, attempt int) bool {
+func (d *Deployment) crashes(inv *invocation, id dag.NodeID, replica, attemptN int) bool {
 	if d.opts.FailureRate <= 0 {
 		return false
 	}
-	seed := sim.Mix(uint64(inv.id), uint64(id), uint64(replica), uint64(attempt), 0xdeadbeef)
+	seed := sim.Mix(uint64(inv.id), uint64(id), uint64(replica), uint64(attemptN), 0xdeadbeef)
 	r := sim.NewRand(seed)
 	return r.Float64() < d.opts.FailureRate
 }
@@ -914,11 +933,8 @@ func (d *Deployment) FailureStatsSnapshot() FailureStats {
 // container's runtime fetches its inputs sequentially, which is what keeps
 // the aggregate store load linear in bytes rather than quadratic in
 // concurrent edges. Concurrency across containers is still unbounded.
+// Under DataNone there is nothing to fetch and the caller skips it.
 func (d *Deployment) fetchInputs(inv *invocation, id dag.NodeID, workerID string, next func()) {
-	if d.opts.Data == DataNone {
-		next()
-		return
-	}
 	ins := d.inputs[id]
 	i, rep := 0, 0
 	var step func()

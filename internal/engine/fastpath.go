@@ -171,7 +171,8 @@ func (d *Deployment) issuePrewarms(inv *invocation, id dag.NodeID) {
 // on another predecessor is left alone; pre-warming it would hold a
 // container for an unbounded join wait.
 func (d *Deployment) collectPrewarm(inv *invocation, id dag.NodeID, skipped map[int]bool, out *[]dag.NodeID) {
-	for _, ei := range d.g.OutEdges(id) {
+	for i := range d.g.OutDegree(id) {
+		ei := d.g.OutEdge(id, i)
 		if skipped[ei] {
 			continue
 		}

@@ -3,7 +3,6 @@ package engine
 import (
 	"repro/internal/dag"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // This file implements the MasterSP baseline (paper §2.2, Figure 3):
@@ -24,12 +23,12 @@ import (
 // report attributes to this mode.
 
 func (d *Deployment) invokeMasterSP(inv *invocation) {
-	var enq, st, done sim.Time
-	enq, st, done = d.master.process(func() {
+	s := d.master.reserve()
+	d.master.run(s, func() {
 		if inv.abandoned {
 			return
 		}
-		pre := d.chainProc(nil, enq, st, done)
+		pre := d.chainProc(nil, s)
 		for _, src := range d.sources {
 			d.mspAssign(inv, src, -1, pre)
 		}
@@ -49,12 +48,12 @@ func (d *Deployment) mspAssign(inv *invocation, id dag.NodeID, from int, pre []o
 		// chain into the marker closes here; the resolution slot opens the
 		// chains toward its successors.
 		d.publishChain(inv, from, int(id), pre)
-		var enq, st, done sim.Time
-		enq, st, done = d.master.process(func() {
+		s := d.master.reserve()
+		d.master.run(s, func() {
 			if inv.abandoned {
 				return
 			}
-			d.mspComplete(inv, id, false, d.chainProc(nil, enq, st, done))
+			d.mspComplete(inv, id, false, d.chainProc(nil, s))
 		})
 		return
 	}
@@ -63,46 +62,47 @@ func (d *Deployment) mspAssign(inv *invocation, id dag.NodeID, from int, pre []o
 		// of marshalling it — downstream cancels through the skip wave.
 		d.failDeadline(inv, id, "trigger")
 		d.publishChain(inv, from, int(id), pre)
-		var enq, st, done sim.Time
-		enq, st, done = d.master.process(func() {
+		s := d.master.reserve()
+		d.master.run(s, func() {
 			if inv.abandoned {
 				return
 			}
-			d.mspComplete(inv, id, true, d.chainProc(nil, enq, st, done))
+			d.mspComplete(inv, id, true, d.chainProc(nil, s))
 		})
 		return
 	}
 	w := inv.place[id]
 	// Marshalling the task into an assignment is itself a serialized slot
 	// of the master's event loop.
-	var enq, st, done sim.Time
-	enq, st, done = d.master.process(func() {
+	s := d.master.reserve()
+	d.master.run(s, func() {
 		if inv.abandoned {
 			return
 		}
-		segs := d.chainProc(pre, enq, st, done)
+		segs := d.chainProc(pre, s)
 		sendAt := d.rt.Env.Now()
 		d.rt.Fabric.SendMsg(d.rt.Master, w, d.opts.AssignMsgBytes, func() {
 			arrived := d.chainTransfer(segs, sendAt, d.rt.Env.Now())
 			// The worker-side executor proxy accepts the task...
-			var e2, s2, d2 sim.Time
-			e2, s2, d2 = d.workers[w].process(func() {
+			p := d.workers[w]
+			s2 := p.reserve()
+			p.run(s2, func() {
 				if inv.abandoned {
 					return
 				}
-				d.publishChain(inv, from, int(id), d.chainProc(arrived, e2, s2, d2))
+				d.publishChain(inv, from, int(id), d.chainProc(arrived, s2))
 				d.pubStep(inv, id, obs.StepTriggered)
 				d.runTask(inv, id, func(failed bool) {
 					// ...and returns the execution state to the master.
 					backAt := d.rt.Env.Now()
 					d.rt.Fabric.SendMsg(w, d.rt.Master, d.opts.StateMsgBytes, func() {
 						back := d.chainTransfer(nil, backAt, d.rt.Env.Now())
-						var e3, s3, d3 sim.Time
-						e3, s3, d3 = d.master.process(func() {
+						s3 := d.master.reserve()
+						d.master.run(s3, func() {
 							if inv.abandoned {
 								return
 							}
-							d.mspComplete(inv, id, failed, d.chainProc(back, e3, s3, d3))
+							d.mspComplete(inv, id, failed, d.chainProc(back, s3))
 						})
 					})
 				})
@@ -133,7 +133,8 @@ func (d *Deployment) mspComplete(inv *invocation, id dag.NodeID, nodeSkipped boo
 		return
 	}
 	skipped := d.skippedOutEdges(inv, id)
-	for _, ei := range d.g.OutEdges(id) {
+	for i := range d.g.OutDegree(id) {
+		ei := d.g.OutEdge(id, i)
 		succ := d.g.Edge(ei).To
 		skip := nodeSkipped || skipped[ei]
 		inv.predsDone[succ]++
@@ -148,12 +149,12 @@ func (d *Deployment) mspComplete(inv *invocation, id dag.NodeID, nodeSkipped boo
 					// The skip chain into succ closes with the current slot;
 					// the forwarding slot opens its successors' chains.
 					d.publishChain(inv, int(id), int(succ), pre)
-					var enq, st, done sim.Time
-					enq, st, done = d.master.process(func() {
+					s := d.master.reserve()
+					d.master.run(s, func() {
 						if inv.abandoned {
 							return
 						}
-						d.mspComplete(inv, succ, true, d.chainProc(nil, enq, st, done))
+						d.mspComplete(inv, succ, true, d.chainProc(nil, s))
 					})
 				}
 				continue

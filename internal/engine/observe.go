@@ -30,16 +30,16 @@ func (d *Deployment) SetObserver(b *obs.Bus) { d.obs = b }
 // chainProc extends a trigger chain with one engine-loop slot: a queue
 // segment when the loop was busy at enqueue, then the processing segment.
 // The input slice is not aliased; branching call sites may reuse it.
-func (d *Deployment) chainProc(segs []obs.Segment, enq, start, done sim.Time) []obs.Segment {
+func (d *Deployment) chainProc(segs []obs.Segment, s turn) []obs.Segment {
 	if !d.obs.Active() {
 		return nil
 	}
 	out := make([]obs.Segment, len(segs), len(segs)+2)
 	copy(out, segs)
-	if start > enq {
-		out = append(out, obs.Segment{Comp: obs.CompQueue, Start: enq, End: start})
+	if s.start > s.enq {
+		out = append(out, obs.Segment{Comp: obs.CompQueue, Start: s.enq, End: s.start})
 	}
-	return append(out, obs.Segment{Comp: obs.CompSchedule, Start: start, End: done})
+	return append(out, obs.Segment{Comp: obs.CompSchedule, Start: s.start, End: s.done})
 }
 
 // chainTransfer extends a trigger chain with one fabric hop. Zero-latency

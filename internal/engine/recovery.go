@@ -28,12 +28,39 @@ type execState struct {
 	finished bool
 }
 
-// startAttempt runs one executor attempt: container acquire → input fetch →
-// execute → (crash?) → output store → release, guarded by the task timeout.
-// attempt is the 1-based crash-budget counter; reissue counts fault-driven
+// attempt is one executor attempt: container acquire → input fetch →
+// execute → (crash?) → output store → release, guarded by the task
+// timeout. Its methods are the phase callbacks — acquired, fetched,
+// executed, stored, and timedOut for the timeout — so the whole attempt
+// is one object rather than a chain of closures.
+type attempt struct {
+	d        *Deployment
+	inv      *invocation
+	id       dag.NodeID
+	replica  int
+	n        int // 1-based crash-budget counter
+	reissue  int
+	st       *execState
+	seq      int // st.seq at the start; a newer attempt makes this one stale
+	onDone   func(failed bool)
+	workerID string
+	w        *cluster.Node
+	exec     float64  // CPU-seconds to execute
+	start    sim.Time // attempt start, which is also the container-wait start
+	// phase labels the container-wait span: "acquire" for a fresh
+	// acquisition, "prewarm" when a DAG-lookahead slot covers it — only the
+	// residual (non-overlapped) wait then shows on the critical path.
+	phase   string
+	phaseAt sim.Time // start of the fetch, exec or store span under way
+	timeout *sim.Event
+	c       *cluster.Container
+}
+
+// startAttempt runs one executor attempt, guarded by the task timeout.
+// attemptN is the 1-based crash-budget counter; reissue counts fault-driven
 // re-issues (its budget is separate — a long-lived executor surviving a
 // node death should not burn its crash retries).
-func (d *Deployment) startAttempt(inv *invocation, id dag.NodeID, replica, attempt, reissue int, st *execState, onDone func(failed bool)) {
+func (d *Deployment) startAttempt(inv *invocation, id dag.NodeID, replica, attemptN, reissue int, st *execState, onDone func(failed bool)) {
 	if inv.abandoned {
 		return // orphaned by an engine crash; replay owns the step now
 	}
@@ -44,7 +71,6 @@ func (d *Deployment) startAttempt(inv *invocation, id dag.NodeID, replica, attem
 	workerID := inv.place[id]
 	w := d.rt.Nodes[workerID]
 	st.seq++
-	mySeq := st.seq
 	attemptStart := d.rt.Env.Now()
 
 	if d.deadlineExceeded(inv) {
@@ -60,166 +86,29 @@ func (d *Deployment) startAttempt(inv *invocation, id dag.NodeID, replica, attem
 	if w.Failed() {
 		// The target died between the trigger and this attempt; recover
 		// immediately rather than waiting out the timeout.
-		d.recoverExecutor(inv, id, replica, attempt, reissue, st, attemptStart, "node-down", onDone)
+		d.recoverExecutor(inv, id, replica, attemptN, reissue, st, attemptStart, "node-down", onDone)
 		return
 	}
 
-	stale := func() bool { return st.seq != mySeq || st.finished || inv.abandoned }
-
-	var timeout *sim.Event
+	a := &attempt{
+		d: d, inv: inv, id: id, replica: replica, n: attemptN, reissue: reissue,
+		st: st, seq: st.seq, onDone: onDone, workerID: workerID, w: w,
+		start: attemptStart, phase: "acquire",
+	}
 	if d.opts.TaskTimeout > 0 {
-		timeout = d.rt.Env.Schedule(d.opts.TaskTimeout, func() {
-			if stale() {
-				return
-			}
-			d.timeoutCount++
-			d.pubStep(inv, id, obs.StepTimedOut)
-			d.recoverExecutor(inv, id, replica, attempt, reissue, st, attemptStart, "timeout", onDone)
-		})
-	}
-	cancelTimeout := func() {
-		if timeout != nil {
-			timeout.Cancel()
-			timeout = nil
-		}
+		a.timeout = d.rt.Env.NewEvent(a.timedOut)
+		d.rt.Env.Reschedule(a.timeout, d.rt.Env.After(d.opts.TaskTimeout))
 	}
 
-	spec := d.bench.Functions[node.Function]
-	exec := spec.ExecSeconds
+	a.exec = d.bench.Functions[node.Function].ExecSeconds
 	if !d.opts.NoJitter {
-		exec *= execJitter(inv.id, id+dag.NodeID(replica)<<16)
+		a.exec *= execJitter(inv.id, id+dag.NodeID(replica)<<16)
 	}
 	if d.opts.ExecScale != nil {
-		exec *= d.opts.ExecScale(node.Function)
+		a.exec *= d.opts.ExecScale(node.Function)
 	}
 
-	// abortDeadline abandons the attempt at a phase boundary once the
-	// invocation deadline is dead: the container is returned immediately
-	// (no zombie work) and the step drains as a failure.
-	abortDeadline := func(c *cluster.Container, where string) {
-		cancelTimeout()
-		st.finished = true
-		if c != nil {
-			w.Release(c)
-		}
-		d.failDeadline(inv, id, where)
-		d.pubStep(inv, id, obs.StepFailed)
-		onDone(true)
-	}
-
-	acquireStart := d.rt.Env.Now()
-	// acquirePhase labels the container-wait span: "acquire" for a fresh
-	// acquisition, "prewarm" when a DAG-lookahead slot covers it — only the
-	// residual (non-overlapped) wait then shows on the critical path.
-	acquirePhase := "acquire"
-	acquired := func(c *cluster.Container, cold bool, err error) {
-		if stale() {
-			if c != nil {
-				w.Release(c)
-			}
-			return
-		}
-		switch {
-		case errors.Is(err, cluster.ErrDeadline):
-			// The deadline expired while this request sat in the acquire
-			// queue; the waiter was already withdrawn node-side.
-			abortDeadline(nil, "acquire")
-			return
-		case errors.Is(err, cluster.ErrQueueFull):
-			// Backpressure shed the request; fail the step so the workflow
-			// drains quickly instead of piling more work on the node.
-			cancelTimeout()
-			st.finished = true
-			inv.failed = true
-			d.shedCount++
-			d.pubStep(inv, id, obs.StepFailed)
-			onDone(true)
-			return
-		case errors.Is(err, cluster.ErrFenced):
-			// Ownership moved while this request sat in the acquire queue;
-			// the node refused the grant, so stand down locally too.
-			cancelTimeout()
-			st.finished = true
-			d.fencedAcquires++
-			d.fenceCheck(inv, id, "acquire")
-			return
-		case err != nil:
-			// The node failed while this request sat in the acquire queue.
-			cancelTimeout()
-			d.recoverExecutor(inv, id, replica, attempt, reissue, st, attemptStart, "node-down", onDone)
-			return
-		}
-		d.span(inv, id, replica, acquirePhase, acquireStart)
-		d.issuePrewarms(inv, id)
-		fetchStart := d.rt.Env.Now()
-		d.fetchInputs(inv, id, workerID, func() {
-			if stale() {
-				w.Release(c)
-				return
-			}
-			if d.deadlineExceeded(inv) {
-				abortDeadline(c, "fetch")
-				return
-			}
-			if d.fenceCheck(inv, id, "exec") {
-				cancelTimeout()
-				st.finished = true
-				w.Release(c)
-				return
-			}
-			d.span(inv, id, replica, "fetch", fetchStart)
-			execStart := d.rt.Env.Now()
-			w.Exec(exec, func() {
-				if stale() {
-					w.Release(c)
-					return
-				}
-				if d.deadlineExceeded(inv) {
-					abortDeadline(c, "exec")
-					return
-				}
-				d.span(inv, id, replica, "exec", execStart)
-				if d.fenceCheck(inv, id, "store") {
-					cancelTimeout()
-					st.finished = true
-					w.Release(c)
-					return
-				}
-				if d.crashes(inv, id, replica, attempt) {
-					cancelTimeout()
-					w.Destroy(c)
-					d.crashCount++
-					if attempt < d.opts.MaxAttempts {
-						d.retryCount++
-						d.pubStep(inv, id, obs.StepRetried)
-						d.crashRetry(inv, id, replica, attempt+1, reissue, st, onDone)
-						return
-					}
-					inv.failed = true
-					d.pubStep(inv, id, obs.StepFailed)
-					st.finished = true
-					onDone(true)
-					return
-				}
-				storeStart := d.rt.Env.Now()
-				d.storeOutputs(inv, id, replica, workerID, func() {
-					if stale() {
-						w.Release(c)
-						return
-					}
-					cancelTimeout()
-					st.finished = true
-					if !d.fastSpans {
-						// With the fast path on, storeOutputs published
-						// per-operation spans instead of this aggregate.
-						d.span(inv, id, replica, "store", storeStart)
-					}
-					w.Release(c)
-					onDone(false)
-				})
-			})
-		})
-	}
+	acquire := cluster.AcquireOptions{Deadline: inv.deadline, Fence: d.clusterFence(inv), Tenant: inv.tenant}
 	if slot := d.takePrewarm(inv, id, workerID); slot != nil {
 		if !slot.delivered && w.WarmContainers(node.Function) > 0 {
 			// The pre-warm is still cold-starting but a warm container sits
@@ -227,23 +116,204 @@ func (d *Deployment) startAttempt(inv *invocation, id dag.NodeID, replica, attem
 			// regress below feature-off behavior. The cancelled slot's
 			// container joins the pool when its cold start delivers.
 			d.cancelSlot(slot)
-			w.AcquireOpts(node.Function, cluster.AcquireOptions{Deadline: inv.deadline, Fence: d.clusterFence(inv), Tenant: inv.tenant}, acquired)
+			w.AcquireOpts(node.Function, acquire, a.acquired)
 			return
 		}
-		acquirePhase = "prewarm"
+		a.phase = "prewarm"
 		d.prewarmHits++
 		if slot.delivered {
 			// Acquired entirely under the predecessor's execution: hand off
 			// on a fresh event; the prewarm span is zero-width.
-			d.rt.Env.Schedule(0, func() { acquired(slot.c, false, slot.err) })
+			d.rt.Env.Schedule(0, func() { a.acquired(slot.c, false, slot.err) })
 		} else {
 			// Still in flight: the residual wait from here to delivery is
 			// the non-overlapped tail, published as the prewarm span.
-			slot.claim = func() { acquired(slot.c, false, slot.err) }
+			slot.claim = func() { a.acquired(slot.c, false, slot.err) }
 		}
 		return
 	}
-	w.AcquireOpts(node.Function, cluster.AcquireOptions{Deadline: inv.deadline, Fence: d.clusterFence(inv), Tenant: inv.tenant}, acquired)
+	w.AcquireOpts(node.Function, acquire, a.acquired)
+}
+
+// stale reports whether a newer attempt, a finish, or an engine crash has
+// overtaken this attempt; its remaining phase callbacks then only return
+// the container.
+func (a *attempt) stale() bool {
+	return a.st.seq != a.seq || a.st.finished || a.inv.abandoned
+}
+
+// cancelTimeout disarms the task timeout, if one is armed.
+func (a *attempt) cancelTimeout() {
+	if a.timeout != nil {
+		a.timeout.Cancel()
+		a.timeout = nil
+	}
+}
+
+// release returns the attempt's container, if it holds one.
+func (a *attempt) release() {
+	if a.c != nil {
+		a.w.Release(a.c)
+	}
+}
+
+// standDown ends the attempt at a phase boundary where ownership moved:
+// the successor engine owns the step now.
+func (a *attempt) standDown() {
+	a.cancelTimeout()
+	a.st.finished = true
+	a.release()
+}
+
+// abortDeadline abandons the attempt at a phase boundary once the
+// invocation deadline is dead: the container is returned immediately (no
+// zombie work) and the step drains as a failure.
+func (a *attempt) abortDeadline(where string) {
+	a.cancelTimeout()
+	a.st.finished = true
+	a.release()
+	a.d.failDeadline(a.inv, a.id, where)
+	a.d.pubStep(a.inv, a.id, obs.StepFailed)
+	a.onDone(true)
+}
+
+// timedOut fires when the attempt outlived the task timeout.
+func (a *attempt) timedOut() {
+	if a.stale() {
+		return
+	}
+	d := a.d
+	d.timeoutCount++
+	d.pubStep(a.inv, a.id, obs.StepTimedOut)
+	d.recoverExecutor(a.inv, a.id, a.replica, a.n, a.reissue, a.st, a.start, "timeout", a.onDone)
+}
+
+// acquired receives the container (or the reason there is none).
+func (a *attempt) acquired(c *cluster.Container, _ bool, err error) {
+	d, inv, id := a.d, a.inv, a.id
+	if a.stale() {
+		if c != nil {
+			a.w.Release(c)
+		}
+		return
+	}
+	switch {
+	case errors.Is(err, cluster.ErrDeadline):
+		// The deadline expired while this request sat in the acquire
+		// queue; the waiter was already withdrawn node-side.
+		a.abortDeadline("acquire")
+		return
+	case errors.Is(err, cluster.ErrQueueFull):
+		// Backpressure shed the request; fail the step so the workflow
+		// drains quickly instead of piling more work on the node.
+		a.cancelTimeout()
+		a.st.finished = true
+		inv.failed = true
+		d.shedCount++
+		d.pubStep(inv, id, obs.StepFailed)
+		a.onDone(true)
+		return
+	case errors.Is(err, cluster.ErrFenced):
+		// Ownership moved while this request sat in the acquire queue;
+		// the node refused the grant, so stand down locally too.
+		a.standDown()
+		d.fencedAcquires++
+		d.fenceCheck(inv, id, "acquire")
+		return
+	case err != nil:
+		// The node failed while this request sat in the acquire queue.
+		a.cancelTimeout()
+		d.recoverExecutor(inv, id, a.replica, a.n, a.reissue, a.st, a.start, "node-down", a.onDone)
+		return
+	}
+	a.c = c
+	d.span(inv, id, a.replica, a.phase, a.start)
+	d.issuePrewarms(inv, id)
+	a.phaseAt = d.rt.Env.Now()
+	if d.opts.Data == DataNone {
+		a.fetched() // the inputs ship in the container image
+		return
+	}
+	d.fetchInputs(inv, id, a.workerID, a.fetched)
+}
+
+// fetched runs once the inputs are in: execute on the worker's CPU.
+func (a *attempt) fetched() {
+	d, inv, id := a.d, a.inv, a.id
+	if a.stale() {
+		a.release()
+		return
+	}
+	if d.deadlineExceeded(inv) {
+		a.abortDeadline("fetch")
+		return
+	}
+	if d.fenceCheck(inv, id, "exec") {
+		a.standDown()
+		return
+	}
+	d.span(inv, id, a.replica, "fetch", a.phaseAt)
+	a.phaseAt = d.rt.Env.Now()
+	a.w.Exec(a.exec, a.executed)
+}
+
+// executed runs when the function body finished: crash injection, then
+// the output store.
+func (a *attempt) executed() {
+	d, inv, id := a.d, a.inv, a.id
+	if a.stale() {
+		a.release()
+		return
+	}
+	if d.deadlineExceeded(inv) {
+		a.abortDeadline("exec")
+		return
+	}
+	d.span(inv, id, a.replica, "exec", a.phaseAt)
+	if d.fenceCheck(inv, id, "store") {
+		a.standDown()
+		return
+	}
+	if d.crashes(inv, id, a.replica, a.n) {
+		a.cancelTimeout()
+		a.w.Destroy(a.c)
+		d.crashCount++
+		if a.n < d.opts.MaxAttempts {
+			d.retryCount++
+			d.pubStep(inv, id, obs.StepRetried)
+			d.crashRetry(inv, id, a.replica, a.n+1, a.reissue, a.st, a.onDone)
+			return
+		}
+		inv.failed = true
+		d.pubStep(inv, id, obs.StepFailed)
+		a.st.finished = true
+		a.onDone(true)
+		return
+	}
+	a.phaseAt = d.rt.Env.Now()
+	if d.opts.Data == DataNone {
+		a.stored() // no payload leaves the container
+		return
+	}
+	d.storeOutputs(inv, id, a.replica, a.workerID, a.stored)
+}
+
+// stored completes the attempt once its outputs are written.
+func (a *attempt) stored() {
+	d := a.d
+	if a.stale() {
+		a.release()
+		return
+	}
+	a.cancelTimeout()
+	a.st.finished = true
+	if !d.fastSpans {
+		// With the fast path on, storeOutputs published per-operation
+		// spans instead of this aggregate.
+		d.span(a.inv, a.id, a.replica, "store", a.phaseAt)
+	}
+	a.w.Release(a.c)
+	a.onDone(false)
 }
 
 // crashRetry re-runs an executor after an injected container crash. The
@@ -251,10 +321,10 @@ func (d *Deployment) startAttempt(inv *invocation, id dag.NodeID, replica, attem
 // without backoff — starts synchronously, preserving the immediate-retry
 // event order of plain crash injection. With backoff configured, the delay
 // window is published as a recovery span so attribution stays contiguous.
-func (d *Deployment) crashRetry(inv *invocation, id dag.NodeID, replica, attempt, reissue int, st *execState, onDone func(failed bool)) {
-	backoff := d.backoffDelay((attempt - 1) + reissue)
+func (d *Deployment) crashRetry(inv *invocation, id dag.NodeID, replica, attemptN, reissue int, st *execState, onDone func(failed bool)) {
+	backoff := d.backoffDelay((attemptN - 1) + reissue)
 	if backoff == 0 {
-		d.startAttempt(inv, id, replica, attempt, reissue, st, onDone)
+		d.startAttempt(inv, id, replica, attemptN, reissue, st, onDone)
 		return
 	}
 	failAt := d.rt.Env.Now()
@@ -264,7 +334,7 @@ func (d *Deployment) crashRetry(inv *invocation, id dag.NodeID, replica, attempt
 			return
 		}
 		d.pubRecovery(inv, id, replica, "crash", worker, worker, reissue, backoff, failAt)
-		d.startAttempt(inv, id, replica, attempt, reissue, st, onDone)
+		d.startAttempt(inv, id, replica, attemptN, reissue, st, onDone)
 	})
 }
 
@@ -272,7 +342,7 @@ func (d *Deployment) crashRetry(inv *invocation, id dag.NodeID, replica, attempt
 // re-issues the executor: re-placing the task if its worker is dead, paying
 // the backoff delay, then dispatching the assignment through the
 // mode-appropriate engine loop and a control message to the new worker.
-func (d *Deployment) recoverExecutor(inv *invocation, id dag.NodeID, replica, attempt, reissue int, st *execState, attemptStart sim.Time, reason string, onDone func(failed bool)) {
+func (d *Deployment) recoverExecutor(inv *invocation, id dag.NodeID, replica, attemptN, reissue int, st *execState, attemptStart sim.Time, reason string, onDone func(failed bool)) {
 	st.seq++ // invalidate any in-flight phase callbacks of the dead attempt
 	if st.finished || inv.abandoned {
 		return
@@ -299,7 +369,7 @@ func (d *Deployment) recoverExecutor(inv *invocation, id dag.NodeID, replica, at
 	newWorker := inv.place[id]
 	src, p := d.reissueSource(inv, id)
 
-	backoff := d.backoffDelay((attempt - 1) + reissue + 1)
+	backoff := d.backoffDelay((attemptN - 1) + reissue + 1)
 	dispatch := func() {
 		if st.finished || inv.abandoned {
 			return
@@ -313,7 +383,7 @@ func (d *Deployment) recoverExecutor(inv *invocation, id dag.NodeID, replica, at
 					return
 				}
 				d.pubRecovery(inv, id, replica, reason, oldWorker, newWorker, reissue+1, backoff, attemptStart)
-				d.startAttempt(inv, id, replica, attempt, reissue+1, st, onDone)
+				d.startAttempt(inv, id, replica, attemptN, reissue+1, st, onDone)
 			})
 		})
 	}

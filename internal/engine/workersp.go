@@ -3,7 +3,6 @@ package engine
 import (
 	"repro/internal/dag"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // This file implements the WorkerSP pattern (paper §3.1, Figure 6): each
@@ -26,12 +25,12 @@ import (
 func (d *Deployment) invokeWorkerSP(inv *invocation) {
 	// The client's request lands at the master/gateway, which notifies the
 	// worker hosting each source node of the new InvocationID.
-	var enq, st, done sim.Time
-	enq, st, done = d.master.process(func() {
+	s := d.master.reserve()
+	d.master.run(s, func() {
 		if inv.abandoned {
 			return
 		}
-		pre := d.chainProc(nil, enq, st, done)
+		pre := d.chainProc(nil, s)
 		for _, src := range d.sources {
 			src := src
 			w := inv.place[src]
@@ -48,13 +47,14 @@ func (d *Deployment) invokeWorkerSP(inv *invocation) {
 // up to the message arrival.
 func (d *Deployment) wspTrigger(inv *invocation, id dag.NodeID, from int, pre []obs.Segment) {
 	w := inv.place[id]
-	var enq, st, done sim.Time
-	enq, st, done = d.workers[w].process(func() {
+	p := d.workers[w]
+	s := p.reserve()
+	p.run(s, func() {
 		if inv.started[id] || inv.abandoned {
 			return
 		}
 		inv.started[id] = true
-		d.publishChain(inv, from, int(id), d.chainProc(pre, enq, st, done))
+		d.publishChain(inv, from, int(id), d.chainProc(pre, s))
 		if d.deadlineExceeded(inv) {
 			// Dead on arrival: drain as a skip instead of running — no
 			// container is acquired, and the skip wave cancels downstream.
@@ -71,8 +71,9 @@ func (d *Deployment) wspTrigger(inv *invocation, id dag.NodeID, from int, pre []
 // propagates the state to every successor's engine.
 func (d *Deployment) wspComplete(inv *invocation, id dag.NodeID, nodeSkipped bool) {
 	w := inv.place[id]
-	var enq, st, done sim.Time
-	enq, st, done = d.workers[w].process(func() {
+	p := d.workers[w]
+	s := p.reserve()
+	p.run(s, func() {
 		if inv.abandoned {
 			return
 		}
@@ -84,7 +85,7 @@ func (d *Deployment) wspComplete(inv *invocation, id dag.NodeID, nodeSkipped boo
 		} else {
 			d.pubStep(inv, id, obs.StepCompleted)
 		}
-		pre := d.chainProc(nil, enq, st, done)
+		pre := d.chainProc(nil, s)
 		if d.g.OutDegree(id) == 0 {
 			// A sink: report completion to the master, which finishes the
 			// invocation when all sinks have reported. Skipped sinks count
@@ -92,14 +93,14 @@ func (d *Deployment) wspComplete(inv *invocation, id dag.NodeID, nodeSkipped boo
 			sendAt := d.rt.Env.Now()
 			d.rt.Fabric.SendMsg(w, d.rt.Master, d.opts.StateMsgBytes, func() {
 				segs := d.chainTransfer(pre, sendAt, d.rt.Env.Now())
-				var e2, s2, d2 sim.Time
-				e2, s2, d2 = d.master.process(func() {
+				s2 := d.master.reserve()
+				d.master.run(s2, func() {
 					if inv.abandoned {
 						return
 					}
 					inv.sinksLeft--
 					if inv.sinksLeft == 0 {
-						d.publishChain(inv, int(id), -1, d.chainProc(segs, e2, s2, d2))
+						d.publishChain(inv, int(id), -1, d.chainProc(segs, s2))
 						d.finishInvocation(inv)
 					}
 				})
@@ -107,7 +108,8 @@ func (d *Deployment) wspComplete(inv *invocation, id dag.NodeID, nodeSkipped boo
 			return
 		}
 		skipped := d.skippedOutEdges(inv, id)
-		for _, ei := range d.g.OutEdges(id) {
+		for i := range d.g.OutDegree(id) {
+			ei := d.g.OutEdge(id, i)
 			succ := d.g.Edge(ei).To
 			skip := nodeSkipped || skipped[ei]
 			// Same worker → inner RPC (loopback); different worker →
@@ -125,8 +127,9 @@ func (d *Deployment) wspComplete(inv *invocation, id dag.NodeID, nodeSkipped boo
 // every predecessor completion was a skip, the node is skipped in turn.
 func (d *Deployment) wspStateArrive(inv *invocation, succ dag.NodeID, skip bool, from int, pre []obs.Segment) {
 	sw := inv.place[succ]
-	var enq, st, done sim.Time
-	enq, st, done = d.workers[sw].process(func() {
+	p := d.workers[sw]
+	s := p.reserve()
+	p.run(s, func() {
 		if inv.abandoned {
 			return
 		}
@@ -136,7 +139,7 @@ func (d *Deployment) wspStateArrive(inv *invocation, succ dag.NodeID, skip bool,
 		}
 		if inv.predsDone[succ] == d.g.InDegree(succ) && !inv.started[succ] {
 			inv.started[succ] = true
-			d.publishChain(inv, from, int(succ), d.chainProc(pre, enq, st, done))
+			d.publishChain(inv, from, int(succ), d.chainProc(pre, s))
 			if inv.realIn[succ] == 0 {
 				// Entirely skipped: forward the skip without executing.
 				d.wspComplete(inv, succ, true)

@@ -112,8 +112,8 @@ type WAL struct {
 
 	pending []pendingRec
 	syncing []pendingRec
-	batchEv *sim.Event
-	syncEv  *sim.Event
+	batchEv *sim.Event // closes the open batch; queued while one is open
+	syncEv  *sim.Event // ends the in-flight fsync; queued while one runs
 	// syncStart is when the in-flight fsync began, for torn-tail math.
 	syncStart sim.Time
 
@@ -129,13 +129,16 @@ type WAL struct {
 
 // New returns an empty journal on env.
 func New(env *sim.Env, cfg Config) *WAL {
-	return &WAL{
+	w := &WAL{
 		env:     env,
 		cfg:     cfg.withDefaults(),
 		byInv:   map[int64]map[int]Entry{},
 		durable: map[stepKey]bool{},
 		inBuf:   map[stepKey]bool{},
 	}
+	w.batchEv = env.NewEvent(w.closeBatch)
+	w.syncEv = env.NewEvent(w.syncDone)
+	return w
 }
 
 // SetFence installs an ownership check consulted before any record
@@ -166,26 +169,27 @@ func (w *WAL) Append(rec Record, done func(at sim.Time)) {
 	}
 	w.inBuf[key] = true
 	w.pending = append(w.pending, pendingRec{rec: rec, done: done})
-	if w.batchEv == nil && w.syncEv == nil {
-		w.batchEv = w.env.Schedule(w.cfg.BatchWindow, w.closeBatch)
+	if !w.batchEv.Queued() && !w.syncEv.Queued() {
+		w.env.Reschedule(w.batchEv, w.env.After(w.cfg.BatchWindow))
 	}
 }
 
-// closeBatch seals the open batch and starts its fsync.
+// closeBatch seals the open batch and starts its fsync. Called directly
+// from syncDone, it also disarms the batch timer an append made from a
+// durability callback may have armed: that append is in the sealed batch.
 func (w *WAL) closeBatch() {
-	w.batchEv = nil
+	w.batchEv.Cancel()
 	if len(w.pending) == 0 {
 		return
 	}
 	w.syncing = w.pending
 	w.pending = nil
 	w.syncStart = w.env.Now()
-	w.syncEv = w.env.Schedule(w.cfg.SyncLatency, w.syncDone)
+	w.env.Reschedule(w.syncEv, w.env.After(w.cfg.SyncLatency))
 }
 
 // syncDone makes the in-flight batch durable and fires its callbacks.
 func (w *WAL) syncDone() {
-	w.syncEv = nil
 	w.stats.Syncs++
 	batch := w.syncing
 	w.syncing = nil
@@ -229,13 +233,9 @@ func (w *WAL) commit(rec Record, at sim.Time) {
 // the crash), the tail is truncated. No buffered callbacks fire.
 func (w *WAL) Crash() {
 	w.stats.Crashes++
-	if w.batchEv != nil {
-		w.batchEv.Cancel()
-		w.batchEv = nil
-	}
-	if w.syncEv != nil {
+	w.batchEv.Cancel()
+	if w.syncEv.Queued() {
 		w.syncEv.Cancel()
-		w.syncEv = nil
 		elapsed := w.env.Now() - w.syncStart
 		keep := int(int64(len(w.syncing)) * int64(elapsed) / int64(w.cfg.SyncLatency))
 		if keep > len(w.syncing) {

@@ -40,6 +40,35 @@ func TestGroupCommitBatchesAndDurableInstant(t *testing.T) {
 	}
 }
 
+// TestAppendFromDurabilityCallbackRidesNextBatch: a record appended from a
+// durability callback is sealed into the next batch as soon as the fsync
+// ends, and the batch timer it armed is disarmed with it. A record buffered
+// while that batch syncs then waits for the sync, not for the stale timer,
+// so every record commits exactly once.
+func TestAppendFromDurabilityCallbackRidesNextBatch(t *testing.T) {
+	env := sim.NewEnv()
+	w := New(env, testCfg())
+	var at1, at2 sim.Time
+	env.Schedule(0, func() {
+		w.Append(rec(1, 0), func(sim.Time) {
+			w.Append(rec(1, 1), func(at sim.Time) { at1 = at })
+		})
+	})
+	// Mid-sync of the second batch, before the stale timer would fire.
+	env.Schedule(2700*time.Microsecond, func() {
+		w.Append(rec(1, 2), func(at sim.Time) { at2 = at })
+	})
+	env.Run()
+	// Batch 1 syncs [0.5ms, 2.5ms]; batch 2 [2.5ms, 4.5ms]; batch 3
+	// [4.5ms, 6.5ms].
+	if at1 != sim.Time(4500*time.Microsecond) || at2 != sim.Time(6500*time.Microsecond) {
+		t.Fatalf("durable instants = %v, %v; want 4.5ms, 6.5ms", at1, at2)
+	}
+	if st := w.Stats(); st.Syncs != 3 || st.Committed != 3 {
+		t.Fatalf("stats = %+v; want 3 syncs, 3 committed", st)
+	}
+}
+
 func TestDuplicateAppendDropped(t *testing.T) {
 	env := sim.NewEnv()
 	w := New(env, testCfg())

@@ -559,8 +559,7 @@ func (fl *Flow) scheduleFinish(now sim.Time) {
 	}
 	at := now + sim.Time(delay)
 	if fl.finish == nil {
-		fl.finish = fl.fab.env.At(at, func() { fl.fab.complete(fl) })
-		return
+		fl.finish = fl.fab.env.NewEvent(func() { fl.fab.complete(fl) })
 	}
 	fl.fab.env.Reschedule(fl.finish, at)
 }

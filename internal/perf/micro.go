@@ -42,16 +42,18 @@ func BenchSimKernel(b *testing.B) {
 	reportRate(b, float64(b.N), "events/sec")
 }
 
-// BenchSimCancel measures the cancel-heavy path: timeout guards schedule
-// an event per task and cancel nearly all of them, so removing a canceled
-// event from the middle of the heap is on the hot path too.
+// BenchSimCancel measures the cancel-heavy path: a timeout guard is an
+// owned event, armed for every task and canceled nearly every time, so
+// removing a canceled event from the middle of the heap is on the hot path
+// too.
 func BenchSimCancel(b *testing.B) {
 	env := sim.NewEnv()
 	fn := func() {}
+	guard := env.NewEvent(fn)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		guard := env.Schedule(time.Millisecond, fn)
+		env.Reschedule(guard, env.After(time.Millisecond))
 		env.Schedule(time.Microsecond, fn)
 		guard.Cancel()
 		env.Step()
@@ -152,6 +154,35 @@ func BenchEngineDispatch(b *testing.B, mode engine.Mode, om ObsMode) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchInvocations(b, tb, d)
+}
+
+// controlBed builds the paper's 8-node testbed with Genome(50) deployed
+// under WorkerSP and no data movement: the §5.2 scheduling-overhead setup,
+// where only the sim kernel, engine dispatch and container Acquire work.
+func controlBed() (*harness.Testbed, *engine.Deployment, error) {
+	tb := harness.NewTestbed(harness.ClusterSpec{})
+	d, err := tb.Deploy(workloads.Genome(50), engine.Options{Mode: engine.ModeWorkerSP, Data: engine.DataNone})
+	if err != nil {
+		return nil, nil, err
+	}
+	return tb, d.Engine, nil
+}
+
+// BenchDispatchControl measures one warm Genome(50) WorkerSP invocation
+// with no data movement per op: the per-step cost of the simulator's
+// dispatch path, with allocs/op and events/op as its deterministic proxies.
+func BenchDispatchControl(b *testing.B) {
+	tb, d, err := controlBed()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchInvocations(b, tb, d)
+}
+
+// benchInvocations warms d's container pools, then runs one invocation to
+// completion per op.
+func benchInvocations(b *testing.B, tb *harness.Testbed, d *engine.Deployment) {
 	// Warm the container pool so ops measure steady-state dispatch.
 	for i := 0; i < 3; i++ {
 		d.Invoke(nil)

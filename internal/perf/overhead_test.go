@@ -47,6 +47,31 @@ func TestDispatchObsIdleAddsNoAllocs(t *testing.T) {
 	}
 }
 
+// TestControlDispatchAllocs gates the allocation cost of the simulator's
+// dispatch path: one warm Genome(50) WorkerSP invocation with no data
+// movement. Kernel-owned events are recycled, each executor attempt is one
+// object, and finished CPU tasks are reused, so the count stays far below
+// the 2,220 allocations the closure-per-phase dispatch made here.
+func TestControlDispatchAllocs(t *testing.T) {
+	const limit = 1000
+	tb, d, err := controlBed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		d.Invoke(nil)
+		tb.Env.Run()
+	}
+	got := minMallocsPerCall(20, func() {
+		d.Invoke(nil)
+		tb.Env.Run()
+	})
+	t.Logf("mallocs per warm Genome(50) WorkerSP invocation: %d", got)
+	if got > limit {
+		t.Fatalf("warm Genome(50) WorkerSP invocation allocates %d times, want <= %d", got, limit)
+	}
+}
+
 // minMallocsPerCall reports the fewest heap allocations any one of runs
 // calls of f made, each counted exactly. Sporadic runtime allocations only
 // ever add to a call's count, so the minimum is the call's own allocation

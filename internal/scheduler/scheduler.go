@@ -392,12 +392,11 @@ func (s *state) mergeOnce() (bool, error) {
 		return false, err
 	}
 	edgeIdxs := s.g.CriticalEdges(path)
-	edges := s.g.Edges()
 	sort.SliceStable(edgeIdxs, func(i, j int) bool {
-		return edges[edgeIdxs[i]].Bytes > edges[edgeIdxs[j]].Bytes
+		return s.g.Edge(edgeIdxs[i]).Bytes > s.g.Edge(edgeIdxs[j]).Bytes
 	})
 	for _, ei := range edgeIdxs {
-		e := edges[ei]
+		e := s.g.Edge(ei)
 		ra, rb := s.find(int(e.From)), s.find(int(e.To))
 		if ra == rb {
 			continue
@@ -436,7 +435,8 @@ func (s *state) maxCap() float64 {
 // become memory-resident when the groups merge.
 func (s *state) crossBytes(ra, rb int) int64 {
 	var sum int64
-	for _, e := range s.g.Edges() {
+	for i := range s.g.NumEdges() {
+		e := s.g.Edge(i)
 		fa, fb := s.find(int(e.From)), s.find(int(e.To))
 		if (fa == ra && fb == rb) || (fa == rb && fb == ra) {
 			sum += e.Bytes
@@ -538,7 +538,8 @@ func (s *state) nodeCost(n dag.Node) float64 {
 // refreshWeights recomputes every edge's critical-path weight from its
 // payload and current group locality.
 func (s *state) refreshWeights() {
-	for i, e := range s.g.Edges() {
+	for i := range s.g.NumEdges() {
+		e := s.g.Edge(i)
 		bps := s.in.RemoteBps
 		if s.find(int(e.From)) == s.find(int(e.To)) {
 			bps = s.in.LocalBps

@@ -77,9 +77,11 @@ func (r *refKernel) nextAt() Time {
 }
 
 // TestKernelMatchesReference drives the kernel and the reference model
-// through the same seeded random sequences of Schedule, At, Cancel,
-// Reschedule, Step and RunUntil, and requires the same firing order and
-// the same Now, Fired, NextAt and Pending after every operation.
+// through the same seeded random sequences of Schedule, At, NewEvent,
+// Cancel, Reschedule, Step and RunUntil, and requires the same firing order
+// and the same Now, Fired, NextAt and Pending after every operation.
+// Kernel-owned events are recycled as they fire, so the sequences also mix
+// reused events with owned ones.
 func TestKernelMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) { checkKernelAgainstRef(t, seed, 400) })
@@ -90,7 +92,8 @@ func checkKernelAgainstRef(t *testing.T, seed uint64, ops int) {
 	rng := NewRand(seed)
 	env := NewEnv()
 	ref := &refKernel{}
-	var handles []*Event
+	var owned []int             // reference ids of owned events
+	handles := map[int]*Event{} // reference id -> owned event
 	var got, want []int
 	fire := func(id int) func() { return func() { got = append(got, id) } }
 	for op := 0; op < ops; op++ {
@@ -98,23 +101,31 @@ func checkKernelAgainstRef(t *testing.T, seed uint64, ops int) {
 		delay := Time(rng.Intn(8)) * Time(time.Millisecond)
 		var what string
 		switch k := rng.Intn(10); {
-		case k < 3:
+		case k < 2:
 			what = "Schedule"
 			d := time.Duration(delay) - time.Millisecond // sometimes negative
 			id := ref.schedule(env.Now() + Time(max(d, 0)))
-			handles = append(handles, env.Schedule(d, fire(id)))
-		case k < 4:
+			env.Schedule(d, fire(id))
+		case k < 3:
 			what = "At"
 			id := ref.schedule(env.Now() + delay)
-			handles = append(handles, env.At(env.Now()+delay, fire(id)))
-		case k < 6 && len(handles) > 0:
+			env.At(env.Now()+delay, fire(id))
+		case k < 4:
+			what = "NewEvent"
+			ref.events = append(ref.events, refEvent{}) // no sequence until armed
+			id := len(ref.events) - 1
+			handles[id] = env.NewEvent(fire(id))
+			owned = append(owned, id)
+			env.Reschedule(handles[id], env.Now()+delay)
+			ref.reschedule(id, env.Now()+delay)
+		case k < 6 && len(owned) > 0:
 			what = "Cancel"
-			id := rng.Intn(len(handles))
+			id := owned[rng.Intn(len(owned))]
 			handles[id].Cancel()
 			ref.events[id].queued = false
-		case k < 7 && len(handles) > 0:
+		case k < 7 && len(owned) > 0:
 			what = "Reschedule"
-			id := rng.Intn(len(handles))
+			id := owned[rng.Intn(len(owned))]
 			env.Reschedule(handles[id], env.Now()+delay)
 			ref.reschedule(id, env.Now()+delay)
 		case k < 9:
@@ -160,7 +171,8 @@ func checkKernelAgainstRef(t *testing.T, seed uint64, ops int) {
 func TestCancelFiredOrCanceledIsNoop(t *testing.T) {
 	env := NewEnv()
 	var got []int
-	first := env.Schedule(time.Millisecond, func() { got = append(got, 1) })
+	first := env.NewEvent(func() { got = append(got, 1) })
+	env.Reschedule(first, Time(time.Millisecond))
 	env.Schedule(2*time.Millisecond, func() { got = append(got, 2) })
 	env.Schedule(3*time.Millisecond, func() { got = append(got, 3) })
 	env.Step()
@@ -168,7 +180,8 @@ func TestCancelFiredOrCanceledIsNoop(t *testing.T) {
 	if env.Pending() != 2 {
 		t.Fatalf("Pending = %d after canceling a fired event, want 2", env.Pending())
 	}
-	second := env.Schedule(time.Millisecond, func() { got = append(got, 4) })
+	second := env.NewEvent(func() { got = append(got, 4) })
+	env.Reschedule(second, env.Now()+Time(time.Millisecond))
 	second.Cancel()
 	second.Cancel() // already canceled
 	if env.Pending() != 2 {
@@ -183,7 +196,8 @@ func TestCancelFiredOrCanceledIsNoop(t *testing.T) {
 func TestRescheduleCanceledRequeues(t *testing.T) {
 	env := NewEnv()
 	fired := Time(-1)
-	ev := env.Schedule(time.Millisecond, func() { fired = env.Now() })
+	ev := env.NewEvent(func() { fired = env.Now() })
+	env.Reschedule(ev, Time(time.Millisecond))
 	ev.Cancel()
 	if env.Pending() != 0 {
 		t.Fatalf("Pending = %d after Cancel, want 0", env.Pending())
@@ -201,7 +215,8 @@ func TestRescheduleCanceledRequeues(t *testing.T) {
 func TestRescheduleTakesFreshSequence(t *testing.T) {
 	env := NewEnv()
 	var got []int
-	a := env.Schedule(time.Millisecond, func() { got = append(got, 1) })
+	a := env.NewEvent(func() { got = append(got, 1) })
+	env.Reschedule(a, Time(time.Millisecond))
 	env.Schedule(time.Millisecond, func() { got = append(got, 2) })
 	// Same instant: a re-keyed event queues behind everything already
 	// scheduled for it, exactly as Cancel plus a new Schedule would.
@@ -214,7 +229,8 @@ func TestRescheduleTakesFreshSequence(t *testing.T) {
 
 func TestRescheduleInPastPanics(t *testing.T) {
 	env := NewEnv()
-	ev := env.Schedule(5*time.Millisecond, func() {})
+	ev := env.NewEvent(func() {})
+	env.Reschedule(ev, Time(5*time.Millisecond))
 	env.RunUntil(Time(10 * time.Millisecond))
 	defer func() {
 		if recover() == nil {
@@ -222,4 +238,77 @@ func TestRescheduleInPastPanics(t *testing.T) {
 		}
 	}()
 	env.Reschedule(ev, Time(time.Millisecond))
+}
+
+// TestKernelEventsAllocationFree: once the free list holds enough fired
+// events, a fire-and-forget At plus the Step that fires it allocates
+// nothing.
+func TestKernelEventsAllocationFree(t *testing.T) {
+	env := NewEnv()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		env.Schedule(time.Duration(i)*time.Microsecond, fn)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		env.At(env.Now()+Time(64*time.Microsecond), fn)
+		env.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("At + Step made %v allocations, want 0", allocs)
+	}
+}
+
+// TestOwnedEventRearmAndCancelAfterFire: an owned event can be canceled
+// after it fired (a no-op) and re-armed after it fired, and the kernel
+// never puts it on the free list, so a later At cannot reuse it.
+func TestOwnedEventRearmAndCancelAfterFire(t *testing.T) {
+	env := NewEnv()
+	fires := 0
+	ev := env.NewEvent(func() { fires++ })
+	if env.Pending() != 0 {
+		t.Fatalf("Pending = %d after NewEvent, want 0", env.Pending())
+	}
+	env.Reschedule(ev, Time(time.Millisecond))
+	env.Run()
+	for _, f := range env.free {
+		if f == ev {
+			t.Fatal("fired owned event was recycled")
+		}
+	}
+	ev.Cancel() // already fired
+	if fires != 1 || env.Pending() != 0 {
+		t.Fatalf("fires=%d Pending=%d after canceling a fired event, want 1 and 0", fires, env.Pending())
+	}
+	env.Schedule(time.Millisecond, func() {}) // must not reuse ev
+	env.Reschedule(ev, env.Now()+Time(2*time.Millisecond))
+	if env.Pending() != 2 {
+		t.Fatalf("Pending = %d after re-arming, want 2", env.Pending())
+	}
+	env.Run()
+	if fires != 2 || env.Now() != Time(3*time.Millisecond) {
+		t.Fatalf("fires=%d Now=%v, want 2 at 3ms", fires, env.Now())
+	}
+	for _, f := range env.free {
+		if f == ev {
+			t.Fatal("re-armed owned event was recycled")
+		}
+	}
+}
+
+// TestRecycledEventDropsCallback: a fired kernel-owned event sits on the
+// free list without its callback, so it keeps nothing the callback
+// captured alive.
+func TestRecycledEventDropsCallback(t *testing.T) {
+	env := NewEnv()
+	env.Schedule(time.Millisecond, func() {})
+	env.Schedule(2*time.Millisecond, func() {})
+	env.Run()
+	if len(env.free) != 2 {
+		t.Fatalf("free list holds %d events, want 2", len(env.free))
+	}
+	for _, ev := range env.free {
+		if ev.fn != nil || ev.index != -1 {
+			t.Fatalf("recycled event keeps fn=%v index=%d", ev.fn != nil, ev.index)
+		}
+	}
 }

@@ -4,6 +4,13 @@
 // engines) run on top of a single Env: a virtual clock plus an event queue.
 // Events scheduled for the same instant fire in scheduling order, so a run
 // with the same inputs always produces the same trace.
+//
+// Events come in two kinds. Env.At and Env.Schedule queue fire-and-forget
+// callbacks: the kernel owns their Event, never hands it out, and recycles
+// it once the callback has run. A caller that must cancel or re-key an
+// event owns one instead: Env.NewEvent makes it, Env.Reschedule arms and
+// re-keys it, and Event.Cancel removes it from the queue. Owned events are
+// never recycled, so no caller can hold a pointer to a recycled event.
 package sim
 
 import (
@@ -31,8 +38,8 @@ func (t Time) String() string { return time.Duration(t).String() }
 // MaxTime is the largest representable virtual instant.
 const MaxTime = Time(math.MaxInt64)
 
-// Event is a scheduled callback. The zero value is meaningless; events are
-// created with Env.Schedule or Env.At.
+// Event is a scheduled callback. The zero value is meaningless; callers
+// hold only the events they own, made with Env.NewEvent.
 type Event struct {
 	at       Time
 	seq      uint64
@@ -40,6 +47,7 @@ type Event struct {
 	env      *Env
 	index    int // heap index, -1 when not queued
 	canceled bool
+	owned    bool // made by NewEvent: the kernel never recycles it
 }
 
 // At reports the virtual instant the event will fire.
@@ -53,6 +61,10 @@ func (ev *Event) Cancel() {
 		ev.env.queue.remove(ev.index)
 	}
 }
+
+// Queued reports whether the event is waiting in the queue: armed, and
+// neither fired nor canceled since.
+func (ev *Event) Queued() bool { return ev.index >= 0 }
 
 // Canceled reports whether Cancel was called on the event since it was
 // last scheduled.
@@ -154,6 +166,7 @@ func (q eventQueue) down(i0 int) bool {
 type Env struct {
 	now     Time
 	queue   eventQueue
+	free    []*Event // fired kernel-owned events, reused by At
 	nextSeq uint64
 	fired   uint64
 	running bool
@@ -172,33 +185,56 @@ func (e *Env) Pending() int { return len(e.queue) }
 // Fired reports how many events have executed so far.
 func (e *Env) Fired() uint64 { return e.fired }
 
+// After reports the instant delay from now. A negative delay is treated as
+// zero, so the instant is always a valid argument to At or Reschedule.
+func (e *Env) After(delay time.Duration) Time {
+	return e.now + Time(max(delay, 0))
+}
+
 // Schedule queues fn to run after delay. A negative delay is treated as
-// zero. It returns the event so the caller may cancel it.
-func (e *Env) Schedule(delay time.Duration, fn func()) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	return e.At(e.now+Time(delay), fn)
+// zero. The kernel owns the event; a caller that may cancel it uses
+// NewEvent instead.
+func (e *Env) Schedule(delay time.Duration, fn func()) {
+	e.At(e.After(delay), fn)
 }
 
 // At queues fn to run at absolute virtual instant t. Scheduling in the past
-// panics: it would silently reorder causality.
-func (e *Env) At(t Time, fn func()) *Event {
+// panics: it would silently reorder causality. The kernel owns the event
+// and recycles it after fn returns.
+func (e *Env) At(t Time, fn func()) {
 	e.checkAt(t)
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	ev := &Event{at: t, seq: e.nextSeq, fn: fn, env: e}
+	var ev *Event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+	} else {
+		ev = &Event{env: e}
+	}
+	ev.at, ev.seq, ev.fn = t, e.nextSeq, fn
 	e.nextSeq++
 	e.queue.push(ev)
-	return ev
 }
 
-// Reschedule moves ev to fire at absolute instant t, whether it is still
-// queued, already fired, or canceled. It is equivalent to canceling ev and
-// scheduling its callback anew — ev takes a fresh scheduling sequence, so
-// it fires after every event already queued for t — but it reuses the
-// event instead of allocating one. Rescheduling into the past panics.
+// NewEvent makes an unqueued event owned by the caller. It takes no
+// scheduling sequence; Reschedule arms it, Cancel disarms it, and it may be
+// re-armed any number of times, whether it fired or was canceled.
+func (e *Env) NewEvent(fn func()) *Event {
+	if fn == nil {
+		panic("sim: scheduling nil callback")
+	}
+	return &Event{fn: fn, env: e, index: -1, owned: true}
+}
+
+// Reschedule moves the owned event ev to fire at absolute instant t,
+// whether it is still queued, already fired, or canceled. It is equivalent
+// to canceling ev and scheduling its callback anew — ev takes a fresh
+// scheduling sequence, so it fires after every event already queued for t
+// — but it reuses the event instead of allocating one. Rescheduling into
+// the past panics.
 func (e *Env) Reschedule(ev *Event, t Time) {
 	e.checkAt(t)
 	if ev.env != e {
@@ -230,6 +266,10 @@ func (e *Env) Step() bool {
 	e.now = ev.at
 	e.fired++
 	ev.fn()
+	if !ev.owned {
+		ev.fn = nil
+		e.free = append(e.free, ev)
+	}
 	return true
 }
 

@@ -56,7 +56,8 @@ func TestNegativeDelayClampsToNow(t *testing.T) {
 func TestCancel(t *testing.T) {
 	env := NewEnv()
 	fired := false
-	ev := env.Schedule(time.Millisecond, func() { fired = true })
+	ev := env.NewEvent(func() { fired = true })
+	env.Reschedule(ev, Time(time.Millisecond))
 	ev.Cancel()
 	env.Run()
 	if fired {
@@ -70,7 +71,8 @@ func TestCancel(t *testing.T) {
 func TestCancelFromEarlierEvent(t *testing.T) {
 	env := NewEnv()
 	fired := false
-	later := env.Schedule(2*time.Millisecond, func() { fired = true })
+	later := env.NewEvent(func() { fired = true })
+	env.Reschedule(later, Time(2*time.Millisecond))
 	env.Schedule(time.Millisecond, func() { later.Cancel() })
 	env.Run()
 	if fired {
@@ -158,7 +160,8 @@ func TestNextAt(t *testing.T) {
 	if env.NextAt() != MaxTime {
 		t.Fatal("NextAt on empty queue should be MaxTime")
 	}
-	ev := env.Schedule(7*time.Millisecond, func() {})
+	ev := env.NewEvent(func() {})
+	env.Reschedule(ev, Time(7*time.Millisecond))
 	if env.NextAt() != Time(7*time.Millisecond) {
 		t.Fatalf("NextAt = %v, want 7ms", env.NextAt())
 	}

@@ -191,12 +191,13 @@ func (b *Breaker) Track(onTimeout func()) func() {
 	isProbe := b.pendingProbe
 	b.pendingProbe = false
 	expired := false
-	ev := b.env.Schedule(b.cfg.Timeout, func() {
+	ev := b.env.NewEvent(func() {
 		expired = true
 		b.stats.Timeouts++
 		b.recordFailure(isProbe)
 		onTimeout()
 	})
+	b.env.Reschedule(ev, b.env.After(b.cfg.Timeout))
 	return func() {
 		if expired {
 			return

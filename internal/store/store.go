@@ -359,7 +359,7 @@ type Hybrid struct {
 	workerOrder []string               // sorted, for deterministic iteration
 	replicas    map[string][]string    // key -> workers holding a copy, write order
 	repairQueue map[string]bool        // under-replicated keys awaiting repair
-	repairEv    *sim.Event
+	repairEv    *sim.Event             // the next repair pass; queued while one is pending
 	replStats   ReplStats
 
 	// Direct passing (see direct.go): keys pushed producer→consumer without
@@ -483,7 +483,7 @@ func (h *Hybrid) pubOp(op, key, worker string, tier obs.StoreTier, bytes int64, 
 // in-memory stores. remoteOnly disables locality entirely (the paper's
 // plain-FaaSFlow / HyperFlow data path) so experiments can toggle FaaStore.
 func NewHybrid(remote *RemoteKV, mem map[string]*MemKV, remoteOnly bool) *Hybrid {
-	return &Hybrid{
+	h := &Hybrid{
 		remote:      remote,
 		mem:         mem,
 		placements:  map[string]Location{},
@@ -493,6 +493,8 @@ func NewHybrid(remote *RemoteKV, mem map[string]*MemKV, remoteOnly bool) *Hybrid
 		repairQueue: map[string]bool{},
 		direct:      map[string][]string{},
 	}
+	h.repairEv = remote.env.NewEvent(h.repairPass)
+	return h
 }
 
 // Put stores a value produced on worker `from`. consumers lists the worker
@@ -826,10 +828,11 @@ func (h *Hybrid) DropWorker(node string) {
 // scheduleRepair arms one repair pass repairDelay from now (idempotent
 // while a pass is pending — repeated kills coalesce into the next pass).
 func (h *Hybrid) scheduleRepair() {
-	if h.repairEv != nil || len(h.repairQueue) == 0 {
+	if h.repairEv.Queued() || len(h.repairQueue) == 0 {
 		return
 	}
-	h.repairEv = h.remote.env.Schedule(h.repairDelay, h.repairPass)
+	env := h.remote.env
+	env.Reschedule(h.repairEv, env.After(h.repairDelay))
 }
 
 // repairPass restores the replication factor for every queued key by
@@ -838,7 +841,6 @@ func (h *Hybrid) scheduleRepair() {
 // survivor readable, or no capacity anywhere) are dropped from the queue —
 // the next DropWorker re-queues whatever it touches.
 func (h *Hybrid) repairPass() {
-	h.repairEv = nil
 	keys := make([]string, 0, len(h.repairQueue))
 	for key := range h.repairQueue {
 		keys = append(keys, key)
