@@ -160,7 +160,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	rec := harness.ClosedLoop(tb.Env, d.Engine, 1, *n)
+	rec := tb.Drive(harness.Client{Target: d.Invoke, Warmup: 1, N: *n})[0].Rec
 	local, total := d.Placement.LocalityBytes(b.Graph)
 	fmt.Printf("trace %s: %d jobs, %d groups, %.0f%% payload local\n",
 		tr.Name, len(tr.Jobs), len(d.Placement.Groups), 100*float64(local)/float64(total+1))
@@ -226,7 +226,7 @@ func cmdReport(args []string) error {
 		if err != nil {
 			return err
 		}
-		harness.ClosedLoop(tb.Env, d.Engine, 1, *n)
+		tb.Drive(harness.Client{Target: d.Invoke, Warmup: 1, N: *n})
 		bds, err := obs.AnalyzeAll(log)
 		if err != nil {
 			return err

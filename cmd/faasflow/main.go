@@ -78,17 +78,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "faasflow:", err)
 		os.Exit(1)
 	}
-	var stats faasflow.Stats
+	spec := faasflow.RunSpec{N: *n, PerMinute: *rate, Warmup: 1}
 	switch {
 	case *rate > 0:
 		fmt.Printf("\nopen loop: %d invocations at %.1f/min (%s, faastore=%v)\n", *n, *rate, m, *faastore)
-		stats = app.RunOpenLoop(*rate, *n)
 	case args != nil:
 		fmt.Printf("\nclosed loop with args %v: %d invocations (%s)\n", args, *n, m)
-		stats = app.RunOpts(faasflow.InvokeOptions{Args: args}, *n)
+		spec.Invoke.Args, spec.Warmup = args, 0
 	default:
 		fmt.Printf("\nclosed loop: %d invocations (%s, faastore=%v)\n", *n, m, *faastore)
-		stats = app.Run(*n)
+	}
+	stats, err := app.Run(spec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "faasflow:", err)
+		os.Exit(1)
 	}
 	fmt.Printf("latency: mean=%v p50=%v p99=%v max=%v\n", stats.Mean, stats.P50, stats.P99, stats.Max)
 	fmt.Printf("critical-path exec: %v (scheduling+data overhead: mean %v)\n",

@@ -34,21 +34,24 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			solo[name] = app.Run(20)
+			solo[name], err = app.Run(faasflow.RunSpec{N: 20, Warmup: 1})
+			if err != nil {
+				log.Fatal(err)
+			}
 		}
 
 		// Co-run: all four tenants share one cluster, one closed-loop
 		// client each, driven concurrently.
 		shared := faasflow.NewCluster(faasflow.WithFaaStore(cfg.faastore), faasflow.WithSeed(9))
-		var apps []*faasflow.App
+		var batches []faasflow.Batch
 		for _, name := range names {
 			app, err := shared.Deploy(faasflow.Benchmark(name), faasflow.DeployOptions{Mode: cfg.mode})
 			if err != nil {
 				log.Fatal(err)
 			}
-			apps = append(apps, app)
+			batches = append(batches, faasflow.Batch{App: app, Spec: faasflow.RunSpec{N: 20, Warmup: 1}})
 		}
-		co, err := faasflow.RunConcurrently(apps, 20)
+		co, err := shared.Run(batches...)
 		if err != nil {
 			log.Fatal(err)
 		}

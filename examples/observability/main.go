@@ -27,7 +27,11 @@ func run(mode faasflow.Mode, faastore bool) (*faasflow.Observer, faasflow.Stats)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return o, app.Run(10)
+	stats, err := app.Run(faasflow.RunSpec{N: 10, Warmup: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return o, stats
 }
 
 func main() {

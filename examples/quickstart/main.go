@@ -50,7 +50,10 @@ func main() {
 		fmt.Printf("  %-16s -> %s\n", step, placement[step])
 	}
 
-	stats := app.Run(100)
+	stats, err := app.Run(faasflow.RunSpec{N: 100, Warmup: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\n100 closed-loop invocations:\n")
 	fmt.Printf("  mean %v   p50 %v   p99 %v\n", stats.Mean, stats.P50, stats.P99)
 	fmt.Printf("  critical-path exec %v, so engine+data overhead is %v per run\n",

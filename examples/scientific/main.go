@@ -23,7 +23,10 @@ func main() {
 		app.Groups(), app.LocalizedFraction()*100)
 
 	for iter := 1; iter <= 3; iter++ {
-		stats := app.Run(20)
+		stats, err := app.Run(faasflow.RunSpec{N: 20, Warmup: 1})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("iteration %d: mean %v  p99 %v  (%d groups, %.0f%% local)\n",
 			iter, stats.Mean, stats.P99, app.Groups(), app.LocalizedFraction()*100)
 		// Feedback: observed container scale flows back into Algorithm 1
@@ -39,6 +42,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	b := base.Run(20)
+	b, err := base.Run(faasflow.RunSpec{N: 20, Warmup: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nHyperFlow-style baseline: mean %v  p99 %v\n", b.Mean, b.P99)
 }

@@ -64,5 +64,9 @@ func run(wf *faasflow.Workflow, mode faasflow.Mode, faastore bool, storageMB flo
 	if err != nil {
 		log.Fatal(err)
 	}
-	return app.RunOpenLoop(6, 30)
+	stats, err := app.Run(faasflow.RunSpec{N: 30, PerMinute: 6, Warmup: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return stats
 }

@@ -92,74 +92,127 @@ func TestDeployRejectsNegativeMembers(t *testing.T) {
 	}
 }
 
-// TestRunMethodsRejectFederatedApps checks every run method that drives
-// one engine directly fails fast on a federated app, naming RunFederated,
-// rather than bypassing the shard router and never draining the clock.
-func TestRunMethodsRejectFederatedApps(t *testing.T) {
-	runs := map[string]func(a *App){
-		"Run":                func(a *App) { a.Run(2) },
-		"RunOpts":            func(a *App) { a.RunOpts(InvokeOptions{}, 2) },
-		"RunOpenLoop":        func(a *App) { a.RunOpenLoop(60, 2) },
-		"RunOpenLoopPoisson": func(a *App) { a.RunOpenLoopPoisson(60, 2, 1) },
-		"RunAdmitted":        func(a *App) { a.RunAdmitted(60, 2, 0) },
+// returnsWithin runs fn and fails the test if it has not returned within
+// five seconds: a run that waits for a clock that never drains hangs.
+func returnsWithin(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s did not return within 5s", what)
 	}
-	for name, run := range runs {
+}
+
+// TestRunMethodsRejectFederatedApps once pinned that each single-engine
+// run method refused a federated app. App.Run routes every traffic shape
+// through the shard router instead: each subtest is the RunSpec that
+// replaced one of those methods, and each must complete on a federated
+// app with nothing lost.
+func TestRunMethodsRejectFederatedApps(t *testing.T) {
+	specs := map[string]RunSpec{
+		"Run":                {N: 2, Warmup: 1},
+		"RunOpts":            {N: 2, Invoke: InvokeOptions{Tenant: "gold", Deadline: time.Minute}},
+		"RunOpenLoop":        {N: 2, PerMinute: 60, Warmup: 1},
+		"RunOpenLoopPoisson": {N: 2, PerMinute: 60, Poisson: true, Seed: 1, Warmup: 1},
+		"RunAdmitted":        {N: 2, PerMinute: 60, Admit: true},
+	}
+	for name, spec := range specs {
 		t.Run(name, func(t *testing.T) {
 			app, err := NewCluster().Deploy(Benchmark("IR"), DeployOptions{Federation: &FederationOptions{}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			done := make(chan any, 1)
-			go func() {
-				defer func() { done <- recover() }()
-				run(app)
-			}()
-			select {
-			case r := <-done:
-				msg, _ := r.(string)
-				if !strings.Contains(msg, name) || !strings.Contains(msg, "RunFederated") {
-					t.Fatalf("panic = %v, want a message naming %s and RunFederated", r, name)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatalf("%s on a federated app did not return within 5s", name)
+			var st Stats
+			returnsWithin(t, name+" on a federated app", func() { st, err = app.Run(spec) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Count != 2 {
+				t.Fatalf("completed %d/2", st.Count)
+			}
+			warm := int64(spec.Warmup)
+			if fs := app.FederationStats(); fs.Invocations != 2+warm || fs.Completed != 2+warm {
+				t.Fatalf("router saw %d invocations, %d completed; want %d routed", fs.Invocations, fs.Completed, 2+warm)
 			}
 		})
 	}
-	app, err := NewCluster().Deploy(Benchmark("IR"), DeployOptions{Federation: &FederationOptions{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunConcurrently([]*App{app}, 2); err == nil || !strings.Contains(err.Error(), "RunFederated") {
-		t.Fatalf("RunConcurrently err = %v, want one naming RunFederated", err)
-	}
 }
 
-// TestRunRejectsClusterHostingFederation checks a plain app sharing its
-// cluster with a federated one fails fast instead of waiting forever for
-// the federation's lease timers to drain.
+// TestRunRejectsClusterHostingFederation once pinned that a plain app
+// sharing its cluster with a federation refused to run. Now the run steps
+// the clock until its own batch completes: it returns with nothing lost,
+// every admission slot released, and the federation still serving.
 func TestRunRejectsClusterHostingFederation(t *testing.T) {
 	c := NewCluster()
+	if err := c.SetAdmission(AdmissionConfig{MaxConcurrent: 8}); err != nil {
+		t.Fatal(err)
+	}
 	plain, err := c.Deploy(Benchmark("IR"), DeployOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := plain.Run(1); st.Count != 1 {
-		t.Fatalf("run before the federation completed %d/1", st.Count)
-	}
-	if _, err := c.Deploy(Benchmark("IR"), DeployOptions{Federation: &FederationOptions{}}); err != nil {
+	fed, err := c.Deploy(Benchmark("IR"), DeployOptions{Federation: &FederationOptions{}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
-		plain.Run(1)
-	}()
-	select {
-	case r := <-done:
-		if msg, _ := r.(string); !strings.Contains(msg, "hosts a federated app") {
-			t.Fatalf("panic = %v, want a message naming the federated cluster", r)
+	for _, spec := range []RunSpec{{N: 3, Warmup: 1}, {N: 4, PerMinute: 120, Admit: true}} {
+		var st Stats
+		returnsWithin(t, "a plain run on a cluster hosting a federation", func() { st, err = plain.Run(spec) })
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run on a cluster hosting a federation did not return within 5s")
+		if st.Count != spec.N {
+			t.Fatalf("%+v completed %d/%d", spec, st.Count, spec.N)
+		}
+		if live := c.AdmissionLive(); live != 0 {
+			t.Fatalf("AdmissionLive = %d after the run, want 0", live)
+		}
+	}
+	// Co-location across both: each batch finishes on the shared clock.
+	var sts []Stats
+	returnsWithin(t, "a co-located run", func() {
+		sts, err = c.Run(Batch{plain, RunSpec{N: 2}}, Batch{fed, RunSpec{N: 2}})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sts[0].Count != 2 || sts[1].Count != 2 {
+		t.Fatalf("co-located counts %d and %d, want 2 each", sts[0].Count, sts[1].Count)
+	}
+}
+
+// TestRunRejectsInvalidSpecs checks a malformed spec or a foreign app is an
+// error before anything runs, never a panic.
+func TestRunRejectsInvalidSpecs(t *testing.T) {
+	c := NewCluster()
+	app, err := c.Deploy(Benchmark("IR"), DeployOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := NewCluster().Deploy(Benchmark("IR"), DeployOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func() error{
+		"negative N":       func() error { _, err := app.Run(RunSpec{N: -1}); return err },
+		"negative warm-up": func() error { _, err := app.Run(RunSpec{N: 1, Warmup: -1}); return err },
+		"negative rate":    func() error { _, err := app.Run(RunSpec{N: 1, PerMinute: -6}); return err },
+		"poisson, no rate": func() error { _, err := app.Run(RunSpec{N: 1, Poisson: true}); return err },
+		"foreign app":      func() error { _, err := c.Run(Batch{App: other, Spec: RunSpec{N: 1}}); return err },
+	} {
+		if err := run(); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+	}
+	if sts, err := c.Run(); sts != nil || err != nil {
+		t.Errorf("empty Run = %v, %v; want nothing", sts, err)
+	}
+	if now := c.tb.Env.Now(); now != 0 {
+		t.Fatalf("rejected specs moved the clock to %v", now)
 	}
 }

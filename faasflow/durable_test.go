@@ -17,7 +17,7 @@ func TestDeployDurableJournalsSteps(t *testing.T) {
 		t.Fatal("durable deploy reports Durable() == false")
 	}
 	const n = 3
-	stats := app.Run(n)
+	stats := mustRun(t, app, RunSpec{N: n, Warmup: 1})
 	if stats.Count != n {
 		t.Fatalf("completed %d of %d", stats.Count, n)
 	}
@@ -54,7 +54,7 @@ func TestEngineDownFaultPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 8
-	stats := app.Run(n)
+	stats := mustRun(t, app, RunSpec{N: n, Warmup: 1})
 	if stats.Count != n {
 		t.Fatalf("completed %d of %d invocations", stats.Count, n)
 	}
@@ -103,7 +103,7 @@ func TestReplicatedDeploySurvivesNodeDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 10
-	stats := app.Run(n)
+	stats := mustRun(t, app, RunSpec{N: n, Warmup: 1})
 	if stats.Count != n {
 		t.Fatalf("completed %d of %d invocations", stats.Count, n)
 	}

@@ -43,7 +43,10 @@ func ExampleCluster_Deploy() {
 	if err != nil {
 		panic(err)
 	}
-	stats := app.Run(3)
+	stats, err := app.Run(faasflow.RunSpec{N: 3, Warmup: 1})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("durable:", app.Durable(), "completed:", stats.Count)
 	fmt.Println("journal records:", len(app.JournalEntries()))
 	fmt.Println("memo hits:", app.FastPathStats().MemoHits)
@@ -111,7 +114,9 @@ func ExampleDiffSnapshots() {
 		if err != nil {
 			panic(err)
 		}
-		app.Run(5)
+		if _, err := app.Run(faasflow.RunSpec{N: 5, Warmup: 1}); err != nil {
+			panic(err)
+		}
 		return o.Snapshot(map[string]string{"system": "WorkerSP"})
 	}
 	diff := faasflow.DiffSnapshots(capture(), capture())
@@ -121,7 +126,7 @@ func ExampleDiffSnapshots() {
 }
 
 // Switch steps route per invocation when arguments are supplied.
-func ExampleApp_RunOpts() {
+func ExampleApp_Run() {
 	src := `
 name: router
 steps:
@@ -150,8 +155,14 @@ steps:
 	if err != nil {
 		panic(err)
 	}
-	premium := app.RunOpts(faasflow.InvokeOptions{Args: map[string]any{"tier": "premium"}}, 3)
-	free := app.RunOpts(faasflow.InvokeOptions{Args: map[string]any{"tier": "free"}}, 3)
+	premium, err := app.Run(faasflow.RunSpec{N: 3, Invoke: faasflow.InvokeOptions{Args: map[string]any{"tier": "premium"}}})
+	if err != nil {
+		panic(err)
+	}
+	free, err := app.Run(faasflow.RunSpec{N: 3, Invoke: faasflow.InvokeOptions{Args: map[string]any{"tier": "free"}}})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(premium.Mean > free.Mean)
 	// Output:
 	// true

@@ -16,8 +16,13 @@
 //
 //	cluster := faasflow.NewCluster(faasflow.WithFaaStore(true))
 //	app, _ := cluster.Deploy(wf, faasflow.DeployOptions{Mode: faasflow.WorkerSP})
-//	stats := app.Run(100)
+//	stats, _ := app.Run(faasflow.RunSpec{N: 100, Warmup: 1})
 //	fmt.Println(stats.Mean, stats.P99)
+//
+// App.Run sends one RunSpec: a closed loop by default, an open loop at
+// RunSpec.PerMinute (fixed or Poisson arrivals), optionally through
+// admission control, with per-invocation arguments, tenant and deadline.
+// Cluster.Run drives several apps together on one clock (co-location).
 //
 // Workflows can equally be compiled from WDL YAML/JSON definitions
 // (WorkflowFromWDL) or taken from the paper's eight benchmarks
@@ -35,7 +40,6 @@ import (
 	"repro/internal/federation"
 	"repro/internal/harness"
 	"repro/internal/journal"
-	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/wdl"
 	"repro/internal/workloads"
@@ -93,9 +97,6 @@ func WithSeed(seed uint64) Option {
 type Cluster struct {
 	tb  *harness.Testbed
 	adm *admission.Controller // nil until SetAdmission; nil admits everything
-	// federated is set once a federated app is deployed: its lease timers
-	// reschedule forever, so the clock never drains again.
-	federated bool
 }
 
 // NewCluster builds a cluster with the paper's defaults (7 workers, 8
@@ -323,104 +324,18 @@ func (c *Cluster) Deploy(wf *Workflow, o DeployOptions) (*App, error) {
 			Journal: d.Engine.Journal(),
 		}
 	}
-	app.fed, err = federation.New(c.tb.Env, federation.Config{
+	app.fed, err = c.tb.Federate(federation.Config{
 		Shards:       fo.Shards,
 		LeaseTTL:     fo.LeaseTTL,
 		RenewEvery:   fo.RenewEvery,
 		CheckEvery:   fo.CheckEvery,
 		HandoffDelay: fo.HandoffDelay,
 		Seed:         cmp.Or(fo.Seed, c.tb.Spec.Seed+1),
-	}, c.tb.Bus(), fedMembers...)
+	}, fedMembers...)
 	if err != nil {
 		return nil, err
 	}
-	c.federated = true
 	return app, nil
-}
-
-// singleEngine panics when a run method that drives one engine and then
-// drains the clock is called on a federated app, which must route through
-// the shard router, or on any app of a cluster hosting one, whose lease
-// timers keep the clock from ever draining.
-func (a *App) singleEngine(method string) {
-	switch {
-	case a.fed != nil:
-		panic("faasflow: " + method + " cannot drive a federated app; use RunFederated")
-	case a.cluster.federated:
-		panic("faasflow: " + method + " cannot drain a cluster that hosts a federated app; deploy this app on its own cluster")
-	}
-}
-
-// Stats summarizes a batch of invocations.
-type Stats struct {
-	Count    int
-	Mean     time.Duration
-	P50      time.Duration
-	P99      time.Duration
-	Max      time.Duration
-	Timeouts float64 // fraction clamped at the 60 s deadline (open loop)
-}
-
-func statsOf(rec *metrics.Recorder) Stats {
-	return Stats{
-		Count:    rec.Count(),
-		Mean:     rec.Mean(),
-		P50:      rec.Percentile(0.5),
-		P99:      rec.P99(),
-		Max:      rec.Max(),
-		Timeouts: rec.TimeoutRate(harness.Timeout),
-	}
-}
-
-// Run sends n closed-loop invocations (each starts when the previous
-// completes) after one warm-up pass and returns latency statistics.
-func (a *App) Run(n int) Stats {
-	a.singleEngine("Run")
-	rec := harness.ClosedLoop(a.cluster.tb.Env, a.dep.Engine, 1, n)
-	return statsOf(rec)
-}
-
-// RunOpenLoop sends n invocations at a fixed arrival rate regardless of
-// completions; latencies clamp at the 60 s deadline.
-func (a *App) RunOpenLoop(perMinute float64, n int) Stats {
-	a.singleEngine("RunOpenLoop")
-	rec := harness.OpenLoop(a.cluster.tb.Env, a.dep.Engine, perMinute, 1, n)
-	return statsOf(rec)
-}
-
-// RunOpenLoopPoisson is RunOpenLoop with Poisson (exponential
-// inter-arrival) traffic instead of a fixed interval. Deterministic for a
-// given seed.
-func (a *App) RunOpenLoopPoisson(perMinute float64, n int, seed uint64) Stats {
-	a.singleEngine("RunOpenLoopPoisson")
-	rec := harness.OpenLoopPoisson(a.cluster.tb.Env, a.dep.Engine, perMinute, 1, n, seed)
-	return statsOf(rec)
-}
-
-// RunConcurrently drives one closed-loop client per app simultaneously —
-// the co-location scenario of the paper's §5.5. All apps must be deployed
-// on the same cluster; it returns one Stats per app, in input order.
-func RunConcurrently(apps []*App, n int) ([]Stats, error) {
-	if len(apps) == 0 {
-		return nil, nil
-	}
-	c := apps[0].cluster
-	if c.federated {
-		return nil, fmt.Errorf("faasflow: RunConcurrently cannot drain a cluster that hosts a federated app; use RunFederated for it")
-	}
-	engines := make([]*engine.Deployment, len(apps))
-	for i, a := range apps {
-		if a.cluster != c {
-			return nil, fmt.Errorf("faasflow: RunConcurrently requires all apps on one cluster")
-		}
-		engines[i] = a.dep.Engine
-	}
-	recs := harness.CoRun(c.tb.Env, engines, 1, n)
-	out := make([]Stats, len(recs))
-	for i, r := range recs {
-		out[i] = statsOf(r)
-	}
-	return out, nil
 }
 
 // Placement reports where each workflow step runs, by step name.

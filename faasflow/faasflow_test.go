@@ -75,7 +75,7 @@ func TestDeployAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := app.Run(10)
+	stats := mustRun(t, app, RunSpec{N: 10, Warmup: 1})
 	if stats.Count != 10 {
 		t.Fatalf("Count = %d", stats.Count)
 	}
@@ -120,7 +120,7 @@ func TestWorkerSPFasterThanMasterSP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return app.Run(20)
+		return mustRun(t, app, RunSpec{N: 20, Warmup: 1})
 	}
 	w, m := run(WorkerSP), run(MasterSP)
 	if w.Mean >= m.Mean {
@@ -135,7 +135,7 @@ func TestOpenLoopStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := app.RunOpenLoop(30, 20)
+	stats := mustRun(t, app, RunSpec{N: 20, PerMinute: 30, Warmup: 1})
 	if stats.Count != 20 {
 		t.Fatalf("Count = %d", stats.Count)
 	}
@@ -194,7 +194,7 @@ steps:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats := app.Run(3); stats.Count != 3 {
+	if stats := mustRun(t, app, RunSpec{N: 3, Warmup: 1}); stats.Count != 3 {
 		t.Fatal("WDL workflow did not run")
 	}
 }
@@ -225,11 +225,11 @@ func TestRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app.Run(3)
+	mustRun(t, app, RunSpec{N: 3, Warmup: 1})
 	if err := app.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if stats := app.Run(2); stats.Count != 2 {
+	if stats := mustRun(t, app, RunSpec{N: 2, Warmup: 1}); stats.Count != 2 {
 		t.Fatal("post-refresh run failed")
 	}
 }
@@ -241,7 +241,7 @@ func TestBandwidthOptionMatters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return app.Run(5)
+		return mustRun(t, app, RunSpec{N: 5, Warmup: 1})
 	}
 	slow, fast := run(10), run(100)
 	if slow.Mean <= fast.Mean {
@@ -285,8 +285,8 @@ steps:
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdStats := app.RunOpts(InvokeOptions{Args: map[string]any{"q": 1080.0}}, 5)
-	sdStats := app.RunOpts(InvokeOptions{Args: map[string]any{"q": 480.0}}, 5)
+	hdStats := mustRun(t, app, RunSpec{N: 5, Invoke: InvokeOptions{Args: map[string]any{"q": 1080.0}}})
+	sdStats := mustRun(t, app, RunSpec{N: 5, Invoke: InvokeOptions{Args: map[string]any{"q": 480.0}}})
 	if hdStats.Count != 5 || sdStats.Count != 5 {
 		t.Fatalf("counts = %d/%d", hdStats.Count, sdStats.Count)
 	}
@@ -312,7 +312,7 @@ func TestUtilizationSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app.Run(5)
+	mustRun(t, app, RunSpec{N: 5, Warmup: 1})
 	u := c.Utilization()
 	if u.ColdStarts == 0 || u.WarmReuses == 0 {
 		t.Fatalf("container counters empty: %+v", u)
@@ -337,7 +337,7 @@ func TestObserverReportAndTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app.Run(3)
+	mustRun(t, app, RunSpec{N: 3, Warmup: 1})
 	if o.Events() == 0 {
 		t.Fatal("attached observer saw nothing")
 	}
@@ -395,8 +395,18 @@ func TestObserverReportAndTrace(t *testing.T) {
 	// After detach nothing new is recorded.
 	c.DetachObserver()
 	before := o.Events()
-	app.Run(1)
+	mustRun(t, app, RunSpec{N: 1, Warmup: 1})
 	if o.Events() != before {
 		t.Fatalf("detached observer grew: %d -> %d", before, o.Events())
 	}
+}
+
+// mustRun runs one batch and fails the test on a run error.
+func mustRun(t testing.TB, a *App, spec RunSpec) Stats {
+	t.Helper()
+	st, err := a.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }

@@ -14,8 +14,8 @@ func TestDeployFastBeatsBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb := appBase.Run(10)
-	sf := appFast.Run(10)
+	sb := mustRun(t, appBase, RunSpec{N: 10, Warmup: 1})
+	sf := mustRun(t, appFast, RunSpec{N: 10, Warmup: 1})
 	if sf.Mean > sb.Mean {
 		t.Fatalf("fast path regressed: mean %v > baseline %v", sf.Mean, sb.Mean)
 	}
@@ -47,7 +47,7 @@ func TestDeployDurableWithMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := app.Run(4); st.Count != 4 {
+	if st := mustRun(t, app, RunSpec{N: 4, Warmup: 1}); st.Count != 4 {
 		t.Fatalf("completed %d/4", st.Count)
 	}
 	st := app.FastPathStats()

@@ -30,7 +30,7 @@ func TestFaultInjectionAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 10
-	stats := app.Run(n)
+	stats := mustRun(t, app, RunSpec{N: n, Warmup: 1})
 	if stats.Count != n {
 		t.Fatalf("completed %d of %d invocations", stats.Count, n)
 	}

@@ -1,14 +1,11 @@
 package faasflow
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/federation"
-	"repro/internal/harness"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -140,64 +137,6 @@ func (a *App) ExhaustionFailures() []ExhaustionRecord {
 		return a.fed.ExhaustionFailures()
 	}
 	return a.dep.Engine.FailureStatsSnapshot().Exhausted
-}
-
-// RunFederated sends n closed-loop invocations through the federation's
-// shard router. Invocations that land on a mid-handoff shard retry
-// automatically after the window closes (the wait counts toward client
-// latency). It returns an error when the run cannot finish — every member
-// dead, or the batch not draining within the deadline.
-func (a *App) RunFederated(n int) (Stats, error) {
-	if a.fed == nil {
-		return Stats{}, fmt.Errorf("faasflow: workflow was not deployed federated")
-	}
-	env := a.cluster.tb.Env
-	rec := &metrics.Recorder{}
-	completed := 0
-	var invokeErr error
-	var launch func()
-	launch = func() {
-		if n <= 0 {
-			return
-		}
-		n--
-		start := env.Now()
-		var submit func()
-		submit = func() {
-			_, err := a.fed.Invoke(engine.InvokeOptions{}, func(engine.Result) {
-				rec.Add((env.Now() - start).Duration())
-				completed++
-				launch()
-			})
-			if err != nil {
-				var he *HandoffError
-				if errors.As(err, &he) {
-					env.Schedule(he.RetryAfter, submit)
-					return
-				}
-				invokeErr = err
-				completed++
-				launch()
-			}
-		}
-		submit()
-	}
-	total := n
-	launch()
-	// The federation's renewal and sweep timers reschedule forever, so a
-	// bare env.Run() would never drain; step the clock until the batch
-	// completes (or a generous deadline passes).
-	deadline := env.Now() + sim.Time(time.Duration(total)*harness.Timeout+time.Minute)
-	for completed < total && env.Now() < deadline {
-		env.RunUntil(env.Now() + sim.Time(100*time.Millisecond))
-	}
-	if invokeErr != nil {
-		return statsOf(rec), invokeErr
-	}
-	if completed < total {
-		return statsOf(rec), fmt.Errorf("faasflow: federated run stalled: %d/%d invocations completed", completed, total)
-	}
-	return statsOf(rec), nil
 }
 
 // Advance runs the simulation clock forward by d even with no client work

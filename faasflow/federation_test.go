@@ -36,7 +36,7 @@ func TestDeployFederatedRoutesAndCompletes(t *testing.T) {
 		t.Fatalf("members = %v", got)
 	}
 	const n = 8
-	stats, err := app.RunFederated(n)
+	stats, err := app.Run(RunSpec{N: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestKillMemberFailsOverPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Kill engine-0 once the batch is in flight; RunFederated's stepped
+	// Kill engine-0 once the batch is in flight; App.Run's stepped
 	// clock drives lease expiry, the claim, and the handoff replay.
 	killed := false
 	c.tb.Env.Schedule(2*time.Second, func() {
@@ -84,7 +84,7 @@ func TestKillMemberFailsOverPublic(t *testing.T) {
 		killed = true
 	})
 	const n = 10
-	stats, err := app.RunFederated(n)
+	stats, err := app.Run(RunSpec{N: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +127,6 @@ func TestFederationMethodsRejectNonFederatedApps(t *testing.T) {
 	}
 	if app.Federated() {
 		t.Fatal("plain deploy reports Federated() == true")
-	}
-	if _, err := app.RunFederated(1); err == nil {
-		t.Error("RunFederated on plain app did not error")
 	}
 	if err := app.KillFederationMember("engine-0"); err == nil {
 		t.Error("KillFederationMember on plain app did not error")

@@ -6,9 +6,6 @@ import (
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/engine"
-	"repro/internal/metrics"
-	"repro/internal/sim"
 )
 
 // This file is the public overload-control surface: front-door admission
@@ -17,7 +14,8 @@ import (
 // goodput-curve methodology behind them.
 
 // ErrOverloaded matches (via errors.Is) every admission rejection — from
-// Cluster.Admit, App.RunAdmitted accounting, and the gateway's 429 path.
+// Cluster.Admit, admission-gated App.Run accounting, and the gateway's 429
+// path.
 var ErrOverloaded = admission.ErrOverloaded
 
 // OverloadError is an admission rejection: which limit fired, which tenant
@@ -73,8 +71,8 @@ type AdmissionConfig struct {
 
 // SetAdmission installs (or, with the zero config, effectively disables)
 // front-door admission control on the cluster. Every workflow start —
-// Cluster.Admit, App.RunAdmitted, and the gateway's invoke endpoint —
-// passes through it. Tenant weights in cfg.Tenants are also installed as
+// Cluster.Admit, App.Run with RunSpec.Admit, and the gateway's invoke
+// endpoint — passes through it. Tenant weights in cfg.Tenants are also installed as
 // the cluster's weighted-fair Acquire queueing weights.
 func (c *Cluster) SetAdmission(cfg AdmissionConfig) error {
 	var tenants map[string]admission.TenantConfig
@@ -213,60 +211,4 @@ func (c *Cluster) TenantAdmissionStats() []TenantAdmissionStats {
 		})
 	}
 	return out
-}
-
-// AdmittedStats extends Stats with per-outcome accounting for an
-// open-loop run through the admission controller.
-type AdmittedStats struct {
-	Stats         // latency of goodput completions only
-	Offered   int // arrivals scheduled
-	Admitted  int // past the controller
-	Rejected  int // turned away with ErrOverloaded
-	Goodput   int // admitted, completed, neither failed nor deadlined
-	Deadlined int // admitted but ran out of deadline
-	Failed    int // admitted but failed inside the engine (queue shed)
-}
-
-// RunAdmitted sends n open-loop invocations at a fixed arrival rate
-// through the cluster's admission controller, each carrying the given
-// end-to-end deadline (0 = none). Rejected arrivals are counted, not
-// retried; admitted work is invoked with the deadline propagated through
-// dispatch, so queued and in-flight steps cancel once it passes.
-func (a *App) RunAdmitted(perMinute float64, n int, deadline time.Duration) AdmittedStats {
-	a.singleEngine("RunAdmitted")
-	c := a.cluster
-	rec := &metrics.Recorder{}
-	var st AdmittedStats
-	st.Offered = n
-	interval := time.Duration(60 / perMinute * float64(time.Second))
-	for i := 0; i < n; i++ {
-		delay := time.Duration(i) * interval
-		c.tb.Env.Schedule(delay, func() {
-			release, err := c.Admit(a.dep.Bench.Name)
-			if err != nil {
-				st.Rejected++
-				return
-			}
-			st.Admitted++
-			var dl sim.Time
-			if deadline > 0 {
-				dl = c.tb.Env.Now() + sim.Time(deadline)
-			}
-			a.dep.Engine.InvokeOpts(engine.InvokeOptions{Deadline: dl}, func(r engine.Result) {
-				release()
-				switch {
-				case r.DeadlineExceeded:
-					st.Deadlined++
-				case r.Failed:
-					st.Failed++
-				default:
-					st.Goodput++
-					rec.Add(r.Latency())
-				}
-			})
-		})
-	}
-	c.tb.Env.Run()
-	st.Stats = statsOf(rec)
-	return st
 }

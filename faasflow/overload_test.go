@@ -85,24 +85,24 @@ func TestRunAdmittedAccountsEveryArrival(t *testing.T) {
 	}
 	// 10x the admitted rate: most arrivals must be turned away, the rest
 	// finish inside the deadline.
-	st := app.RunAdmitted(300, 40, 30*time.Second)
-	if st.Offered != 40 {
-		t.Fatalf("offered = %d", st.Offered)
+	st := mustRun(t, app, RunSpec{N: 40, PerMinute: 300, Invoke: InvokeOptions{Deadline: 30 * time.Second}, Admit: true})
+	if st.Admission.Offered != 40 {
+		t.Fatalf("offered = %d", st.Admission.Offered)
 	}
-	if st.Admitted+st.Rejected != st.Offered {
-		t.Fatalf("admitted %d + rejected %d != offered %d", st.Admitted, st.Rejected, st.Offered)
+	if st.Admission.Admitted+st.Admission.Rejected != st.Admission.Offered {
+		t.Fatalf("admitted %d + rejected %d != offered %d", st.Admission.Admitted, st.Admission.Rejected, st.Admission.Offered)
 	}
-	if st.Rejected == 0 {
+	if st.Admission.Rejected == 0 {
 		t.Fatal("10x overload rejected nothing")
 	}
-	if st.Goodput+st.Deadlined+st.Failed != st.Admitted {
-		t.Fatalf("outcomes %d+%d+%d != admitted %d", st.Goodput, st.Deadlined, st.Failed, st.Admitted)
+	if st.Admission.Goodput+st.Admission.Deadlined+st.Admission.Failed != st.Admission.Admitted {
+		t.Fatalf("outcomes %d+%d+%d != admitted %d", st.Admission.Goodput, st.Admission.Deadlined, st.Admission.Failed, st.Admission.Admitted)
 	}
-	if st.Goodput == 0 {
+	if st.Admission.Goodput == 0 {
 		t.Fatal("no goodput at all")
 	}
-	if st.Count != st.Goodput {
-		t.Fatalf("latency samples %d != goodput %d", st.Count, st.Goodput)
+	if st.Count != st.Admission.Goodput {
+		t.Fatalf("latency samples %d != goodput %d", st.Count, st.Admission.Goodput)
 	}
 	if st.P99 > 30*time.Second {
 		t.Fatalf("goodput P99 %v exceeds the deadline", st.P99)
@@ -118,14 +118,14 @@ func TestRunAdmittedDeadlineBoundsResidency(t *testing.T) {
 	// No admission, saturating arrivals, and a deadline shorter than the
 	// queueing delay this load builds: late arrivals must be cut off rather
 	// than run to completion long after their budget.
-	st := app.RunAdmitted(1200, 120, 4*time.Second)
-	if st.Rejected != 0 {
-		t.Fatalf("no controller installed but %d rejected", st.Rejected)
+	st := mustRun(t, app, RunSpec{N: 120, PerMinute: 1200, Invoke: InvokeOptions{Deadline: 4 * time.Second}, Admit: true})
+	if st.Admission.Rejected != 0 {
+		t.Fatalf("no controller installed but %d rejected", st.Admission.Rejected)
 	}
-	if st.Deadlined == 0 {
+	if st.Admission.Deadlined == 0 {
 		t.Fatal("saturating load with a tight deadline deadlined nothing")
 	}
-	if st.Goodput+st.Deadlined+st.Failed != st.Admitted {
-		t.Fatalf("outcomes %d+%d+%d != admitted %d", st.Goodput, st.Deadlined, st.Failed, st.Admitted)
+	if st.Admission.Goodput+st.Admission.Deadlined+st.Admission.Failed != st.Admission.Admitted {
+		t.Fatalf("outcomes %d+%d+%d != admitted %d", st.Admission.Goodput, st.Admission.Deadlined, st.Admission.Failed, st.Admission.Admitted)
 	}
 }

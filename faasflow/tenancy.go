@@ -1,62 +1,9 @@
 package faasflow
 
-import (
-	"time"
-
-	"repro/internal/engine"
-	"repro/internal/metrics"
-	"repro/internal/sim"
-)
-
-// This file is the public multi-tenancy surface: tenant-attributed
-// invocation, and the per-tenant cluster-queue counters behind the
-// gateway's /tenants endpoint. Admission-side tenancy (weights, per-tenant
+// This file is the public multi-tenancy surface: the per-tenant
+// cluster-queue counters behind the gateway's /tenants endpoint.
+// Tenant-attributed invocation is RunSpec.Invoke.Tenant (run.go). Admission-side tenancy (weights, per-tenant
 // buckets) lives in overload.go; see docs/TENANCY.md for the model.
-
-// InvokeOptions tunes a batch of invocations sent through RunOpts.
-type InvokeOptions struct {
-	// Args are the invocation input arguments; switch steps evaluate their
-	// branch conditions against them.
-	Args map[string]any
-	// Deadline bounds each invocation end to end (relative; 0 = none).
-	Deadline time.Duration
-	// Tenant attributes every invocation to a tenant: container acquisition
-	// queues weighted-fair against other tenants, and journal records and
-	// invocation events carry the label. "" = untenanted.
-	Tenant string
-}
-
-// RunOpts sends n closed-loop invocations with per-invocation options and
-// returns latency statistics. Unlike RunAdmitted it does not consult the
-// admission controller — pair it with Cluster.AdmitTenant when front-door
-// accounting matters.
-func (a *App) RunOpts(opts InvokeOptions, n int) Stats {
-	a.singleEngine("RunOpts")
-	rec := &metrics.Recorder{}
-	remaining := n
-	var next func()
-	next = func() {
-		if remaining == 0 {
-			return
-		}
-		remaining--
-		var dl sim.Time
-		if opts.Deadline > 0 {
-			dl = a.cluster.tb.Env.Now() + sim.Time(opts.Deadline)
-		}
-		a.dep.Engine.InvokeOpts(engine.InvokeOptions{
-			Args:     opts.Args,
-			Deadline: dl,
-			Tenant:   opts.Tenant,
-		}, func(r engine.Result) {
-			rec.Add(r.Latency())
-			next()
-		})
-	}
-	next()
-	a.cluster.tb.Env.Run()
-	return statsOf(rec)
-}
 
 // TenantQueueStats is one tenant's Acquire-queue counters on one worker
 // node: how often its requests queued, were granted containers, or were

@@ -19,9 +19,9 @@ func TestRunAdmittedNeverLeaksSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := app.RunAdmitted(300, 40, 2*time.Second)
-	if st.Admitted == 0 || st.Rejected == 0 {
-		t.Fatalf("test load not mixed: %+v", st)
+	st := mustRun(t, app, RunSpec{N: 40, PerMinute: 300, Invoke: InvokeOptions{Deadline: 2 * time.Second}, Admit: true})
+	if st.Admission.Admitted == 0 || st.Admission.Rejected == 0 {
+		t.Fatalf("test load not mixed: %+v", *st.Admission)
 	}
 	if live := c.AdmissionLive(); live != 0 {
 		t.Fatalf("AdmissionLive = %d after the run, want 0 (leaked slots)", live)
@@ -29,8 +29,9 @@ func TestRunAdmittedNeverLeaksSlots(t *testing.T) {
 }
 
 // TestTenantAdmissionRoundTrip drives tenant-attributed runs through the
-// public surface: SetAdmission with tenants, AdmitTenant + RunOpts per
-// batch, and per-tenant stats afterwards — with no slot leaked.
+// public surface: SetAdmission with tenants, AdmitTenant plus a
+// tenant-labelled App.Run per batch, and per-tenant stats afterwards —
+// with no slot leaked.
 func TestTenantAdmissionRoundTrip(t *testing.T) {
 	c := NewCluster(WithSeed(7))
 	err := c.SetAdmission(AdmissionConfig{
@@ -52,10 +53,10 @@ func TestTenantAdmissionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := app.RunOpts(InvokeOptions{Tenant: "gold"}, 2)
+	st := mustRun(t, app, RunSpec{N: 2, Invoke: InvokeOptions{Tenant: "gold"}})
 	release()
 	if st.Count != 2 {
-		t.Fatalf("RunOpts stats = %+v, want 2 completions", st)
+		t.Fatalf("tenant run stats = %+v, want 2 completions", st)
 	}
 	// bronze's burst-1 bucket rejects its second immediate request.
 	r1, err := c.AdmitTenant("IR", "bronze")
@@ -89,7 +90,7 @@ func TestTenantAdmissionRoundTrip(t *testing.T) {
 	if bronze.Admitted != 1 || bronze.RejectedRate != 1 {
 		t.Fatalf("bronze stats = %+v", bronze)
 	}
-	// Queue-side tenancy surfaced too: the tenanted RunOpts invocations
+	// Queue-side tenancy surfaced too: the tenanted App.Run invocations
 	// left per-tenant grant counters on the worker nodes.
 	grants := int64(0)
 	for _, q := range c.TenantQueueStats() {

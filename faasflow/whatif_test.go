@@ -26,7 +26,7 @@ func TestAppWhatIf(t *testing.T) {
 		t.Fatalf("halving exec did not help: %d -> %d", base.MeanNs, fast.MeanNs)
 	}
 	// The counterfactual runs must not disturb the live deployment.
-	if stats := app.Run(3); stats.Count != 3 {
+	if stats := mustRun(t, app, RunSpec{N: 3, Warmup: 1}); stats.Count != 3 {
 		t.Fatalf("app unusable after what-if: %+v", stats)
 	}
 }

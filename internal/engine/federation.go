@@ -44,10 +44,6 @@ func (d *Deployment) SetFence(engineID string, fn func(inv int64) error) {
 	d.fence = fn
 }
 
-// EngineID reports the federation member name set by SetFence ("" when
-// the deployment is not federated).
-func (d *Deployment) EngineID() string { return d.engineID }
-
 // fenceCheck consults the fence at an execution boundary. A rejection
 // abandons the invocation locally — the successor owns it now, so every
 // other in-flight callback holding it bails exactly as after an engine

@@ -185,10 +185,11 @@ func TestFederationEndpointRequiresFederatedDeploy(t *testing.T) {
 	}
 }
 
-// TestPlainInvokeRejectedOnFederatedCluster checks a plain workflow on a
-// cluster that also hosts a federated one gets 409 at once, instead of a
-// run that waits forever for the federation's lease timers to drain while
-// holding the server lock; the federated workflow still runs.
+// TestPlainInvokeRejectedOnFederatedCluster once pinned a 409 for a plain
+// workflow on a cluster that also hosts a federated one. The run now steps
+// the clock until its own batch completes, so every plain invoke shape
+// (closed loop, open loop, tenant, args) answers 200 with every invocation
+// counted, and the federated workflow still runs.
 func TestPlainInvokeRejectedOnFederatedCluster(t *testing.T) {
 	srv := newTestServer(t)
 	deployETL(t, srv)
@@ -196,9 +197,22 @@ func TestPlainInvokeRejectedOnFederatedCluster(t *testing.T) {
 		map[string]any{"benchmark": "IR", "federated": true}, nil); code != http.StatusCreated {
 		t.Fatalf("federated deploy status = %d", code)
 	}
-	if code := doJSON(t, http.MethodPost, srv.URL+"/workflows/etl/invoke",
-		map[string]any{"n": 1}, nil); code != http.StatusConflict {
-		t.Fatalf("plain invoke on a federated cluster = %d, want 409", code)
+	for _, body := range []map[string]any{
+		{"n": 2},
+		{"n": 2, "ratePerMinute": 30},
+		{"n": 2, "args": map[string]any{"q": 1}},
+	} {
+		var out struct {
+			Count int `json:"count"`
+		}
+		if code := doJSON(t, http.MethodPost, srv.URL+"/workflows/etl/invoke", body, &out); code != http.StatusOK || out.Count != 2 {
+			t.Fatalf("plain invoke %v on a federated cluster = %d with count %d, want 200 with 2", body, code, out.Count)
+		}
+	}
+	resp := invokeAs(t, srv, "gold", 2)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("tenant invoke on a federated cluster = %d, want 200", resp.StatusCode)
 	}
 	if code := doJSON(t, http.MethodPost, srv.URL+"/workflows/IR/invoke",
 		map[string]any{"n": 1}, nil); code != http.StatusOK {

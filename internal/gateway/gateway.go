@@ -8,8 +8,6 @@
 //	POST /workflows/{name}/invoke  {"n", "ratePerMinute", "args"}   run
 //	                           (429 + Retry-After when admission rejects;
 //	                           503 + Retry-After mid federation handoff;
-//	                           409 for a non-federated workflow once the
-//	                           cluster hosts a federated one;
 //	                           the "Tenant" header attributes the session
 //	                           to a tenant for weighted-fair admission and
 //	                           queueing — see docs/TENANCY.md)
@@ -55,10 +53,6 @@ type Server struct {
 	apps    map[string]*faasflow.App
 	wfs     map[string]*faasflow.Workflow
 	obs     *faasflow.Observer
-	// federated is set once a federated workflow is deployed: its lease
-	// timers keep the simulation clock from ever draining, so no other
-	// workflow's run could finish.
-	federated bool
 }
 
 // Config selects the cluster the server manages.
@@ -308,7 +302,6 @@ func (s *Server) deploy(req deployRequest) (*workflowInfo, error) {
 	}
 	s.apps[name] = app
 	s.wfs[name] = wf
-	s.federated = s.federated || app.Federated()
 	return s.info(name), nil
 }
 
@@ -400,32 +393,27 @@ func (s *Server) handleWorkflow(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("federation handoff in progress, retry after %v", wait)})
 			return
 		}
-		var stats faasflow.Stats
-		switch {
-		case app.Federated():
-			if req.RatePerMinute > 0 || req.Args != nil {
-				fail(w, &httpError{http.StatusBadRequest,
-					"federated invoke supports closed-loop runs only"})
-				return
-			}
-			st, err := app.RunFederated(req.N)
-			if err != nil {
-				fail(w, &httpError{http.StatusInternalServerError, err.Error()})
-				return
-			}
-			stats = st
-		case s.federated:
-			fail(w, &httpError{http.StatusConflict,
-				"the cluster hosts a federated workflow; only federated workflows can be invoked"})
+		if app.Federated() && (req.RatePerMinute > 0 || req.Args != nil) {
+			fail(w, &httpError{http.StatusBadRequest,
+				"federated invoke supports closed-loop runs only"})
 			return
-		case req.RatePerMinute > 0:
-			// Open-loop runs keep tenant attribution at the admission layer
-			// only; the per-invocation label rides on closed-loop runs.
-			stats = app.RunOpenLoop(req.RatePerMinute, req.N)
-		case tenant != "" || req.Args != nil:
-			stats = app.RunOpts(faasflow.InvokeOptions{Args: req.Args, Tenant: tenant}, req.N)
-		default:
-			stats = app.Run(req.N)
+		}
+		// Plain runs take one warm-up pass. Federated runs carry no options
+		// and no warm-up. Open-loop runs keep tenant attribution at the
+		// admission layer only; the label and arguments ride on closed-loop
+		// runs, which then skip the warm-up.
+		var opts faasflow.InvokeOptions
+		if !app.Federated() && req.RatePerMinute == 0 {
+			opts = faasflow.InvokeOptions{Args: req.Args, Tenant: tenant}
+		}
+		warmup := 1
+		if app.Federated() || opts.Args != nil || opts.Tenant != "" {
+			warmup = 0
+		}
+		stats, err := app.Run(faasflow.RunSpec{N: req.N, PerMinute: req.RatePerMinute, Invoke: opts, Warmup: warmup})
+		if err != nil {
+			fail(w, &httpError{http.StatusInternalServerError, err.Error()})
+			return
 		}
 		writeJSON(w, http.StatusOK, invokeResponse{
 			Count:       stats.Count,

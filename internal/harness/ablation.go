@@ -25,14 +25,14 @@ func AblationGrouping(bench string, invocations int) (algo, hash time.Duration, 
 	if err != nil {
 		return 0, 0, err
 	}
-	algo = ClosedLoop(tb.Env, d.Engine, 1, invocations).Mean()
+	algo = tb.Drive(Client{Target: d.Invoke, Warmup: 1, N: invocations})[0].Rec.Mean()
 
 	tb2 := newSystemTestbed(FaaSFlowFaaStore, network.MBps(50))
 	d2, err := tb2.DeployHashed(workloads.ByName(bench), opts)
 	if err != nil {
 		return 0, 0, err
 	}
-	hash = ClosedLoop(tb2.Env, d2.Engine, 1, invocations).Mean()
+	hash = tb2.Drive(Client{Target: d2.Invoke, Warmup: 1, N: invocations})[0].Rec.Mean()
 	return algo, hash, nil
 }
 
@@ -53,14 +53,14 @@ func AblationNetwork(bench string, invocations int) (shared, infinite time.Durat
 	if err != nil {
 		return 0, 0, err
 	}
-	shared = ClosedLoop(tb.Env, d.Engine, 1, invocations).Mean()
+	shared = tb.Drive(Client{Target: d.Invoke, Warmup: 1, N: invocations})[0].Rec.Mean()
 
 	tb2 := newSystemTestbed(HyperFlow, network.MBps(1e6))
 	d2, err := tb2.Deploy(workloads.ByName(bench), opts)
 	if err != nil {
 		return 0, 0, err
 	}
-	infinite = ClosedLoop(tb2.Env, d2.Engine, 1, invocations).Mean()
+	infinite = tb2.Drive(Client{Target: d2.Invoke, Warmup: 1, N: invocations})[0].Rec.Mean()
 	return shared, infinite, nil
 }
 
@@ -81,7 +81,7 @@ func SequentialVsDAG(bench string, invocations int) (dagMean, seqMean time.Durat
 	if err != nil {
 		return 0, 0, err
 	}
-	dagMean = ClosedLoop(tb.Env, d.Engine, 1, invocations).Mean()
+	dagMean = tb.Drive(Client{Target: d.Invoke, Warmup: 1, N: invocations})[0].Rec.Mean()
 
 	seq, err := linearize(workloads.ByName(bench))
 	if err != nil {
@@ -92,7 +92,7 @@ func SequentialVsDAG(bench string, invocations int) (dagMean, seqMean time.Durat
 	if err != nil {
 		return 0, 0, err
 	}
-	seqMean = ClosedLoop(tb2.Env, d2.Engine, 1, invocations).Mean()
+	seqMean = tb2.Drive(Client{Target: d2.Invoke, Warmup: 1, N: invocations})[0].Rec.Mean()
 	return dagMean, seqMean, nil
 }
 
@@ -161,7 +161,7 @@ func AblationQuota(bench string, invocations int) (QuotaAblation, error) {
 		if adjust != nil {
 			adjust(tb)
 		}
-		return ClosedLoop(tb.Env, d.Engine, 1, invocations).Mean(), nil
+		return tb.Drive(Client{Target: d.Invoke, Warmup: 1, N: invocations})[0].Rec.Mean(), nil
 	}
 	var out QuotaAblation
 	var err error

@@ -100,20 +100,20 @@ func chaosOne(mode engine.Mode, spec ChaosSpec) (ChaosRow, error) {
 		return ChaosRow{}, err
 	}
 
-	completed, failed, rec := staggeredRun(tb, d.Engine, spec.Invocations, chaosInterval)
+	run := tb.Drive(Client{Target: d.Invoke, Arrivals: Arrivals{Interval: chaosInterval}, N: spec.Invocations})[0]
 	return ChaosRow{
 		Mode:        mode,
 		Victim:      victim,
 		KillAt:      killAt,
 		DownFor:     chaosDownFor,
 		Invocations: spec.Invocations,
-		Completed:   completed,
-		FailedInv:   failed,
-		Lost:        spec.Invocations - completed,
+		Completed:   run.Completed,
+		FailedInv:   run.Failed,
+		Lost:        run.Lost,
 		Stats:       d.Engine.FailureStatsSnapshot(),
 		Durable:     d.Engine.DurableStatsSnapshot(),
-		Mean:        rec.Mean(),
-		P99:         rec.P99(),
+		Mean:        run.Rec.Mean(),
+		P99:         run.Rec.P99(),
 		Snapshot: obs.BuildSnapshot(log, map[string]string{
 			"scenario": "chaos",
 			"bench":    chaosBench,

@@ -38,7 +38,8 @@ func ColdStartStudy(bench string, keepAlives []time.Duration, perMinute float64,
 		if err != nil {
 			return nil, err
 		}
-		rec := OpenLoop(tb.Env, d.Engine, perMinute, 0, n)
+		rec := tb.Drive(Client{Target: d.Invoke, Arrivals: PerMinute(perMinute), N: n})[0].Rec
+		rec.Clamp(Timeout)
 		var colds, warms int64
 		for _, id := range tb.Workers {
 			st := tb.Runtime.Nodes[id].Stats()

@@ -116,20 +116,20 @@ func durableOne(n int, mode engine.Mode, scenario string) (DurableRow, error) {
 		return DurableRow{}, fmt.Errorf("harness: unknown durable scenario %q", scenario)
 	}
 
-	completed, failed, rec := staggeredRun(tb, d.Engine, n, durableInterval)
+	run := tb.Drive(Client{Target: d.Invoke, Arrivals: Arrivals{Interval: durableInterval}, N: n})[0]
 	return DurableRow{
 		Mode:        mode,
 		Scenario:    scenario,
 		Victim:      victim,
 		KillAt:      killAt,
 		Invocations: n,
-		Completed:   completed,
-		FailedInv:   failed,
-		Lost:        n - completed,
+		Completed:   run.Completed,
+		FailedInv:   run.Failed,
+		Lost:        run.Lost,
 		Durable:     d.Engine.DurableStatsSnapshot(),
 		Repl:        tb.Runtime.Store.ReplStats(),
-		Mean:        rec.Mean(),
-		P99:         rec.P99(),
+		Mean:        run.Rec.Mean(),
+		P99:         run.Rec.P99(),
 		Snapshot: obs.BuildSnapshot(log, map[string]string{
 			"scenario": "durable-" + scenario,
 			"bench":    durableBench,

@@ -97,7 +97,7 @@ func SchedulingOverhead(systems []System, invocations int) ([]OverheadRow, error
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", bench.Name, sys, err)
 			}
-			rec := ClosedLoop(tb.Env, d.Engine, 1, invocations)
+			rec := tb.Drive(Client{Target: d.Invoke, Warmup: 1, N: invocations})[0].Rec
 			mean := rec.Mean()
 			crit := time.Duration(d.Engine.CriticalExecSeconds() * float64(time.Second))
 			row.E2E[sys] = mean
@@ -153,7 +153,7 @@ func DataMovement() ([]MovementRow, error) {
 			return nil, fmt.Errorf("%s: %w", bench.Name, err)
 		}
 		before := tb.Remote.Stats()
-		ClosedLoop(tb.Env, d.Engine, 1, 1)
+		tb.Drive(Client{Target: d.Invoke, Warmup: 1, N: 1})
 		after := tb.Remote.Stats()
 		moved := (after.BytesPut - before.BytesPut) / 2 // warmup also counted
 		moved += (after.BytesGot - before.BytesGot) / 2
@@ -199,9 +199,9 @@ func TransferLatency(invocations int) ([]TransferRow, error) {
 			}
 			// Warm up (uncounted), then measure the store's cumulative
 			// transfer time across the recorded invocations.
-			ClosedLoop(tb.Env, d.Engine, 1, 0)
+			tb.Drive(Client{Target: d.Invoke, Warmup: 1})
 			before := tb.Runtime.Store.TransferTime()
-			ClosedLoop(tb.Env, d.Engine, 0, invocations)
+			tb.Drive(Client{Target: d.Invoke, N: invocations})
 			perInv := (tb.Runtime.Store.TransferTime() - before) / time.Duration(invocations)
 			if sys == HyperFlow {
 				row.HyperFlow = perInv
@@ -246,7 +246,8 @@ func TailLatency(benches []string, systems []System, bandwidthsMB []float64, rat
 					if err != nil {
 						return nil, fmt.Errorf("%s/%s: %w", name, sys, err)
 					}
-					rec := OpenLoop(tb.Env, d.Engine, rate, 1, invocations)
+					rec := tb.Drive(Client{Target: d.Invoke, Arrivals: PerMinute(rate), Warmup: 1, N: invocations})[0].Rec
+					rec.Clamp(Timeout)
 					rows = append(rows, TailRow{
 						Bench:     name,
 						Sys:       sys,
@@ -294,26 +295,25 @@ func CoLocation(systems []System, invocations int) ([]CoLocationRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("solo %s/%s: %w", bench.Name, sys, err)
 			}
-			solo[bench.Name] = ClosedLoop(tb.Env, d.Engine, 1, invocations).Mean()
+			solo[bench.Name] = tb.Drive(Client{Target: d.Invoke, Warmup: 1, N: invocations})[0].Rec.Mean()
 		}
 		tb := newSystemTestbed(sys, network.MBps(50))
-		var engines []*engine.Deployment
+		var clients []Client
 		var names []string
 		for _, bench := range workloads.All() {
 			d, err := tb.deploySystem(sys, bench, engine.DataStore)
 			if err != nil {
 				return nil, fmt.Errorf("corun %s/%s: %w", bench.Name, sys, err)
 			}
-			engines = append(engines, d.Engine)
+			clients = append(clients, Client{Target: d.Invoke, Warmup: 1, N: invocations})
 			names = append(names, bench.Name)
 		}
-		recs := CoRun(tb.Env, engines, 1, invocations)
-		for i, name := range names {
+		for i, t := range tb.Drive(clients...) {
 			rows = append(rows, CoLocationRow{
-				Bench: name,
+				Bench: names[i],
 				Sys:   sys,
-				Solo:  solo[name],
-				CoRun: recs[i].Mean(),
+				Solo:  solo[names[i]],
+				CoRun: t.Rec.Mean(),
 			})
 		}
 	}
@@ -437,7 +437,7 @@ func EngineOverhead(workerCounts []int, invocations int) ([]EngineOverheadRow, e
 		if err != nil {
 			return nil, err
 		}
-		ClosedLoop(tb.Env, d.Engine, 1, invocations)
+		tb.Drive(Client{Target: d.Invoke, Warmup: 1, N: invocations})
 		elapsed := tb.Env.Now().Duration()
 		if elapsed == 0 {
 			elapsed = time.Nanosecond

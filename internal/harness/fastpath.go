@@ -94,7 +94,7 @@ func fastPathOne(n int, mode engine.Mode, variant string) (FastPathRow, error) {
 	if err != nil {
 		return FastPathRow{}, fmt.Errorf("harness: fastpath deploy %s/%s: %w", mode, variant, err)
 	}
-	rec := ClosedLoop(tb.Env, d.Engine, 1, n)
+	rec := tb.Drive(Client{Target: d.Invoke, Warmup: 1, N: n})[0].Rec
 
 	return FastPathRow{
 		Mode:        mode,

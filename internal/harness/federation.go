@@ -128,14 +128,14 @@ func federationOne(spec FederationSpec, mode engine.Mode, scenario string) (Fede
 			Journal: d.Engine.Journal(),
 		}
 	}
-	fed, err := federation.New(tb.Env, federation.Config{
+	fed, err := tb.Federate(federation.Config{
 		Shards:       federationShards,
 		LeaseTTL:     federationLeaseTTL,
 		RenewEvery:   federationRenewEvery,
 		CheckEvery:   federationCheckEvery,
 		HandoffDelay: federationHandoffDelay,
 		Seed:         spec.Seed + 1, // 0 would fall back to the default seed
-	}, bus, members...)
+	}, members...)
 	if err != nil {
 		return FederationRow{}, err
 	}

@@ -68,7 +68,7 @@ func TestClosedLoopRecordsN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := ClosedLoop(tb.Env, d.Engine, 2, 5)
+	rec := tb.Drive(Client{Target: d.Invoke, Warmup: 2, N: 5})[0].Rec
 	if rec.Count() != 5 {
 		t.Fatalf("recorded %d samples, want 5 (warmup excluded)", rec.Count())
 	}
@@ -85,10 +85,16 @@ func TestOpenLoopClampsAtTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := OpenLoop(tb.Env, d.Engine, 10, 1, 20)
+	rec := tb.Drive(Client{Target: d.Invoke, Arrivals: PerMinute(10), Warmup: 1, N: 20})[0].Rec
 	if rec.Count() != 20 {
 		t.Fatalf("recorded %d samples, want 20", rec.Count())
 	}
+	// The driver records raw latencies (chaos and durable runs report them
+	// unclamped); open-loop callers clamp at the paper's deadline.
+	if rec.Max() <= Timeout {
+		t.Fatalf("max %v: overload never passed the deadline", rec.Max())
+	}
+	rec.Clamp(Timeout)
 	if rec.Max() > Timeout {
 		t.Fatalf("max %v exceeds clamp", rec.Max())
 	}
@@ -104,12 +110,9 @@ func TestOpenLoopPoisson(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := OpenLoopPoisson(tb.Env, d.Engine, 30, 1, 15, seed)
+		rec := tb.Drive(Client{Target: d.Invoke, Arrivals: Poisson(30, seed), Warmup: 1, N: 15})[0].Rec
 		if rec.Count() != 15 {
 			t.Fatalf("recorded %d, want 15", rec.Count())
-		}
-		if rec.Max() > Timeout {
-			t.Fatal("clamp not applied")
 		}
 		return rec.Samples()
 	}
@@ -132,18 +135,17 @@ func TestOpenLoopPoisson(t *testing.T) {
 
 func TestCoRunDrivesAllClients(t *testing.T) {
 	tb := NewTestbed(ClusterSpec{FaaStore: true})
-	var engines []*engine.Deployment
+	var clients []Client
 	for _, b := range []*workloads.Benchmark{workloads.WordCount(), workloads.FileProcessing()} {
 		d, err := tb.Deploy(b, engine.Options{Mode: engine.ModeWorkerSP, Data: engine.DataStore})
 		if err != nil {
 			t.Fatal(err)
 		}
-		engines = append(engines, d.Engine)
+		clients = append(clients, Client{Target: d.Invoke, Warmup: 1, N: 4})
 	}
-	recs := CoRun(tb.Env, engines, 1, 4)
-	for i, r := range recs {
-		if r.Count() != 4 {
-			t.Fatalf("client %d recorded %d, want 4", i, r.Count())
+	for i, r := range tb.Drive(clients...) {
+		if r.Rec.Count() != 4 || r.Completed != 4 || r.Lost != 0 {
+			t.Fatalf("client %d recorded %d of %d completions (%d lost), want 4", i, r.Rec.Count(), r.Completed, r.Lost)
 		}
 	}
 }
@@ -436,7 +438,7 @@ func TestFeedbackLoopRedeploys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ClosedLoop(tb.Env, d.Engine, 1, 3)
+	tb.Drive(Client{Target: d.Invoke, Warmup: 1, N: 3})
 	p2, err := RefreshPlacement(tb, d)
 	if err != nil {
 		t.Fatal(err)
@@ -448,7 +450,7 @@ func TestFeedbackLoopRedeploys(t *testing.T) {
 		t.Fatalf("version = %d after feedback redeploy, want 1", d.Engine.Version())
 	}
 	// The redeployed workflow must still run.
-	rec := ClosedLoop(tb.Env, d.Engine, 0, 2)
+	rec := tb.Drive(Client{Target: d.Invoke, N: 2})[0].Rec
 	if rec.Count() != 2 {
 		t.Fatal("post-redeploy invocations failed")
 	}
@@ -488,7 +490,7 @@ func TestEngineMemoryModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ClosedLoop(tb.Env, d.Engine, 0, 3)
+	tb.Drive(Client{Target: d.Invoke, N: 3})
 	if d.Engine.PeakLiveInvocations() != 1 {
 		t.Fatalf("closed-loop peak live = %d, want 1", d.Engine.PeakLiveInvocations())
 	}

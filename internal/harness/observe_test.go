@@ -26,7 +26,7 @@ func tracedRun(t *testing.T, sys System, bench string, invocations int, storageB
 	if err != nil {
 		t.Fatal(err)
 	}
-	ClosedLoop(tb.Env, d.Engine, 0, invocations)
+	tb.Drive(Client{Target: d.Invoke, N: invocations})
 	return log, tb
 }
 

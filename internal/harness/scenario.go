@@ -168,26 +168,6 @@ func recoveryOptions(mode engine.Mode, jr *journal.WAL) engine.Options {
 	}
 }
 
-// staggeredRun submits n invocations interval apart, runs the simulation
-// dry, and reports how many completed, how many of those failed, and
-// their latencies.
-func staggeredRun(tb *Testbed, eng *engine.Deployment, n int, interval time.Duration) (completed, failed int, rec *metrics.Recorder) {
-	rec = &metrics.Recorder{}
-	for i := 0; i < n; i++ {
-		tb.Env.Schedule(time.Duration(i)*interval, func() {
-			eng.Invoke(func(r engine.Result) {
-				completed++
-				if r.Failed {
-					failed++
-				}
-				rec.Add(r.Latency())
-			})
-		})
-	}
-	tb.Env.Run()
-	return completed, failed, rec
-}
-
 // armBreaker installs a store circuit breaker publishing to bus: overload
 // must not be able to wedge a run on a browned-out database (no brownout
 // is injected, but the armed watchdog is part of the configuration under

@@ -31,7 +31,7 @@ func RunSnapshot(sys System, benchNames []string, invocations int, storageBW net
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s/%s: %w", name, sys, err)
 		}
-		ClosedLoop(tb.Env, d.Engine, 0, invocations)
+		tb.Drive(Client{Target: d.Invoke, N: invocations})
 	}
 
 	if meta == nil {

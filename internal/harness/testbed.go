@@ -13,6 +13,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dag"
 	"repro/internal/engine"
+	"repro/internal/federation"
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/scheduler"
@@ -86,6 +87,9 @@ type Testbed struct {
 	capLeft map[string]int // remaining scheduler capacity per worker
 	bus     *obs.Bus
 	engines []*engine.Deployment // every deployment made, for bus rewiring
+	// federated is set once a federation runs on this testbed: its lease
+	// timers reschedule forever, so Drive can no longer drain the clock.
+	federated bool
 }
 
 // AttachBus wires an observability bus through every substrate — fabric,
@@ -139,6 +143,17 @@ func (tb *Testbed) SetReplication(factor int, repairDelay time.Duration) {
 	})
 }
 
+// Federate starts a federation of member engines on this testbed's clock
+// and bus. From then on Drive steps the clock instead of draining it.
+func (tb *Testbed) Federate(cfg federation.Config, members ...federation.Member) (*federation.Federation, error) {
+	f, err := federation.New(tb.Env, cfg, tb.bus, members...)
+	if err != nil {
+		return nil, err
+	}
+	tb.federated = true
+	return f, nil
+}
+
 // Engines reports every engine deployment made on this testbed, in
 // deployment order — fault injectors attach EngineDown targets through it.
 func (tb *Testbed) Engines() []*engine.Deployment {
@@ -181,12 +196,6 @@ func NewTestbed(spec ClusterSpec) *Testbed {
 		Mems:    mems,
 		capLeft: capLeft,
 	}
-}
-
-// SetStorageBandwidth throttles the storage node mid-run (the paper's
-// wondershaper sweeps in §5.4).
-func (tb *Testbed) SetStorageBandwidth(bw network.Bandwidth) {
-	tb.Fabric.SetBandwidth(MasterNode, bw, bw)
 }
 
 // Deployment couples an engine deployment with its scheduler placement.

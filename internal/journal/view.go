@@ -44,18 +44,6 @@ func (v *View) CommittedSteps(inv int64) map[int]Entry {
 	return out
 }
 
-// ShardSteps is the per-shard handoff read: the committed records for a
-// claimed set of invocations, keyed by invocation then step. Invocations
-// with no durable record map to an empty (non-nil) step map, so the
-// successor can distinguish "nothing committed yet" from "not claimed".
-func (v *View) ShardSteps(invs []int64) map[int64]map[int]Entry {
-	out := make(map[int64]map[int]Entry, len(invs))
-	for _, inv := range invs {
-		out[inv] = v.CommittedSteps(inv)
-	}
-	return out
-}
-
 // InvocationIDs returns every invocation with at least one durable record
 // in any log, ascending and deduplicated.
 func (v *View) InvocationIDs() []int64 {

@@ -139,7 +139,7 @@ func runMacro(opts RunOptions, name string, spec harness.ClusterSpec, width, n i
 	const warmup = 2
 	start := time.Now()
 	startSim := tb.Env.Now()
-	rec := harness.ClosedLoop(tb.Env, d.Engine, warmup, n)
+	rec := tb.Drive(harness.Client{Target: d.Invoke, Warmup: warmup, N: n})[0].Rec
 	wall := time.Since(start)
 	if rec.Count() != n {
 		return BenchResult{}, fmt.Errorf("%s: %d/%d invocations completed", name, rec.Count(), n)

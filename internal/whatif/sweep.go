@@ -2,7 +2,6 @@ package whatif
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -90,18 +89,6 @@ func (p *Profile) Marshal() ([]byte, error) {
 		return nil, err
 	}
 	return append(data, '\n'), nil
-}
-
-// ParseProfile reads a profile written by Marshal.
-func ParseProfile(data []byte) (*Profile, error) {
-	var p Profile
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("whatif: parse profile: %w", err)
-	}
-	if p.Version != ProfileVersion {
-		return nil, fmt.Errorf("whatif: profile version %d, want %d", p.Version, ProfileVersion)
-	}
-	return &p, nil
 }
 
 // Sweep runs the full virtual-speedup grid — every dimension × every

@@ -202,7 +202,7 @@ func runScenario(sc Scenario, p *Perturbation) (*RunResult, *obs.TraceLog, error
 	if err != nil {
 		return nil, nil, fmt.Errorf("whatif: deploy %s: %w", sc.Bench.Name, err)
 	}
-	rec := harness.ClosedLoop(tb.Env, d.Engine, sc.Warmup, sc.N)
+	rec := tb.Drive(harness.Client{Target: d.Invoke, Warmup: sc.Warmup, N: sc.N})[0].Rec
 	if rec.Count() != sc.N {
 		return nil, nil, fmt.Errorf("whatif: %d/%d invocations completed under %v", rec.Count(), sc.N, p)
 	}

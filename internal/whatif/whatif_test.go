@@ -118,13 +118,6 @@ func TestSweepDeterministic(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("same-seed sweeps are not byte-identical")
 	}
-	back, err := ParseProfile(b1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Baseline.MeanNs != p1.Baseline.MeanNs || len(back.Curves) != len(p1.Curves) {
-		t.Fatal("profile did not round-trip")
-	}
 }
 
 func TestExplainRanksAndValidates(t *testing.T) {
