@@ -31,3 +31,10 @@ func BenchmarkDispatchObsOn(b *testing.B) {
 func BenchmarkDispatchWorkerSPControl(b *testing.B) {
 	perf.BenchDispatchControl(b)
 }
+
+// BenchmarkDispatchMasterSPStorage runs Genome(50) under MasterSP with
+// every payload in the remote store, the setup of bench's
+// gen-storage-bound workload.
+func BenchmarkDispatchMasterSPStorage(b *testing.B) {
+	perf.BenchDispatchStorage(b)
+}

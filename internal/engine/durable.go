@@ -38,7 +38,7 @@ func (d *Deployment) commitStep(inv *invocation, id dag.NodeID, attemptSeq int, 
 	width := d.g.Node(id).Width
 	for _, out := range d.outputs[id] {
 		for rep := 0; rep < width; rep++ {
-			outKeys = append(outKeys, d.key(inv, out.edgeIdx, rep))
+			outKeys = append(outKeys, d.keyFor(inv, out.edgeIdx, rep))
 		}
 	}
 	d.jr.Append(journal.Record{

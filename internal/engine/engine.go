@@ -258,11 +258,15 @@ type Deployment struct {
 	place map[dag.NodeID]string
 	opts  Options
 
-	g        *dag.Graph
-	sinks    []dag.NodeID
-	sources  []dag.NodeID
-	inputs   map[dag.NodeID][]input
-	outputs  map[dag.NodeID][]output
+	g       *dag.Graph
+	sinks   []dag.NodeID
+	sources []dag.NodeID
+	inputs  map[dag.NodeID][]input
+	outputs map[dag.NodeID][]output
+	// keyBase maps a task out-edge to its first slot in an invocation's
+	// key table; the edge's replicas take the slots after it, nKeys in all.
+	keyBase  []int
+	nKeys    int
 	critExec float64
 	// conds maps edge index -> compiled switch condition; nodes with any
 	// conditional out-edge are runtime switches. A stamped-but-empty
@@ -331,6 +335,10 @@ type Deployment struct {
 	master  *proc
 	workers map[string]*proc
 	obs     *obs.Bus
+
+	// Finished data cursors and MasterSP assignments, reused.
+	freeCursors []*cursor
+	freeAssigns []*assignment
 
 	nextInv  int64
 	liveNow  int
@@ -431,6 +439,7 @@ func (d *Deployment) resolveDataflow() {
 		}
 		return out
 	}
+	d.keyBase = make([]int, len(edges))
 	for i, e := range edges {
 		if d.g.Node(e.From).Kind != dag.KindTask {
 			continue // virtual-out edges signal; data was keyed upstream
@@ -442,6 +451,8 @@ func (d *Deployment) resolveDataflow() {
 			consumers: consumers,
 		})
 		width := d.g.Node(e.From).Width
+		d.keyBase[i] = d.nKeys
+		d.nKeys += width
 		for _, c := range consumers {
 			d.inputs[c] = append(d.inputs[c], input{edgeIdx: i, bytes: e.Bytes, replicas: width})
 		}
@@ -555,7 +566,10 @@ type invocation struct {
 	started   []bool
 	sinksLeft int
 	done      func(Result)
-	keys      []string
+	// keys lists the store keys this invocation wrote, released when it
+	// finishes; keyTab caches every key built for it (see keyFor).
+	keys   []string
+	keyTab []string
 	// stepSeq counts runTask dispatches per node (durable mode only): the
 	// journal's AttemptSeq, surviving replay so attempts stay monotonic.
 	stepSeq []int
@@ -643,6 +657,20 @@ func (d *Deployment) key(inv *invocation, edgeIdx, replica int) string {
 	b = append(b, '.')
 	b = strconv.AppendInt(b, int64(replica), 10)
 	return string(b)
+}
+
+// keyFor returns the key of one edge replica, building it on first use
+// for the invocation: the producer's write and every consumer's read share
+// one string.
+func (d *Deployment) keyFor(inv *invocation, edgeIdx, replica int) string {
+	if inv.keyTab == nil {
+		inv.keyTab = make([]string, d.nKeys)
+	}
+	slot := &inv.keyTab[d.keyBase[edgeIdx]+replica]
+	if *slot == "" {
+		*slot = d.key(inv, edgeIdx, replica)
+	}
+	return *slot
 }
 
 // Invoke starts one workflow invocation; done fires when every sink has
@@ -935,47 +963,7 @@ func (d *Deployment) FailureStatsSnapshot() FailureStats {
 // concurrent edges. Concurrency across containers is still unbounded.
 // Under DataNone there is nothing to fetch and the caller skips it.
 func (d *Deployment) fetchInputs(inv *invocation, id dag.NodeID, workerID string, next func()) {
-	ins := d.inputs[id]
-	i, rep := 0, 0
-	var step func()
-	step = func() {
-		// A dead deadline (or an engine crash) stops issuing further input
-		// fetches; the caller's post-fetch checks abandon the attempt.
-		if i == len(ins) || d.deadlineExceeded(inv) || inv.abandoned {
-			next()
-			return
-		}
-		in := ins[i]
-		k := d.key(inv, in.edgeIdx, rep)
-		advance := func() {
-			rep++
-			if rep >= in.replicas {
-				i++
-				rep = 0
-			}
-			step()
-		}
-		// Breaker fast-fails and misses alike continue the chain: a missing
-		// input is the modeled runtime's problem, not the scheduler's, and
-		// the fast-fail already bought the latency win. Durable mode is the
-		// exception — a clean miss there means a node death lost the
-		// producer's only copy, so the producer re-executes (its commit is
-		// idempotent) and the fetch retries once before moving on.
-		d.rt.Store.Get(workerID, k, func(_ int64, ok bool, err error) {
-			if d.jr != nil && !ok && err == nil && !inv.abandoned &&
-				inv.reexecs < d.opts.MaxReissues {
-				producer := d.g.Edge(in.edgeIdx).From
-				inv.reexecs++
-				d.lostInputs++
-				d.reexecProducer(inv, producer, func() {
-					d.rt.Store.Get(workerID, k, func(int64, bool, error) { advance() })
-				})
-				return
-			}
-			advance()
-		})
-	}
-	step()
+	d.newCursor(inv, id, 0, workerID, next).fetch()
 }
 
 // storeOutputs uploads the task's output keys sequentially (one container,
@@ -989,42 +977,143 @@ func (d *Deployment) storeOutputs(inv *invocation, id dag.NodeID, replica int, w
 		next()
 		return
 	}
-	outs := d.outputs[id]
-	i := 0
-	var step func()
-	step = func() {
-		// A dead deadline (or an engine crash) stops issuing further output
-		// puts; downstream consumers drain as skips / are re-dispatched by
-		// replay and never depend on the missing keys.
-		if i == len(outs) || d.deadlineExceeded(inv) || inv.abandoned {
-			next()
+	d.newCursor(inv, id, replica, workerID, next).store()
+}
+
+// cursor walks one executor's input fetches or output stores, one store
+// operation at a time. Its store callbacks are bound once, when the cursor
+// is first made, and it goes back on the deployment's free list as it
+// hands over to next: its own store operations have all completed then.
+type cursor struct {
+	d        *Deployment
+	inv      *invocation
+	id       dag.NodeID
+	replica  int // the output replica being stored
+	workerID string
+	next     func()
+	i, rep   int      // position: input (or output) index, producer replica
+	key      string   // the key of the operation under way
+	opStart  sim.Time // when the output operation under way began
+	// consumers is the reused list of the current output's consumer
+	// workers; Hybrid.Put reads it only during the call.
+	consumers []string
+
+	// Bound once.
+	gotFn    func(size int64, ok bool, err error)
+	putFn    func(store.Location, error)
+	pushedFn func()
+}
+
+// newCursor returns a finished cursor for reuse, or a new one with its
+// callbacks bound to it.
+func (d *Deployment) newCursor(inv *invocation, id dag.NodeID, replica int, workerID string, next func()) *cursor {
+	var c *cursor
+	if n := len(d.freeCursors); n > 0 {
+		c = d.freeCursors[n-1]
+		d.freeCursors[n-1] = nil
+		d.freeCursors = d.freeCursors[:n-1]
+	} else {
+		c = &cursor{d: d}
+		c.gotFn = c.gotInput
+		c.putFn = c.put
+		c.pushedFn = c.pushed
+	}
+	c.inv, c.id, c.replica, c.workerID, c.next = inv, id, replica, workerID, next
+	c.i, c.rep = 0, 0
+	return c
+}
+
+// finish releases the cursor and hands over to its next phase.
+func (c *cursor) finish() {
+	next := c.next
+	c.inv, c.next, c.workerID, c.key = nil, nil, "", ""
+	c.d.freeCursors = append(c.d.freeCursors, c)
+	next()
+}
+
+// fetch issues the next input fetch, or finishes. A dead deadline (or an
+// engine crash) stops issuing further input fetches; the caller's
+// post-fetch checks abandon the attempt.
+func (c *cursor) fetch() {
+	d, inv := c.d, c.inv
+	ins := d.inputs[c.id]
+	if c.i == len(ins) || d.deadlineExceeded(inv) || inv.abandoned {
+		c.finish()
+		return
+	}
+	c.key = d.keyFor(inv, ins[c.i].edgeIdx, c.rep)
+	d.rt.Store.Get(c.workerID, c.key, c.gotFn)
+}
+
+// gotInput continues after one input fetch. Breaker fast-fails and misses
+// alike continue the chain: a missing input is the modeled runtime's
+// problem, not the scheduler's, and the fast-fail already bought the
+// latency win. Durable mode is the exception — a clean miss there means a
+// node death lost the producer's only copy, so the producer re-executes
+// (its commit is idempotent) and the fetch retries once before moving on.
+func (c *cursor) gotInput(_ int64, ok bool, err error) {
+	d, inv := c.d, c.inv
+	if d.jr != nil && !ok && err == nil && !inv.abandoned &&
+		inv.reexecs < d.opts.MaxReissues {
+		producer := d.g.Edge(d.inputs[c.id][c.i].edgeIdx).From
+		inv.reexecs++
+		d.lostInputs++
+		d.reexecProducer(inv, producer, func() {
+			d.rt.Store.Get(c.workerID, c.key, func(int64, bool, error) { c.advance() })
+		})
+		return
+	}
+	c.advance()
+}
+
+// advance moves past the fetched input replica.
+func (c *cursor) advance() {
+	c.rep++
+	if c.rep >= c.d.inputs[c.id][c.i].replicas {
+		c.i++
+		c.rep = 0
+	}
+	c.fetch()
+}
+
+// store issues the next output operation, or finishes. A dead deadline (or
+// an engine crash) stops issuing further output puts; downstream consumers
+// drain as skips / are re-dispatched by replay and never depend on the
+// missing keys.
+func (c *cursor) store() {
+	d, inv := c.d, c.inv
+	outs := d.outputs[c.id]
+	if c.i == len(outs) || d.deadlineExceeded(inv) || inv.abandoned {
+		c.finish()
+		return
+	}
+	out := outs[c.i]
+	c.i++
+	c.consumers = c.consumers[:0]
+	for _, w := range out.consumers {
+		c.consumers = append(c.consumers, inv.place[w])
+	}
+	c.key = d.keyFor(inv, out.edgeIdx, c.replica)
+	inv.keys = append(inv.keys, c.key)
+	c.opStart = d.rt.Env.Now()
+	if targets := d.directTargets(inv, out); targets != nil {
+		if d.rt.Store.PushDirect(c.workerID, c.key, out.bytes, targets, c.pushedFn) {
+			d.directPushes++
 			return
 		}
-		out := outs[i]
-		i++
-		consumers := make([]string, len(out.consumers))
-		for j, c := range out.consumers {
-			consumers[j] = inv.place[c]
-		}
-		k := d.key(inv, out.edgeIdx, replica)
-		inv.keys = append(inv.keys, k)
-		opStart := d.rt.Env.Now()
-		if targets := d.directTargets(inv, out); targets != nil {
-			if d.rt.Store.PushDirect(workerID, k, out.bytes, targets, func() {
-				d.span(inv, id, replica, "direct", opStart)
-				step()
-			}) {
-				d.directPushes++
-				return
-			}
-			d.directFallbacks++
-		}
-		d.rt.Store.Put(workerID, k, out.bytes, consumers, func(store.Location, error) {
-			if d.fastSpans {
-				d.span(inv, id, replica, "store", opStart)
-			}
-			step()
-		})
+		d.directFallbacks++
 	}
-	step()
+	d.rt.Store.Put(c.workerID, c.key, out.bytes, c.consumers, c.putFn)
+}
+
+func (c *cursor) pushed() {
+	c.d.span(c.inv, c.id, c.replica, "direct", c.opStart)
+	c.store()
+}
+
+func (c *cursor) put(store.Location, error) {
+	if c.d.fastSpans {
+		c.d.span(c.inv, c.id, c.replica, "store", c.opStart)
+	}
+	c.store()
 }

@@ -15,6 +15,12 @@ import (
 
 // rig builds a runtime with nWorkers workers plus a master/storage node.
 func rig(nWorkers int, storageBW network.Bandwidth) *Runtime {
+	rt, _ := rigMems(nWorkers, storageBW)
+	return rt
+}
+
+// rigMems is rig that also hands back each worker's in-memory store.
+func rigMems(nWorkers int, storageBW network.Bandwidth) (*Runtime, map[string]*store.MemKV) {
 	env := sim.NewEnv()
 	fab := network.New(env, network.DefaultConfig())
 	fab.AddNode("master", storageBW, storageBW)
@@ -33,7 +39,7 @@ func rig(nWorkers int, storageBW network.Bandwidth) *Runtime {
 		Nodes:  nodes,
 		Store:  store.NewHybrid(remote, mems, false),
 		Master: "master",
-	}
+	}, mems
 }
 
 // miniBench is a 4-node diamond: a -> {b, c} -> d with 1 MB payloads.
@@ -166,7 +172,7 @@ func TestWorkerSPBeatsMasterSPOnOverhead(t *testing.T) {
 }
 
 func TestDataGCAfterInvocation(t *testing.T) {
-	rt := rig(2, network.MBps(50))
+	rt, mems := rigMems(2, network.MBps(50))
 	b := miniBench()
 	d, err := NewDeployment(rt, b, placeRoundRobin(b, "w0", "w1"), Options{Mode: ModeWorkerSP, Data: DataStore})
 	if err != nil {
@@ -177,8 +183,8 @@ func TestDataGCAfterInvocation(t *testing.T) {
 		t.Fatalf("%d keys leaked in remote store", n)
 	}
 	for _, w := range []string{"w0", "w1"} {
-		if rt.Store.Mem(w).Used() != 0 {
-			t.Fatalf("worker %s memory not reclaimed: %d", w, rt.Store.Mem(w).Used())
+		if used := mems[w].Used(); used != 0 {
+			t.Fatalf("worker %s memory not reclaimed: %d", w, used)
 		}
 	}
 }

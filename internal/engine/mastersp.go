@@ -3,6 +3,7 @@ package engine
 import (
 	"repro/internal/dag"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // This file implements the MasterSP baseline (paper §2.2, Figure 3):
@@ -48,13 +49,7 @@ func (d *Deployment) mspAssign(inv *invocation, id dag.NodeID, from int, pre []o
 		// chain into the marker closes here; the resolution slot opens the
 		// chains toward its successors.
 		d.publishChain(inv, from, int(id), pre)
-		s := d.master.reserve()
-		d.master.run(s, func() {
-			if inv.abandoned {
-				return
-			}
-			d.mspComplete(inv, id, false, d.chainProc(nil, s))
-		})
+		d.mspResolve(inv, id, false)
 		return
 	}
 	if d.deadlineExceeded(inv) {
@@ -62,53 +57,137 @@ func (d *Deployment) mspAssign(inv *invocation, id dag.NodeID, from int, pre []o
 		// of marshalling it — downstream cancels through the skip wave.
 		d.failDeadline(inv, id, "trigger")
 		d.publishChain(inv, from, int(id), pre)
-		s := d.master.reserve()
-		d.master.run(s, func() {
-			if inv.abandoned {
-				return
-			}
-			d.mspComplete(inv, id, true, d.chainProc(nil, s))
-		})
+		d.mspResolve(inv, id, true)
 		return
 	}
-	w := inv.place[id]
 	// Marshalling the task into an assignment is itself a serialized slot
 	// of the master's event loop.
-	s := d.master.reserve()
-	d.master.run(s, func() {
-		if inv.abandoned {
-			return
-		}
-		segs := d.chainProc(pre, s)
-		sendAt := d.rt.Env.Now()
-		d.rt.Fabric.SendMsg(d.rt.Master, w, d.opts.AssignMsgBytes, func() {
-			arrived := d.chainTransfer(segs, sendAt, d.rt.Env.Now())
-			// The worker-side executor proxy accepts the task...
-			p := d.workers[w]
-			s2 := p.reserve()
-			p.run(s2, func() {
-				if inv.abandoned {
-					return
-				}
-				d.publishChain(inv, from, int(id), d.chainProc(arrived, s2))
-				d.pubStep(inv, id, obs.StepTriggered)
-				d.runTask(inv, id, func(failed bool) {
-					// ...and returns the execution state to the master.
-					backAt := d.rt.Env.Now()
-					d.rt.Fabric.SendMsg(w, d.rt.Master, d.opts.StateMsgBytes, func() {
-						back := d.chainTransfer(nil, backAt, d.rt.Env.Now())
-						s3 := d.master.reserve()
-						d.master.run(s3, func() {
-							if inv.abandoned {
-								return
-							}
-							d.mspComplete(inv, id, failed, d.chainProc(back, s3))
-						})
-					})
-				})
-			})
-		})
-	})
+	a := d.newAssignment(inv, id)
+	a.from, a.segs, a.worker = from, pre, inv.place[id]
+	a.slot = d.master.reserve()
+	d.master.run(a.slot, a.marshalFn)
+}
+
+// mspResolve queues the master slot that resolves id without running it
+// (a virtual marker, or a skip); the slot opens the chains toward id's
+// successors.
+func (d *Deployment) mspResolve(inv *invocation, id dag.NodeID, skipped bool) {
+	a := d.newAssignment(inv, id)
+	a.failed = skipped
+	a.slot = d.master.reserve()
+	d.master.run(a.slot, a.completeFn)
+}
+
+// assignment is one MasterSP step on its way through the master: the
+// marshal slot, the assignment message to the worker, the worker proxy's
+// accept slot, the task itself, the state message back, and the master's
+// completion slot. Its methods are those phases, bound once when the
+// assignment is first made, and it goes back on the deployment's free list
+// when the chain ends — at the completion slot, or where it finds the
+// invocation abandoned.
+type assignment struct {
+	d      *Deployment
+	inv    *invocation
+	id     dag.NodeID
+	from   int
+	worker string
+	slot   turn          // the engine-loop turn under way
+	segs   []obs.Segment // the trigger chain so far
+	sentAt sim.Time      // when the message under way left
+	failed bool
+
+	marshalFn  func()
+	arriveFn   func()
+	acceptFn   func()
+	taskDoneFn func(failed bool)
+	backFn     func()
+	completeFn func()
+}
+
+// newAssignment returns a finished assignment for reuse, or a new one with
+// its phases bound to it.
+func (d *Deployment) newAssignment(inv *invocation, id dag.NodeID) *assignment {
+	var a *assignment
+	if n := len(d.freeAssigns); n > 0 {
+		a = d.freeAssigns[n-1]
+		d.freeAssigns[n-1] = nil
+		d.freeAssigns = d.freeAssigns[:n-1]
+	} else {
+		a = &assignment{d: d}
+		a.marshalFn = a.marshal
+		a.arriveFn = a.arrive
+		a.acceptFn = a.accept
+		a.taskDoneFn = a.taskDone
+		a.backFn = a.back
+		a.completeFn = a.complete
+	}
+	a.inv, a.id = inv, id
+	return a
+}
+
+// release puts a finished assignment back on the free list; the next one
+// taken from it starts with an empty trigger chain.
+func (a *assignment) release() {
+	a.inv, a.worker, a.segs = nil, "", nil
+	a.d.freeAssigns = append(a.d.freeAssigns, a)
+}
+
+// marshal is the master's marshalling slot: the assignment leaves for the
+// worker.
+func (a *assignment) marshal() {
+	d := a.d
+	if a.inv.abandoned {
+		a.release()
+		return
+	}
+	a.segs = d.chainProc(a.segs, a.slot)
+	a.sentAt = d.rt.Env.Now()
+	d.rt.Fabric.SendMsg(d.rt.Master, a.worker, d.opts.AssignMsgBytes, a.arriveFn)
+}
+
+// arrive queues the worker-side executor proxy's accept slot.
+func (a *assignment) arrive() {
+	d := a.d
+	a.segs = d.chainTransfer(a.segs, a.sentAt, d.rt.Env.Now())
+	p := d.workers[a.worker]
+	a.slot = p.reserve()
+	p.run(a.slot, a.acceptFn)
+}
+
+// accept runs the task on the worker.
+func (a *assignment) accept() {
+	d, inv := a.d, a.inv
+	if inv.abandoned {
+		a.release()
+		return
+	}
+	d.publishChain(inv, a.from, int(a.id), d.chainProc(a.segs, a.slot))
+	d.pubStep(inv, a.id, obs.StepTriggered)
+	d.runTask(inv, a.id, a.taskDoneFn)
+}
+
+// taskDone returns the execution state to the master.
+func (a *assignment) taskDone(failed bool) {
+	d := a.d
+	a.failed = failed
+	a.sentAt = d.rt.Env.Now()
+	d.rt.Fabric.SendMsg(a.worker, d.rt.Master, d.opts.StateMsgBytes, a.backFn)
+}
+
+// back queues the master's completion slot.
+func (a *assignment) back() {
+	d := a.d
+	a.segs = d.chainTransfer(nil, a.sentAt, d.rt.Env.Now())
+	a.slot = d.master.reserve()
+	d.master.run(a.slot, a.completeFn)
+}
+
+// complete is the master's completion slot for the step.
+func (a *assignment) complete() {
+	if !a.inv.abandoned {
+		a.d.mspComplete(a.inv, a.id, a.failed, a.d.chainProc(a.segs, a.slot))
+	}
+	a.release()
 }
 
 // mspComplete updates central state after id finished (or was skipped) and
@@ -145,17 +224,10 @@ func (d *Deployment) mspComplete(inv *invocation, id dag.NodeID, nodeSkipped boo
 			if inv.realIn[succ] == 0 {
 				if !inv.started[succ] {
 					inv.started[succ] = true
-					succ := succ
 					// The skip chain into succ closes with the current slot;
 					// the forwarding slot opens its successors' chains.
 					d.publishChain(inv, int(id), int(succ), pre)
-					s := d.master.reserve()
-					d.master.run(s, func() {
-						if inv.abandoned {
-							return
-						}
-						d.mspComplete(inv, succ, true, d.chainProc(nil, s))
-					})
+					d.mspResolve(inv, succ, true)
 				}
 				continue
 			}

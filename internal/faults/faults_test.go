@@ -84,12 +84,16 @@ func TestNodeFaultWindow(t *testing.T) {
 }
 
 // TestLinkAndStoreFaults wires a fabric and hybrid store and verifies the
-// link factor and store availability follow their windows.
+// link partition and the store outage follow their windows: a control
+// message out of the partitioned worker is held until the heal, then pays
+// full link speed again, and a read issued during the outage waits for
+// its end while one issued after it does not.
 func TestLinkAndStoreFaults(t *testing.T) {
 	env := sim.NewEnv()
 	fab := network.New(env, network.DefaultConfig())
 	fab.AddNode("master", network.MBps(50), network.MBps(50))
 	fab.AddNode("w0", network.MBps(100), network.MBps(100))
+	fab.AddNode("w1", network.MBps(100), network.MBps(100))
 	remote := store.NewRemoteKV(env, fab, "master", time.Millisecond)
 	hybrid := store.NewHybrid(remote, map[string]*store.MemKV{}, true)
 	inj := NewInjector(env, nil, fab, hybrid, nil)
@@ -101,19 +105,42 @@ func TestLinkAndStoreFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.RunUntil(sim.Time(1500 * time.Millisecond))
-	if f := fab.LinkFactor("w0"); f != 0 {
-		t.Fatalf("link factor %v inside partition window, want 0", f)
+	msgAt := sim.Time(-1)
+	const msgBytes = 1_000_000
+	fab.SendMsg("w0", "master", msgBytes, func() { msgAt = env.Now() })
+	probe := storeProbe(env, remote, "w1")
+	env.RunUntil(sim.Time(1999 * time.Millisecond))
+	if msgAt >= 0 {
+		t.Fatalf("message out of the partitioned worker delivered at %v, inside the window", msgAt)
 	}
-	if remote.Available() {
-		t.Fatal("remote store available inside outage window")
+	if *probe >= 0 {
+		t.Fatalf("read issued inside the outage window completed at %v", *probe)
 	}
 	env.Run()
-	if f := fab.LinkFactor("w0"); f != 1 {
-		t.Fatalf("link factor %v after heal, want 1", f)
+	// Healed at 2 s: latency plus serialization at the master's full
+	// 50 MB/s ingress, not at a degraded factor.
+	want := sim.Time(2*time.Second + network.DefaultConfig().MsgLatency + msgBytes*time.Second/50_000_000)
+	if msgAt != want {
+		t.Fatalf("held message delivered at %v, want %v", msgAt, want)
 	}
-	if !remote.Available() {
-		t.Fatal("remote store still down after outage window")
+	if *probe < sim.Time(2*time.Second) {
+		t.Fatalf("read issued inside the outage completed at %v, before it ended", *probe)
 	}
+	issued := env.Now()
+	probe = storeProbe(env, remote, "w1")
+	env.Run()
+	if *probe < 0 || *probe-issued > sim.Time(10*time.Millisecond) {
+		t.Fatalf("read after the outage issued at %v completed at %v", issued, *probe)
+	}
+}
+
+// storeProbe issues a remote read from worker now. The returned instant
+// stays -1 until the read completes: a read issued during a storage
+// outage queues until the outage ends.
+func storeProbe(env *sim.Env, remote *store.RemoteKV, worker string) *sim.Time {
+	at := sim.Time(-1)
+	remote.Get(worker, "probe", func(int64, bool) { at = env.Now() })
+	return &at
 }
 
 // TestPartitionQueuesAndDrains verifies that control messages sent into a
@@ -213,8 +240,9 @@ func TestOverlappingWindowsRecoverExactly(t *testing.T) {
 	}
 	// Inside both windows: node dead AND store down.
 	env.RunUntil(sim.Time(2500 * time.Millisecond))
-	if !n.Failed() || remote.Available() {
-		t.Fatalf("at 2.5s: failed=%v storeUp=%v, want true/false", n.Failed(), remote.Available())
+	probe := storeProbe(env, remote, "w0")
+	if !n.Failed() {
+		t.Fatal("at 2.5s: node alive inside its window")
 	}
 	if inj.Injected() != 2 || inj.Recovered() != 0 {
 		t.Fatalf("at 2.5s counters = %d/%d, want 2/0", inj.Injected(), inj.Recovered())
@@ -225,15 +253,22 @@ func TestOverlappingWindowsRecoverExactly(t *testing.T) {
 	if n.Failed() {
 		t.Fatal("node still failed after its window closed")
 	}
-	if remote.Available() {
-		t.Fatal("store outage ended early when the node window closed")
+	if *probe >= 0 {
+		t.Fatalf("read issued at 2.5s completed at %v: the store was up inside its outage window", *probe)
 	}
 	if inj.Injected() != 2 || inj.Recovered() != 1 {
 		t.Fatalf("at 3.5s counters = %d/%d, want 2/1", inj.Injected(), inj.Recovered())
 	}
 	env.Run()
-	if n.Failed() || !remote.Available() {
-		t.Fatal("faults leaked past their windows")
+	if *probe < sim.Time(5*time.Second) {
+		t.Fatalf("read issued at 2.5s completed at %v, before the outage ended at 5s", *probe)
+	}
+	issued := env.Now()
+	probe = storeProbe(env, remote, "w0")
+	env.Run()
+	if n.Failed() || *probe < 0 || *probe-issued > sim.Time(10*time.Millisecond) {
+		t.Fatalf("faults leaked past their windows: failed=%v, read issued at %v completed at %v",
+			n.Failed(), issued, *probe)
 	}
 	if inj.Injected() != 2 || inj.Recovered() != 2 {
 		t.Fatalf("final counters = %d/%d, want 2/2", inj.Injected(), inj.Recovered())

@@ -398,12 +398,12 @@ func (s *Server) handleWorkflow(w http.ResponseWriter, r *http.Request) {
 				"federated invoke supports closed-loop runs only"})
 			return
 		}
-		// Plain runs take one warm-up pass. Federated runs carry no options
-		// and no warm-up. Open-loop runs keep tenant attribution at the
-		// admission layer only; the label and arguments ride on closed-loop
-		// runs, which then skip the warm-up.
+		// Plain runs take one warm-up pass; federated runs take none.
+		// Open-loop runs keep tenant attribution at the admission layer
+		// only; the label and arguments ride on closed-loop runs, plain or
+		// federated, which then skip the warm-up.
 		var opts faasflow.InvokeOptions
-		if !app.Federated() && req.RatePerMinute == 0 {
+		if req.RatePerMinute == 0 {
 			opts = faasflow.InvokeOptions{Args: req.Args, Tenant: tenant}
 		}
 		warmup := 1

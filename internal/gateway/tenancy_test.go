@@ -183,3 +183,32 @@ func TestAdmissionReleasedOnErrorPaths(t *testing.T) {
 		t.Fatalf("admitted = %d, want 3 (bad requests must not consume slots)", st.Admitted)
 	}
 }
+
+// TestFederatedInvokeCarriesTenant checks that a federated closed-loop
+// invoke runs under its Tenant header's label, so its container grants
+// show in the per-tenant queue counters of GET /tenants.
+func TestFederatedInvokeCarriesTenant(t *testing.T) {
+	_, srv := newTenantServer(t)
+	deployFederatedETL(t, srv)
+	resp := invokeAs(t, srv, "gold", 2)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("federated gold invoke status = %d", resp.StatusCode)
+	}
+	var view struct {
+		Queues []faasflow.TenantQueueStats `json:"queues"`
+	}
+	if code := doJSON(t, http.MethodGet, srv.URL+"/tenants", nil, &view); code != http.StatusOK {
+		t.Fatalf("/tenants status = %d", code)
+	}
+	grants := int64(0)
+	for _, q := range view.Queues {
+		if q.Tenant == "gold" {
+			grants += q.Grants
+		}
+	}
+	if grants == 0 {
+		t.Fatalf("federated gold invoke left no gold queue grants: %+v", view.Queues)
+	}
+}

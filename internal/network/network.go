@@ -74,9 +74,6 @@ type node struct {
 	id      string
 	egress  *link
 	ingress *link
-	// byte accounting
-	bytesOut int64
-	bytesIn  int64
 }
 
 // Flow is an in-progress bulk transfer.
@@ -88,10 +85,14 @@ type Flow struct {
 	updatedAt sim.Time
 	done      func()
 	src, dst  *link
-	finish    *sim.Event // created by the first solve, re-keyed by later ones
-	fab       *Fabric
-	id        int64
-	startAt   sim.Time
+	// ev is the flow's one owned event, bound to fire when the flow is
+	// made: it joins the flow after the propagation latency, then every
+	// solve re-keys it to the flow's finish instant.
+	ev      *sim.Event
+	joined  bool
+	fab     *Fabric
+	id      int64
+	startAt sim.Time
 }
 
 // From reports the sending node.
@@ -295,15 +296,6 @@ func (f *Fabric) SetLinkFactor(id string, factor float64) {
 	}
 }
 
-// LinkFactor reports a node's current link fault multiplier.
-func (f *Fabric) LinkFactor(id string) float64 {
-	n, ok := f.nodes[id]
-	if !ok {
-		panic(fmt.Sprintf("network: unknown node %q", id))
-	}
-	return n.egress.factor
-}
-
 // partitioned reports whether a message between the two nodes is cut off.
 func (f *Fabric) partitioned(src, dst *node) bool {
 	return src.egress.factor == 0 || dst.ingress.factor == 0
@@ -361,8 +353,6 @@ func (f *Fabric) Send(from, to string, size int64, done func()) *Flow {
 	}
 	f.totalFlows++
 	f.totalBytes += size
-	src.bytesOut += size
-	dst.bytesIn += size
 	fl := &Flow{
 		from: from, to: to,
 		size: size, remaining: float64(size),
@@ -379,16 +369,25 @@ func (f *Fabric) Send(from, to string, size int64, done func()) *Flow {
 		})
 	}
 	// The flow joins the fabric after propagation latency.
-	f.env.Schedule(f.msgLat(), func() {
-		if fl.remaining <= 0 {
-			return
-		}
-		fl.updatedAt = f.env.Now()
-		f.settleAll()
-		f.join(fl)
-		f.resolve()
-	})
+	fl.ev = f.env.NewEvent(fl.fire)
+	f.env.Reschedule(fl.ev, f.env.After(f.msgLat()))
 	return fl
+}
+
+// fire is the flow's event callback: the first firing joins the flow to
+// the fabric, the next one (at the last solve's finish instant) completes
+// it.
+func (fl *Flow) fire() {
+	f := fl.fab
+	if fl.joined {
+		f.complete(fl)
+		return
+	}
+	fl.joined = true
+	fl.updatedAt = f.env.Now()
+	f.settleAll()
+	f.join(fl)
+	f.resolve()
 }
 
 // SendMsg delivers a small control message: latency plus serialization at
@@ -430,8 +429,6 @@ func (f *Fabric) deliverMsg(from, to string, size int64, done func()) {
 	src, dst := f.nodes[from], f.nodes[to]
 	bw := math.Min(src.egress.effCap(), dst.ingress.effCap())
 	ser := time.Duration(float64(size) / bw * float64(time.Second))
-	src.bytesOut += size
-	dst.bytesIn += size
 	f.totalBytes += size
 	if f.bus.Active() {
 		f.bus.Publish(obs.MsgEvent{From: from, To: to, Bytes: size, At: f.env.Now()})
@@ -547,9 +544,7 @@ func (f *Fabric) resolve() {
 func (fl *Flow) scheduleFinish(now sim.Time) {
 	if fl.rate <= 0 {
 		// Starved (zero capacity); it will be re-solved on the next event.
-		if fl.finish != nil {
-			fl.finish.Cancel()
-		}
+		fl.ev.Cancel()
 		return
 	}
 	secs := fl.remaining / fl.rate
@@ -557,11 +552,7 @@ func (fl *Flow) scheduleFinish(now sim.Time) {
 	if delay < 0 {
 		delay = 0
 	}
-	at := now + sim.Time(delay)
-	if fl.finish == nil {
-		fl.finish = fl.fab.env.NewEvent(func() { fl.fab.complete(fl) })
-	}
-	fl.fab.env.Reschedule(fl.finish, at)
+	fl.fab.env.Reschedule(fl.ev, now+sim.Time(delay))
 }
 
 func (f *Fabric) complete(fl *Flow) {
@@ -585,9 +576,6 @@ func (f *Fabric) complete(fl *Flow) {
 	}
 }
 
-// ActiveFlows reports how many bulk transfers are currently in flight.
-func (f *Fabric) ActiveFlows() int { return len(f.active) }
-
 // Resolves reports how many times the max-min fair-share solver has run
 // over a non-empty flow set — the hot-path cost driver the perf suite
 // tracks (every flow join, completion, and capacity change re-solves).
@@ -603,15 +591,6 @@ type Stats struct {
 // Stats returns cumulative fabric counters.
 func (f *Fabric) Stats() Stats {
 	return Stats{TotalBytes: f.totalBytes, TotalFlows: f.totalFlows, TotalMsgs: f.totalMsgs}
-}
-
-// NodeBytes reports cumulative bytes sent and received by a node.
-func (f *Fabric) NodeBytes(id string) (out, in int64) {
-	n, ok := f.nodes[id]
-	if !ok {
-		panic(fmt.Sprintf("network: unknown node %q", id))
-	}
-	return n.bytesOut, n.bytesIn
 }
 
 // Nodes returns the registered node IDs in sorted order.

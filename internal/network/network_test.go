@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -14,6 +15,37 @@ func newTestFabric(t *testing.T) (*sim.Env, *Fabric) {
 	env := sim.NewEnv()
 	f := New(env, DefaultConfig())
 	return env, f
+}
+
+// fabricWatch tallies what a fabric publishes on its bus: the bytes each
+// node sent and received, in bulk transfers and control messages, and the
+// finished flows with the active count the last one left behind.
+type fabricWatch struct {
+	out, in    map[string]int64
+	finished   int
+	lastActive int
+}
+
+func watchFabric(f *Fabric) *fabricWatch {
+	w := &fabricWatch{out: map[string]int64{}, in: map[string]int64{}}
+	bus := obs.NewBus()
+	bus.Subscribe(func(ev obs.Event) {
+		switch e := ev.(type) {
+		case obs.FlowEvent:
+			if e.Done {
+				w.finished++
+				w.lastActive = e.Active
+				return
+			}
+			w.out[e.From] += e.Bytes
+			w.in[e.To] += e.Bytes
+		case obs.MsgEvent:
+			w.out[e.From] += e.Bytes
+			w.in[e.To] += e.Bytes
+		}
+	})
+	f.SetBus(bus)
+	return w
 }
 
 func TestSingleFlowTime(t *testing.T) {
@@ -164,15 +196,14 @@ func TestByteAccounting(t *testing.T) {
 	env, f := newTestFabric(t)
 	f.AddNode("a", MBps(100), MBps(100))
 	f.AddNode("b", MBps(100), MBps(100))
+	w := watchFabric(f)
 	f.Send("a", "b", 5_000_000, nil)
 	f.SendMsg("a", "b", 500, nil)
 	env.Run()
-	out, in := f.NodeBytes("a")
-	if out != 5_000_500 || in != 0 {
+	if out, in := w.out["a"], w.in["a"]; out != 5_000_500 || in != 0 {
 		t.Fatalf("a bytes out=%d in=%d", out, in)
 	}
-	out, in = f.NodeBytes("b")
-	if out != 0 || in != 5_000_500 {
+	if out, in := w.out["b"], w.in["b"]; out != 0 || in != 5_000_500 {
 		t.Fatalf("b bytes out=%d in=%d", out, in)
 	}
 	st := f.Stats()
@@ -259,6 +290,7 @@ func TestConservationProperty(t *testing.T) {
 		for _, id := range ids {
 			fab.AddNode(id, MBps(float64(10+rng.Intn(90))), MBps(float64(10+rng.Intn(90))))
 		}
+		w := watchFabric(fab)
 		completed := 0
 		sent := 0
 		var total int64
@@ -279,11 +311,10 @@ func TestConservationProperty(t *testing.T) {
 		}
 		var sumOut, sumIn int64
 		for _, id := range ids {
-			out, in := fab.NodeBytes(id)
-			sumOut += out
-			sumIn += in
+			sumOut += w.out[id]
+			sumIn += w.in[id]
 		}
-		return sumOut == total && sumIn == total && fab.ActiveFlows() == 0
+		return sumOut == total && sumIn == total && w.finished == sent && w.lastActive == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -180,6 +180,29 @@ func BenchDispatchControl(b *testing.B) {
 	benchInvocations(b, tb, d)
 }
 
+// storageBed builds the paper's 8-node testbed with Genome(50) deployed
+// under MasterSP with FaaStore off: every payload crosses the storage
+// node's link, the setup of bench's gen-storage-bound workload.
+func storageBed() (*harness.Testbed, *engine.Deployment, error) {
+	tb := harness.NewTestbed(harness.ClusterSpec{})
+	d, err := tb.Deploy(workloads.Genome(50), engine.Options{Mode: engine.ModeMasterSP, Data: engine.DataStore})
+	if err != nil {
+		return nil, nil, err
+	}
+	return tb, d.Engine, nil
+}
+
+// BenchDispatchStorage measures one warm Genome(50) MasterSP invocation
+// whose every payload goes through the remote store per op: the data
+// plane's per-step cost, remote store ops and fabric flows included.
+func BenchDispatchStorage(b *testing.B) {
+	tb, d, err := storageBed()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchInvocations(b, tb, d)
+}
+
 // benchInvocations warms d's container pools, then runs one invocation to
 // completion per op.
 func benchInvocations(b *testing.B, tb *harness.Testbed, d *engine.Deployment) {
@@ -292,6 +315,7 @@ func microSuite() []microBench {
 		{"engine/dispatch-mastersp", func(b *testing.B) { BenchEngineDispatch(b, engine.ModeMasterSP, ObsOff) }},
 		{"engine/dispatch-obs-idle", func(b *testing.B) { BenchEngineDispatch(b, engine.ModeWorkerSP, ObsIdle) }},
 		{"engine/dispatch-obs-on", func(b *testing.B) { BenchEngineDispatch(b, engine.ModeWorkerSP, ObsOn) }},
+		{"engine/dispatch-storage", BenchDispatchStorage},
 		{"store/hybrid-local", func(b *testing.B) { BenchStoreHybrid(b, true) }},
 		{"store/hybrid-remote", func(b *testing.B) { BenchStoreHybrid(b, false) }},
 		{"metrics/hist-observe", BenchMetricsHistogram},

@@ -7,6 +7,9 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/network"
+	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // Self-overhead accounting: the observability layer must be close to free
@@ -69,6 +72,91 @@ func TestControlDispatchAllocs(t *testing.T) {
 	t.Logf("mallocs per warm Genome(50) WorkerSP invocation: %d", got)
 	if got > limit {
 		t.Fatalf("warm Genome(50) WorkerSP invocation allocates %d times, want <= %d", got, limit)
+	}
+}
+
+// TestStorageDispatchAllocs gates the allocation cost of the data plane:
+// one warm Genome(50) MasterSP invocation whose every payload goes through
+// the remote store. Remote store operations, data cursors and MasterSP
+// assignments are recycled and each flow is one struct with one event, so
+// the count stays far below the 3,790 allocations the closure chains made
+// here.
+func TestStorageDispatchAllocs(t *testing.T) {
+	const limit = 1400
+	tb, d, err := storageBed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		d.Invoke(nil)
+		tb.Env.Run()
+	}
+	got := minMallocsPerCall(20, func() {
+		d.Invoke(nil)
+		tb.Env.Run()
+	})
+	t.Logf("mallocs per warm Genome(50) MasterSP DataStore invocation: %d", got)
+	if got > limit {
+		t.Fatalf("warm Genome(50) MasterSP DataStore invocation allocates %d times, want <= %d", got, limit)
+	}
+}
+
+// TestHybridRemotePairAllocs gates one warm remote Put+Get pair through
+// FaaStore's Hybrid: the hybrid and remote ops come off their free lists,
+// kernel events are recycled, and what is left is each payload's flow —
+// the Flow struct, its owned event and the event's bound callback.
+func TestHybridRemotePairAllocs(t *testing.T) {
+	const limit = 6
+	env := sim.NewEnv()
+	fab := network.New(env, network.DefaultConfig())
+	fab.AddNode("master", network.MBps(50), network.MBps(50))
+	mems := map[string]*store.MemKV{}
+	for _, w := range []string{"w0", "w1"} {
+		fab.AddNode(w, network.MBps(100), network.MBps(100))
+		mems[w] = store.NewMemKV(env, w, 1<<30)
+	}
+	h := store.NewHybrid(store.NewRemoteKV(env, fab, "master", time.Millisecond), mems, false)
+	consumers := []string{"w1"}
+	putDone := func(store.Location, error) {}
+	getDone := func(int64, bool, error) {}
+	pair := func() {
+		h.Put("w0", "k", 64<<10, consumers, putDone)
+		env.Run()
+		h.Get("w1", "k", getDone)
+		env.Run()
+		h.Delete("k")
+	}
+	for i := 0; i < 3; i++ {
+		pair()
+	}
+	got := minMallocsPerCall(20, pair)
+	t.Logf("mallocs per warm remote Hybrid Put+Get: %d", got)
+	if got > limit {
+		t.Fatalf("warm remote Hybrid Put+Get allocates %d times, want <= %d", got, limit)
+	}
+}
+
+// TestFabricSendAllocs gates one bulk transfer: the Flow struct (Send
+// returns it, so it is not recycled), its one owned event and that
+// event's bound callback.
+func TestFabricSendAllocs(t *testing.T) {
+	const limit = 3
+	env := sim.NewEnv()
+	fab := network.New(env, network.DefaultConfig())
+	fab.AddNode("a", network.MBps(100), network.MBps(100))
+	fab.AddNode("b", network.MBps(100), network.MBps(100))
+	done := func() {}
+	send := func() {
+		fab.Send("a", "b", 1<<20, done)
+		env.Run()
+	}
+	for i := 0; i < 3; i++ {
+		send()
+	}
+	got := minMallocsPerCall(20, send)
+	t.Logf("mallocs per warm Fabric.Send: %d", got)
+	if got > limit {
+		t.Fatalf("warm Fabric.Send allocates %d times, want <= %d", got, limit)
 	}
 }
 

@@ -36,16 +36,6 @@ type DirectStats struct {
 // DirectStats returns a snapshot of direct-passing counters.
 func (h *Hybrid) DirectStats() DirectStats { return h.directStats }
 
-// DirectHolders reports the workers holding a direct-pushed copy of key, in
-// push order (nil when the key was not direct-pushed).
-func (h *Hybrid) DirectHolders(key string) []string {
-	hold := h.direct[key]
-	if len(hold) == 0 {
-		return nil
-	}
-	return append([]string(nil), hold...)
-}
-
 // PushDirect places size bytes under key directly into each target worker's
 // in-memory tier, paying a fabric transfer for every cross-node target. The
 // placement is all-or-nothing and reported synchronously: false — with

@@ -20,10 +20,10 @@ func TestPushDirectPlacesOnTargets(t *testing.T) {
 	if h.Where("k") != LocMemory {
 		t.Fatalf("placement = %v, want memory", h.Where("k"))
 	}
-	if got := h.DirectHolders("k"); len(got) != 2 || got[0] != workerA || got[1] != workerB {
+	if got := h.direct["k"]; len(got) != 2 || got[0] != workerA || got[1] != workerB {
 		t.Fatalf("holders = %v", got)
 	}
-	if !h.Mem(workerA).Has("k") || !h.Mem(workerB).Has("k") {
+	if !h.mem[workerA].Has("k") || !h.mem[workerB].Has("k") {
 		t.Fatal("copies missing from target memory tiers")
 	}
 	st := h.DirectStats()
@@ -51,12 +51,12 @@ func TestPushDirectAllOrNothing(t *testing.T) {
 	env, h := newHybridRig(t, false, 1000)
 	// Fill workerB so the second target cannot fit: the push must place
 	// nothing anywhere and report false synchronously.
-	h.Mem(workerB).TryPut("filler", 900, nil)
+	h.mem[workerB].TryPut("filler", 900, nil)
 	env.Run()
 	if h.PushDirect(workerA, "k", 500, []string{workerA, workerB}, nil) {
 		t.Fatal("push accepted past a full target")
 	}
-	if h.Mem(workerA).Has("k") || h.Mem(workerB).Has("k") {
+	if h.mem[workerA].Has("k") || h.mem[workerB].Has("k") {
 		t.Fatal("partial placement after rejected push")
 	}
 	if h.Where("k") != LocNone {
@@ -102,7 +102,7 @@ func TestPushDirectFallbackReadFromSurvivor(t *testing.T) {
 	// workerA dies: its copy is gone, but workerB's survives, so a reader
 	// anywhere fetches from workerB over the fabric instead of missing.
 	h.DropWorker(workerA)
-	if got := h.DirectHolders("k"); len(got) != 1 || got[0] != workerB {
+	if got := h.direct["k"]; len(got) != 1 || got[0] != workerB {
 		t.Fatalf("holders after drop = %v", got)
 	}
 	var ok bool
@@ -139,13 +139,13 @@ func TestPushDirectDeleteReleasesEveryCopy(t *testing.T) {
 	h.PushDirect(workerA, "k", 4000, []string{workerA, workerB}, nil)
 	env.Run()
 	h.Delete("k")
-	if h.Mem(workerA).Has("k") || h.Mem(workerB).Has("k") {
+	if h.mem[workerA].Has("k") || h.mem[workerB].Has("k") {
 		t.Fatal("copies survived delete")
 	}
-	if h.Mem(workerA).Used() != 0 || h.Mem(workerB).Used() != 0 {
+	if h.mem[workerA].Used() != 0 || h.mem[workerB].Used() != 0 {
 		t.Fatal("quota not released")
 	}
-	if h.DirectHolders("k") != nil || h.Where("k") != LocNone {
+	if h.direct["k"] != nil || h.Where("k") != LocNone {
 		t.Fatal("bookkeeping survived delete")
 	}
 }

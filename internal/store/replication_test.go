@@ -14,7 +14,7 @@ func TestReplicatedPutPlacesConsumerFirst(t *testing.T) {
 	if loc != LocMemory {
 		t.Fatalf("placement = %v, want memory", loc)
 	}
-	reps := h.Replicas("k")
+	reps := h.replicas["k"]
 	if len(reps) != 2 || reps[0] != workerB || reps[1] != workerA {
 		t.Fatalf("replicas = %v, want [%s %s]", reps, workerB, workerA)
 	}
@@ -36,7 +36,7 @@ func TestReplicaFallbackAndRepairAfterNodeDeath(t *testing.T) {
 	h.Put(workerA, "k", 1000, []string{workerB}, nil)
 	env.Run()
 	h.DropWorker(workerB)
-	if reps := h.Replicas("k"); len(reps) != 1 || reps[0] != workerA {
+	if reps := h.replicas["k"]; len(reps) != 1 || reps[0] != workerA {
 		t.Fatalf("replicas after kill = %v, want [%s]", reps, workerA)
 	}
 	// The reader's copy died with its node: the surviving sibling serves
@@ -55,7 +55,7 @@ func TestReplicaFallbackAndRepairAfterNodeDeath(t *testing.T) {
 	if st.ReReplications != 1 {
 		t.Fatalf("re-replications = %d, want 1", st.ReReplications)
 	}
-	if reps := h.Replicas("k"); len(reps) != 2 {
+	if reps := h.replicas["k"]; len(reps) != 2 {
 		t.Fatalf("replicas after repair = %v, want 2 copies", reps)
 	}
 }
@@ -86,7 +86,7 @@ func TestReplicationSkipsDeadPlacementTargets(t *testing.T) {
 	h.SetAlive(func(node string) bool { return node != workerB })
 	h.Put(workerA, "k", 1000, []string{workerB}, nil)
 	env.Run()
-	if reps := h.Replicas("k"); len(reps) != 1 || reps[0] != workerA {
+	if reps := h.replicas["k"]; len(reps) != 1 || reps[0] != workerA {
 		t.Fatalf("replicas = %v, want only [%s] while %s is down", reps, workerA, workerB)
 	}
 }

@@ -75,7 +75,33 @@ type RemoteKV struct {
 	stats  Stats
 
 	down    bool
-	pending []func() // operations queued during an outage, in arrival order
+	pending []*remoteOp // operations queued during an outage, in arrival order
+	free    []*remoteOp // finished operations, reused by newOp
+}
+
+// Phases of a remoteOp, in the order it passes through them.
+const (
+	opRequest = iota // admitted: the request (a put's payload) leaves the worker
+	opLookup         // the request reached the database: pay OpLatency
+	opPayload        // a get's reply (the value, or a miss) goes back
+	opAck            // the worker has the acknowledgement: done runs
+)
+
+// remoteOp is one Put or Get in flight. Its phase callback is bound once,
+// when the op is first made; the op goes back on the store's free list
+// after its done callback returns, when nothing can call it any more.
+type remoteOp struct {
+	s     *RemoteKV
+	next  func() // op.advance, bound once
+	phase int
+	peer  string // the worker the value comes from (put) or goes to (get)
+	key   string
+	size  int64
+	found bool
+	start sim.Time
+
+	putDone func() // set for a put
+	getDone func(size int64, ok bool)
 }
 
 // NewRemoteKV creates a remote store homed on the given fabric node.
@@ -103,25 +129,84 @@ func (s *RemoteKV) SetAvailable(up bool) {
 		pending := s.pending
 		s.pending = nil
 		for _, op := range pending {
-			op()
+			op.advance()
 		}
 	}
 }
-
-// Available reports whether the database is serving requests.
-func (s *RemoteKV) Available() bool { return !s.down }
 
 // PendingOps reports operations queued behind an outage — the residual
 // store work a drained system must not leave behind.
 func (s *RemoteKV) PendingOps() int { return len(s.pending) }
 
-// admit runs op now, or queues it until the outage ends.
-func (s *RemoteKV) admit(op func()) {
+// newOp returns a finished op for reuse, or a new one with its phase
+// callback bound to it, set up for a request issued now.
+func (s *RemoteKV) newOp(peer, key string, size int64) *remoteOp {
+	var op *remoteOp
+	if n := len(s.free); n > 0 {
+		op = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		op = &remoteOp{s: s}
+		op.next = op.advance
+	}
+	op.phase, op.peer, op.key, op.size = opRequest, peer, key, size
+	op.start = s.env.Now()
+	return op
+}
+
+// admit runs op's request now, or queues it until the outage ends.
+func (s *RemoteKV) admit(op *remoteOp) {
 	if s.down {
 		s.pending = append(s.pending, op)
 		return
 	}
-	op()
+	op.advance()
+}
+
+// advance runs the op's next phase. A put is request (the payload upload),
+// lookup, ack; a get is request, lookup, payload, ack. A get reads the
+// value when its request leaves, so a get queued behind an outage sees the
+// writes that landed before the outage ended.
+func (op *remoteOp) advance() {
+	s := op.s
+	switch op.phase {
+	case opRequest:
+		op.phase = opLookup
+		if op.putDone != nil {
+			s.fab.Send(op.peer, s.node, op.size, op.next)
+			return
+		}
+		op.size, op.found = s.values[op.key]
+		if op.found {
+			s.stats.BytesGot += op.size
+		}
+		s.fab.SendMsg(op.peer, s.node, 128, op.next)
+	case opLookup:
+		op.phase = opPayload
+		if op.putDone != nil {
+			op.phase = opAck
+		}
+		s.env.Schedule(s.OpLatency, op.next)
+	case opPayload:
+		op.phase = opAck
+		if op.found {
+			s.fab.Send(s.node, op.peer, op.size, op.next)
+		} else {
+			// A missing key still pays the round trip but moves no payload.
+			s.fab.SendMsg(s.node, op.peer, 128, op.next)
+		}
+	case opAck:
+		s.stats.TransferTime += (s.env.Now() - op.start).Duration()
+		if op.putDone != nil {
+			s.values[op.key] = op.size
+			op.putDone()
+		} else {
+			op.getDone(op.size, op.found)
+		}
+		op.putDone, op.getDone, op.peer, op.key = nil, nil, "", ""
+		s.free = append(s.free, op)
+	}
 }
 
 // Put uploads size bytes from worker `from` under key and calls done when
@@ -130,18 +215,11 @@ func (s *RemoteKV) Put(from, key string, size int64, done func()) {
 	if done == nil {
 		done = func() {}
 	}
-	start := s.env.Now()
 	s.stats.Puts++
 	s.stats.BytesPut += size
-	s.admit(func() {
-		s.fab.Send(from, s.node, size, func() {
-			s.env.Schedule(s.OpLatency, func() {
-				s.values[key] = size
-				s.stats.TransferTime += (s.env.Now() - start).Duration()
-				done()
-			})
-		})
-	})
+	op := s.newOp(from, key, size)
+	op.putDone = done
+	s.admit(op)
 }
 
 // Get downloads the value under key to worker `to`. done receives the value
@@ -151,32 +229,10 @@ func (s *RemoteKV) Get(to, key string, done func(size int64, ok bool)) {
 	if done == nil {
 		done = func(int64, bool) {}
 	}
-	start := s.env.Now()
 	s.stats.Gets++
-	s.admit(func() {
-		size, ok := s.values[key]
-		if !ok {
-			s.fab.SendMsg(to, s.node, 128, func() {
-				s.env.Schedule(s.OpLatency, func() {
-					s.fab.SendMsg(s.node, to, 128, func() {
-						s.stats.TransferTime += (s.env.Now() - start).Duration()
-						done(0, false)
-					})
-				})
-			})
-			return
-		}
-		s.stats.BytesGot += size
-		// Request, lookup, then payload back.
-		s.fab.SendMsg(to, s.node, 128, func() {
-			s.env.Schedule(s.OpLatency, func() {
-				s.fab.Send(s.node, to, size, func() {
-					s.stats.TransferTime += (s.env.Now() - start).Duration()
-					done(size, true)
-				})
-			})
-		})
-	})
+	op := s.newOp(to, key, 0)
+	op.getDone = done
+	s.admit(op)
 }
 
 // Delete removes a key (no network cost is modeled for deletes — they ride
@@ -214,6 +270,50 @@ type MemKV struct {
 	used   int64
 	values map[string]int64
 	stats  Stats
+	free   []*memOp // finished copies, reused by newOp
+}
+
+// memOp is one local copy in flight. Its callback is bound once, when the
+// op is first made, and the op goes back on the store's free list after
+// its done callback returns.
+type memOp struct {
+	s       *MemKV
+	fire    func() // op.copied, bound once
+	start   sim.Time
+	size    int64
+	ok      bool
+	putDone func() // set for a put
+	getDone func(size int64, ok bool)
+}
+
+// startCopy schedules a local copy of size bytes issued now, completing with
+// putDone (a put) or getDone (a get).
+func (s *MemKV) startCopy(size int64, ok bool, putDone func(), getDone func(int64, bool)) {
+	var op *memOp
+	if n := len(s.free); n > 0 {
+		op = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		op = &memOp{s: s}
+		op.fire = op.copied
+	}
+	op.start, op.size, op.ok = s.env.Now(), size, ok
+	op.putDone, op.getDone = putDone, getDone
+	s.env.Schedule(s.copyTime(size), op.fire)
+}
+
+// copied completes the copy.
+func (op *memOp) copied() {
+	s := op.s
+	s.stats.TransferTime += (s.env.Now() - op.start).Duration()
+	if op.putDone != nil {
+		op.putDone()
+	} else {
+		op.getDone(op.size, op.ok)
+	}
+	op.putDone, op.getDone = nil, nil
+	s.free = append(s.free, op)
 }
 
 // NewMemKV creates an in-memory store for a worker node with the given
@@ -268,12 +368,7 @@ func (s *MemKV) TryPut(key string, size int64, done func()) bool {
 	s.values[key] = size
 	s.stats.Puts++
 	s.stats.BytesPut += size
-	d := s.copyTime(size)
-	start := s.env.Now()
-	s.env.Schedule(d, func() {
-		s.stats.TransferTime += (s.env.Now() - start).Duration()
-		done()
-	})
+	s.startCopy(size, true, done, nil)
 	return true
 }
 
@@ -287,12 +382,7 @@ func (s *MemKV) Get(key string, done func(size int64, ok bool)) {
 	if ok {
 		s.stats.BytesGot += size
 	}
-	d := s.copyTime(size)
-	start := s.env.Now()
-	s.env.Schedule(d, func() {
-		s.stats.TransferTime += (s.env.Now() - start).Duration()
-		done(size, ok)
-	})
+	s.startCopy(size, ok, nil, done)
 }
 
 // Has reports whether key is resident.
@@ -366,6 +456,118 @@ type Hybrid struct {
 	// a remote hop, and the workers holding each copy in push order.
 	direct      map[string][]string
 	directStats DirectStats
+
+	free []*hybridOp // finished operations, reused by newOp
+}
+
+// hybridOp is one Put or Get served by a single store: the worker's memory
+// tier or the remote database. Its completion callbacks are bound once,
+// when the op is first made. An op goes back on the free list only when
+// nothing can call it any more: after its memory or remote completion,
+// which comes after the breaker watchdog has fired or been disarmed.
+type hybridOp struct {
+	h      *Hybrid
+	key    string
+	worker string // the producer (put) or the reader (get)
+	size   int64
+	start  sim.Time
+	// fired marks an op whose breaker watchdog abandoned it: the caller
+	// has seen ErrStoreTimeout and the late completion must not call done.
+	fired  bool
+	settle func()
+
+	putDone func(Location, error) // set for a put
+	getDone func(size int64, ok bool, err error)
+
+	// Bound once: the memory tier's and the remote store's completions,
+	// and the breaker watchdog's timeout.
+	memPut    func()
+	memGot    func(size int64, ok bool)
+	remotePut func()
+	remoteGot func(size int64, ok bool)
+	timedOut  func()
+}
+
+// newOp returns a finished op for reuse, or a new one with its callbacks
+// bound to it, set up for an operation issued now.
+func (h *Hybrid) newOp(worker, key string, size int64) *hybridOp {
+	var op *hybridOp
+	if n := len(h.free); n > 0 {
+		op = h.free[n-1]
+		h.free[n-1] = nil
+		h.free = h.free[:n-1]
+	} else {
+		op = &hybridOp{h: h}
+		op.memPut = op.memPutDone
+		op.memGot = op.memGetDone
+		op.remotePut = op.remotePutDone
+		op.remoteGot = op.remoteGetDone
+		op.timedOut = op.watchdog
+	}
+	op.worker, op.key, op.size = worker, key, size
+	op.start = h.remote.env.Now()
+	return op
+}
+
+// release puts a finished op back on the free list.
+func (op *hybridOp) release() {
+	op.key, op.worker = "", ""
+	op.fired, op.settle = false, nil
+	op.putDone, op.getDone = nil, nil
+	op.h.free = append(op.h.free, op)
+}
+
+func (op *hybridOp) memPutDone() {
+	op.h.pubOp("put", op.key, op.worker, obs.TierMemory, op.size, true, op.start)
+	op.putDone(LocMemory, nil)
+	op.release()
+}
+
+func (op *hybridOp) memGetDone(size int64, ok bool) {
+	op.h.pubOp("get", op.key, op.worker, obs.TierMemory, size, ok, op.start)
+	op.getDone(size, ok, nil)
+	op.release()
+}
+
+// trackRemote arms the breaker watchdog for a remote op just admitted.
+func (op *hybridOp) trackRemote() { op.settle = op.h.breaker.Track(op.timedOut) }
+
+// watchdog abandons the op: the caller sees a timeout now, and the remote
+// completion that may still come only settles the op.
+func (op *hybridOp) watchdog() {
+	op.fired = true
+	if op.putDone != nil {
+		// The backend may still apply the write later (the RemoteKV op
+		// stays queued), but the caller sees a miss — drop the placement
+		// so reads don't trust an unacknowledged write.
+		delete(op.h.placements, op.key)
+		op.putDone(LocNone, ErrStoreTimeout)
+		return
+	}
+	op.getDone(0, false, ErrStoreTimeout)
+}
+
+func (op *hybridOp) remotePutDone() {
+	op.settle()
+	if op.fired {
+		// Late completion of a timed-out write: the data did land, but the
+		// caller already moved on. Re-record the placement so the value is
+		// at least findable; don't call done twice.
+		op.h.placements[op.key] = LocRemote
+	} else {
+		op.h.pubOp("put", op.key, op.worker, obs.TierRemote, op.size, true, op.start)
+		op.putDone(LocRemote, nil)
+	}
+	op.release()
+}
+
+func (op *hybridOp) remoteGetDone(size int64, ok bool) {
+	op.settle()
+	if !op.fired {
+		op.h.pubOp("get", op.key, op.worker, obs.TierRemote, size, ok, op.start)
+		op.getDone(size, ok, nil)
+	}
+	op.release()
 }
 
 // ReplStats aggregates replication counters.
@@ -429,16 +631,6 @@ func (h *Hybrid) nodeAlive(node string) bool { return h.alive == nil || h.alive(
 
 // ReplStats returns a snapshot of replication counters.
 func (h *Hybrid) ReplStats() ReplStats { return h.replStats }
-
-// Replicas reports the workers currently holding memory copies of key, in
-// write order (nil when the key is not memory-placed or replication is off).
-func (h *Hybrid) Replicas(key string) []string {
-	reps := h.replicas[key]
-	if len(reps) == 0 {
-		return nil
-	}
-	return append([]string(nil), reps...)
-}
 
 // replicaCandidates orders placement targets by graph locality: each
 // consumer (so its reads stay local), then the producer, then the
@@ -507,20 +699,17 @@ func (h *Hybrid) Put(from, key string, size int64, consumers []string, done func
 	if done == nil {
 		done = func(Location, error) {}
 	}
-	start := h.remote.env.Now()
-	if !h.remoteOnly && h.replFactor > 1 && len(consumers) > 0 {
-		// Replicated placement relaxes the all-local rule: remote consumers
-		// read from their own replica (or any survivor) instead of forcing
-		// the value to the database. Terminal outputs still go remote.
-		if placed := h.putReplicated(from, key, size, consumers, start, done); placed {
-			return
-		}
-	} else if !h.remoteOnly && h.allLocal(from, consumers) {
-		ok := h.mem[from] != nil && h.mem[from].TryPut(key, size, func() {
-			h.pubOp("put", key, from, obs.TierMemory, size, true, start)
-			done(LocMemory, nil)
-		})
-		if ok {
+	replicated := !h.remoteOnly && h.replFactor > 1 && len(consumers) > 0
+	// Replicated placement relaxes the all-local rule: remote consumers read
+	// from their own replica (or any survivor) instead of forcing the value
+	// to the database. Terminal outputs still go remote.
+	if replicated && h.putReplicated(from, key, size, consumers, h.remote.env.Now(), done) {
+		return
+	}
+	op := h.newOp(from, key, size)
+	op.putDone = done
+	if !replicated && !h.remoteOnly && h.allLocal(from, consumers) {
+		if m := h.mem[from]; m != nil && m.TryPut(key, size, op.memPut) {
 			h.placements[key] = LocMemory
 			h.homes[key] = from
 			return
@@ -529,31 +718,13 @@ func (h *Hybrid) Put(from, key string, size int64, consumers []string, done func
 	if err := h.breaker.Admit(); err != nil {
 		// Fail fast without issuing the op: the value never lands anywhere,
 		// so no placement is recorded and a later Get misses honestly.
+		op.release()
 		h.remote.env.Schedule(0, func() { done(LocNone, err) })
 		return
 	}
 	h.placements[key] = LocRemote
-	fired := false
-	settle := h.breaker.Track(func() {
-		// Watchdog: the write is abandoned. The backend may still apply it
-		// later (the RemoteKV op stays queued), but the caller sees a miss —
-		// drop the placement so reads don't trust an unacknowledged write.
-		fired = true
-		delete(h.placements, key)
-		done(LocNone, ErrStoreTimeout)
-	})
-	h.remote.Put(from, key, size, func() {
-		settle()
-		if fired {
-			// Late completion of a timed-out write: the data did land, but
-			// the caller already moved on. Re-record the placement so the
-			// value is at least findable; don't call done twice.
-			h.placements[key] = LocRemote
-			return
-		}
-		h.pubOp("put", key, from, obs.TierRemote, size, true, start)
-		done(LocRemote, nil)
-	})
+	op.trackRemote()
+	h.remote.Put(from, key, size, op.remotePut)
 }
 
 // putReplicated tries to place up to replFactor memory copies of key on
@@ -630,10 +801,7 @@ func (h *Hybrid) Get(at, key string, done func(size int64, ok bool, err error)) 
 		// node (re-placed after a fault) fetches from a surviving holder.
 		if m := h.mem[at]; m != nil && m.Has(key) && h.nodeAlive(at) {
 			h.localHits++
-			m.Get(key, func(size int64, ok bool) {
-				h.pubOp("get", key, at, obs.TierMemory, size, ok, start)
-				done(size, ok, nil)
-			})
+			h.getMem(m, at, key, done)
 			return
 		}
 		src := ""
@@ -664,10 +832,7 @@ func (h *Hybrid) Get(at, key string, done func(size int64, ok bool, err error)) 
 			m := h.mem[src]
 			if src == at {
 				h.localHits++
-				m.Get(key, func(size int64, ok bool) {
-					h.pubOp("get", key, at, obs.TierMemory, size, ok, start)
-					done(size, ok, nil)
-				})
+				h.getMem(m, at, key, done)
 				return
 			}
 			// Replica fallback: the reader's node has no copy (or it died
@@ -691,10 +856,7 @@ func (h *Hybrid) Get(at, key string, done func(size int64, ok bool, err error)) 
 	} else if h.placements[key] == LocMemory && h.homes[key] == at {
 		if m := h.mem[at]; m != nil && m.Has(key) {
 			h.localHits++
-			m.Get(key, func(size int64, ok bool) {
-				h.pubOp("get", key, at, obs.TierMemory, size, ok, start)
-				done(size, ok, nil)
-			})
+			h.getMem(m, at, key, done)
 			return
 		}
 	}
@@ -703,19 +865,17 @@ func (h *Hybrid) Get(at, key string, done func(size int64, ok bool, err error)) 
 		h.remote.env.Schedule(0, func() { done(0, false, err) })
 		return
 	}
-	fired := false
-	settle := h.breaker.Track(func() {
-		fired = true
-		done(0, false, ErrStoreTimeout)
-	})
-	h.remote.Get(at, key, func(size int64, ok bool) {
-		settle()
-		if fired {
-			return
-		}
-		h.pubOp("get", key, at, obs.TierRemote, size, ok, start)
-		done(size, ok, nil)
-	})
+	op := h.newOp(at, key, 0)
+	op.getDone = done
+	op.trackRemote()
+	h.remote.Get(at, key, op.remoteGot)
+}
+
+// getMem reads key from the reader's own memory tier m.
+func (h *Hybrid) getMem(m *MemKV, at, key string, done func(size int64, ok bool, err error)) {
+	op := h.newOp(at, key, 0)
+	op.getDone = done
+	m.Get(key, op.memGot)
 }
 
 // pickReplica chooses which surviving copy serves a read from `at`:
@@ -888,9 +1048,6 @@ func (h *Hybrid) LocalMisses() int64 { return h.localMiss }
 
 // Remote exposes the underlying remote store (for stats).
 func (h *Hybrid) Remote() *RemoteKV { return h.remote }
-
-// Mem exposes a worker's local store (nil if unknown).
-func (h *Hybrid) Mem(node string) *MemKV { return h.mem[node] }
 
 // TransferTime sums cumulative transfer time across the remote store and
 // every local store — the paper's Table 4 "overall latencies of data

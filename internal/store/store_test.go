@@ -236,7 +236,7 @@ func TestHybridRemoteOnlyMode(t *testing.T) {
 	if loc != LocRemote {
 		t.Fatalf("remote-only placement = %v", loc)
 	}
-	if h.Mem(workerA).Len() != 0 {
+	if h.mem[workerA].Len() != 0 {
 		t.Fatal("remote-only mode touched worker memory")
 	}
 }
@@ -246,8 +246,8 @@ func TestHybridDeleteReleasesQuota(t *testing.T) {
 	h.Put(workerA, "a", 400, []string{workerA}, nil)
 	env.Run()
 	h.Delete("a")
-	if h.Mem(workerA).Used() != 0 {
-		t.Fatalf("used = %d after delete", h.Mem(workerA).Used())
+	if h.mem[workerA].Used() != 0 {
+		t.Fatalf("used = %d after delete", h.mem[workerA].Used())
 	}
 	if h.Where("a") != LocNone {
 		t.Fatalf("Where = %v after delete", h.Where("a"))
