@@ -434,15 +434,6 @@ func (a *Controller) concurrencyRetry() time.Duration {
 	return time.Second
 }
 
-// MeanHold reports the EWMA of observed holding times (0 before the first
-// release with a known admit instant).
-func (a *Controller) MeanHold() time.Duration {
-	if a == nil {
-		return 0
-	}
-	return a.meanHold
-}
-
 // release is the shared release core: decrement live counts, fold the
 // holding time into the EWMA, and publish the release event.
 func (a *Controller) release(workflow, tenant string, admittedAt sim.Time) {

@@ -249,20 +249,18 @@ func TestConcurrencyRetryFromHoldEWMA(t *testing.T) {
 	}
 	advance(env, 2*time.Second)
 	release()
-	if got := a.MeanHold(); got != 2*time.Second {
-		t.Fatalf("MeanHold after first sample = %v, want 2s", got)
-	}
-	// Second hold of 4s folds in at alpha=0.2: 0.8*2s + 0.2*4s = 2.4s.
+	// With one slot live again, the concurrency retry hint is meanHold/live.
 	release2, err := a.AdmitTenant("wf", "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, err = a.AdmitTenant("wf", "")
+	if !errors.As(err, &aerr) || aerr.RetryAfter != 2*time.Second {
+		t.Fatalf("retry after first sample = %v, want the 2s EWMA", err)
+	}
+	// Second hold of 4s folds in at alpha=0.2: 0.8*2s + 0.2*4s = 2.4s.
 	advance(env, 4*time.Second)
 	release2()
-	if got := a.MeanHold(); got != 2400*time.Millisecond {
-		t.Fatalf("MeanHold after second sample = %v, want 2.4s", got)
-	}
-	// With one slot live again, the concurrency retry hint is meanHold/live.
 	if _, err := a.AdmitTenant("wf", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +272,7 @@ func TestConcurrencyRetryFromHoldEWMA(t *testing.T) {
 
 func TestPlainAdmitReleaseFeedsEWMA(t *testing.T) {
 	env := sim.NewEnv()
-	a, err := New(env, Config{MaxConcurrent: 4})
+	a, err := New(env, Config{MaxConcurrent: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,9 +287,16 @@ func TestPlainAdmitReleaseFeedsEWMA(t *testing.T) {
 	}
 	advance(env, 2*time.Second)
 	a.Release() // first admit: held 3s
-	if got := a.MeanHold(); got != 3*time.Second {
-		t.Fatalf("MeanHold = %v, want 3s from the oldest admit", got)
+	// Refill the freed slot: the rejection's retry hint is the 3s EWMA
+	// spread across the two live workflows.
+	if err := a.Admit("wf"); err != nil {
+		t.Fatal(err)
 	}
+	var aerr *Error
+	if err := a.Admit("wf"); !errors.As(err, &aerr) || aerr.RetryAfter != 1500*time.Millisecond {
+		t.Fatalf("retry = %v, want 1.5s: the oldest admit's 3s hold over 2 live", err)
+	}
+	a.Release()
 	a.Release()
 	if a.Live() != 0 {
 		t.Fatalf("Live = %d after paired releases, want 0", a.Live())

@@ -541,26 +541,6 @@ func (n *Node) QueuedAcquires() int {
 	return total
 }
 
-// TenantQueuedAcquires reports one tenant's waiting acquisitions across all
-// function pools.
-func (n *Node) TenantQueuedAcquires(tenant string) int {
-	total := 0
-	for _, p := range n.pools {
-		total += p.q.tenantLen(tenant)
-	}
-	return total
-}
-
-// BusyContainers reports live containers currently held by callers (live
-// minus idle-warm). Drained workflows must leave zero.
-func (n *Node) BusyContainers() int {
-	busy := n.containers
-	for _, p := range n.pools {
-		busy -= len(p.warm)
-	}
-	return busy
-}
-
 // ScaleOf reports the current and peak container count for a function —
 // the runtime feedback behind the paper's Scale(v) metric.
 func (n *Node) ScaleOf(fn string) (current, peak int) {
@@ -600,9 +580,6 @@ func (n *Node) Reclaim(bytes int64) error {
 	}
 	return nil
 }
-
-// Reclaimed reports bytes currently lent to FaaStore.
-func (n *Node) Reclaimed() int64 { return n.reclaimed }
 
 // Acquire obtains a container for fn, calling ready with the container and
 // whether the acquisition was a cold start. Warm reuse completes on the
@@ -1051,9 +1028,6 @@ func (n *Node) spareTask() *cpuTask {
 	t.finish = n.env.NewEvent(func() { n.finishTask(t) })
 	return t
 }
-
-// RunningTasks reports how many Exec calls are in flight.
-func (n *Node) RunningTasks() int { return len(n.running) }
 
 // workSince reports the CPU-seconds t has done between its last update
 // and now at its current rate, capped at what it had left.

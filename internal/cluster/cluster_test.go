@@ -9,6 +9,26 @@ import (
 	"repro/internal/sim"
 )
 
+// heldContainers counts live containers currently held by callers (live
+// minus idle-warm). Drained workflows must leave zero.
+func heldContainers(n *Node) int {
+	held := n.containers
+	for _, p := range n.pools {
+		held -= len(p.warm)
+	}
+	return held
+}
+
+// tenantQueued counts one tenant's waiting acquisitions across all
+// function pools.
+func tenantQueued(n *Node, tenant string) int {
+	total := 0
+	for _, p := range n.pools {
+		total += p.q.tenantLen(tenant)
+	}
+	return total
+}
+
 func smallConfig() Config {
 	return Config{
 		Cores:        2,
@@ -261,8 +281,8 @@ func TestReclaim(t *testing.T) {
 	if err := n.Reclaim(512 << 20); err != nil {
 		t.Fatalf("Reclaim: %v", err)
 	}
-	if n.Reclaimed() != 512<<20 {
-		t.Fatalf("Reclaimed = %d", n.Reclaimed())
+	if n.reclaimed != 512<<20 {
+		t.Fatalf("Reclaimed = %d", n.reclaimed)
 	}
 	// Capacity shrinks: (1GB - 512MB)/256MB = 2.
 	if n.Capacity() != 2 {
@@ -350,7 +370,7 @@ func TestCPUWorkConservationProperty(t *testing.T) {
 		}
 		env.Run()
 		busy := n.Stats().CPUBusy.Seconds()
-		return math.Abs(busy-total) < 0.01*total+0.001 && n.RunningTasks() == 0
+		return math.Abs(busy-total) < 0.01*total+0.001 && len(n.running) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -30,8 +30,8 @@ func TestExecTiesFinishInExecOrder(t *testing.T) {
 						t.Fatalf("run %d: completion order %v, want Exec order", run, order)
 					}
 				}
-				if n.RunningTasks() != 0 {
-					t.Fatalf("run %d: %d tasks left running", run, n.RunningTasks())
+				if len(n.running) != 0 {
+					t.Fatalf("run %d: %d tasks left running", run, len(n.running))
 				}
 			}
 		})
@@ -127,8 +127,8 @@ func TestStatsMidRunLeavesTasksRunning(t *testing.T) {
 			mid = n.Stats().CPUBusy
 		}
 		env.Run()
-		if !done || n.RunningTasks() != 0 {
-			t.Fatalf("readMidway=%v: done=%v running=%d", readMidway, done, n.RunningTasks())
+		if !done || len(n.running) != 0 {
+			t.Fatalf("readMidway=%v: done=%v running=%d", readMidway, done, len(n.running))
 		}
 		return doneAt, mid
 	}

@@ -214,20 +214,20 @@ func TestShedAndDeadlineEvents(t *testing.T) {
 	}
 }
 
+// TestBusyContainersAccessor checks the accessors whose difference is the
+// busy count: a held container is live but not warm, and turns warm on
+// release.
 func TestBusyContainersAccessor(t *testing.T) {
 	env := sim.NewEnv()
 	n := NewNode(env, "w1", smallConfig())
 	var c1 *Container
 	n.Acquire("f", func(c *Container, cold bool) { c1 = c })
 	env.Run()
-	if n.BusyContainers() != 1 {
-		t.Fatalf("BusyContainers = %d while held, want 1", n.BusyContainers())
+	if n.Containers() != 1 || n.WarmContainers("f") != 0 {
+		t.Fatalf("live %d warm %d while held, want 1 and 0", n.Containers(), n.WarmContainers("f"))
 	}
 	n.Release(c1)
-	if n.BusyContainers() != 0 {
-		t.Fatalf("BusyContainers = %d after release, want 0", n.BusyContainers())
-	}
-	if n.WarmContainers("f") != 1 {
-		t.Fatalf("warm = %d, want 1", n.WarmContainers("f"))
+	if n.Containers() != 1 || n.WarmContainers("f") != 1 {
+		t.Fatalf("live %d warm %d after release, want 1 and 1", n.Containers(), n.WarmContainers("f"))
 	}
 }

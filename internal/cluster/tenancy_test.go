@@ -141,7 +141,7 @@ func TestPerTenantQueueDepthBound(t *testing.T) {
 	if _, done := errs["B1"]; done {
 		t.Fatalf("B1 resolved early with err = %v", errs["B1"])
 	}
-	if got := n.TenantQueuedAcquires("a"); got != 1 {
+	if got := tenantQueued(n, "a"); got != 1 {
 		t.Fatalf("tenant a queued = %d, want 1", got)
 	}
 	n.Release(held)

@@ -88,9 +88,9 @@ func TestReclaimAdmissionPressure(t *testing.T) {
 		t.Fatalf("Reclaim: %v", err)
 	}
 	checkBudget := func() {
-		if n.MemUsed()+n.Reclaimed() > cfg.DRAM {
+		if n.MemUsed()+n.reclaimed > cfg.DRAM {
 			t.Fatalf("over-commit at %v: memUsed %d + reclaimed %d > DRAM %d",
-				env.Now(), n.MemUsed(), n.Reclaimed(), cfg.DRAM)
+				env.Now(), n.MemUsed(), n.reclaimed, cfg.DRAM)
 		}
 	}
 	var held []*Container
@@ -133,8 +133,8 @@ func TestReclaimAdmissionPressure(t *testing.T) {
 		n.Release(c)
 	}
 	env.Run()
-	if n.BusyContainers() != 0 || n.QueuedAcquires() != 0 {
-		t.Fatalf("busy = %d queued = %d after drain", n.BusyContainers(), n.QueuedAcquires())
+	if heldContainers(n) != 0 || n.QueuedAcquires() != 0 {
+		t.Fatalf("busy = %d queued = %d after drain", heldContainers(n), n.QueuedAcquires())
 	}
 	if n.MemUsed() != 0 {
 		t.Fatalf("memUsed = %d after keep-alive drain", n.MemUsed())
@@ -159,9 +159,9 @@ func TestReclaimSustainedChurn(t *testing.T) {
 		i := i
 		env.Schedule(time.Duration(i)*50*time.Millisecond, func() {
 			n.Acquire("f", func(c *Container, cold bool) {
-				if n.MemUsed()+n.Reclaimed() > cfg.DRAM {
+				if n.MemUsed()+n.reclaimed > cfg.DRAM {
 					t.Errorf("over-commit: memUsed %d + reclaimed %d > DRAM %d",
-						n.MemUsed(), n.Reclaimed(), cfg.DRAM)
+						n.MemUsed(), n.reclaimed, cfg.DRAM)
 				}
 				served++
 				env.Schedule(120*time.Millisecond, func() { n.Release(c) })
@@ -183,8 +183,8 @@ func TestReclaimSustainedChurn(t *testing.T) {
 	if served != want {
 		t.Fatalf("served = %d, want %d (requests stranded)", served, want)
 	}
-	if n.BusyContainers() != 0 || n.QueuedAcquires() != 0 {
-		t.Fatalf("busy = %d queued = %d after churn", n.BusyContainers(), n.QueuedAcquires())
+	if heldContainers(n) != 0 || n.QueuedAcquires() != 0 {
+		t.Fatalf("busy = %d queued = %d after churn", heldContainers(n), n.QueuedAcquires())
 	}
 	if n.MemUsed() != 0 {
 		t.Fatalf("memUsed = %d after evictions", n.MemUsed())

@@ -465,30 +465,3 @@ func (g *Graph) DOT() string {
 	sb.WriteString("}\n")
 	return sb.String()
 }
-
-// Reachable reports whether to is reachable from from.
-func (g *Graph) Reachable(from, to NodeID) bool {
-	if from == to {
-		return true
-	}
-	seen := make([]bool, len(g.nodes))
-	stack := []NodeID{from}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		for _, ei := range g.succ[id] {
-			t := g.edges[ei].To
-			if t == to {
-				return true
-			}
-			if !seen[t] {
-				stack = append(stack, t)
-			}
-		}
-	}
-	return false
-}

@@ -246,19 +246,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestReachable(t *testing.T) {
-	g, n := diamond()
-	if !g.Reachable(n[0], n[3]) {
-		t.Fatal("a should reach d")
-	}
-	if g.Reachable(n[1], n[2]) {
-		t.Fatal("b should not reach c")
-	}
-	if !g.Reachable(n[2], n[2]) {
-		t.Fatal("node should reach itself")
-	}
-}
-
 func TestSetWidthValidation(t *testing.T) {
 	g, n := diamond()
 	g.SetWidth(n[0], 4)

@@ -26,12 +26,6 @@ func BenchmarkDispatchObsOn(b *testing.B) {
 	perf.BenchEngineDispatch(b, engine.ModeWorkerSP, perf.ObsOn)
 }
 
-// BenchmarkDispatchWorkerSPControl runs Genome(50) under WorkerSP with no
-// data movement, the setup of bench's gen-control workload.
-func BenchmarkDispatchWorkerSPControl(b *testing.B) {
-	perf.BenchDispatchControl(b)
-}
-
 // BenchmarkDispatchMasterSPStorage runs Genome(50) under MasterSP with
 // every payload in the remote store, the setup of bench's
 // gen-storage-bound workload.

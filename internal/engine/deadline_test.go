@@ -8,20 +8,24 @@ import (
 	"repro/internal/sim"
 )
 
-// checkNoResidualWork asserts the zero-leak property after a drain: no
-// containers held, no queued acquisitions, no running compute, no pending
-// store operations — nothing left consuming resources for dead workflows.
+// checkNoResidualWork asserts the zero-leak property after a full drain
+// (Env.Run returned): no containers held, no queued acquisitions, no
+// running compute, no pending store operations — nothing left consuming
+// resources for dead workflows. An empty event queue means no compute is
+// running (every task has its finish event queued) and every released
+// container has been evicted by keep-alive, so a live container is a held
+// one.
 func checkNoResidualWork(t *testing.T, rt *Runtime) {
 	t.Helper()
+	if p := rt.Env.Pending(); p != 0 {
+		t.Fatalf("%d events still pending: not drained", p)
+	}
 	for id, n := range rt.Nodes {
-		if r := n.RunningTasks(); r != 0 {
-			t.Errorf("node %s: %d tasks still running", id, r)
-		}
 		if q := n.QueuedAcquires(); q != 0 {
 			t.Errorf("node %s: %d acquisitions still queued", id, q)
 		}
-		if b := n.BusyContainers(); b != 0 {
-			t.Errorf("node %s: %d containers still held", id, b)
+		if c := n.Containers(); c != 0 {
+			t.Errorf("node %s: %d containers still held", id, c)
 		}
 	}
 	if p := rt.Store.Remote().PendingOps(); p != 0 {
@@ -51,11 +55,11 @@ func TestDeadlineDrainsBothModes(t *testing.T) {
 			if !res.Failed || !res.DeadlineExceeded {
 				t.Fatalf("result = %+v, want Failed and DeadlineExceeded", res)
 			}
-			if d.DeadlineExceededCount() == 0 {
-				t.Fatal("DeadlineExceededCount = 0")
+			if d.FailureStatsSnapshot().DeadlineExceeded == 0 {
+				t.Fatal("FailureStats.DeadlineExceeded = 0")
 			}
-			if d.LiveNow() != 0 {
-				t.Fatalf("LiveNow = %d after drain", d.LiveNow())
+			if d.liveNow != 0 {
+				t.Fatalf("%d invocations live after drain", d.liveNow)
 			}
 			checkNoResidualWork(t, rt)
 			// The drain must be prompt: everything should settle well before
@@ -83,8 +87,8 @@ func TestDeadlineZeroLeavesRunsUntouched(t *testing.T) {
 	if res.Failed || res.DeadlineExceeded {
 		t.Fatalf("no-deadline run failed: %+v", res)
 	}
-	if d.DeadlineExceededCount() != 0 {
-		t.Fatalf("DeadlineExceededCount = %d without deadlines", d.DeadlineExceededCount())
+	if n := d.FailureStatsSnapshot().DeadlineExceeded; n != 0 {
+		t.Fatalf("FailureStats.DeadlineExceeded = %d without deadlines", n)
 	}
 }
 

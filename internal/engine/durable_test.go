@@ -200,10 +200,7 @@ func TestRecoveryAttributedOnCriticalPath(t *testing.T) {
 		if res.Failed {
 			t.Fatalf("%v: invocation failed", mode)
 		}
-		bd, err := obs.AnalyzeInvocation(log, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		bd := analyzeInv(t, log, 0)
 		checkExact(t, bd, res)
 		if bd.ByComponent[obs.CompReplay] == 0 {
 			t.Fatalf("%v: no replay time on the critical path: %v", mode, bd.ByComponent)

@@ -273,7 +273,6 @@ type Deployment struct {
 	// condition (not in this map) is the default branch.
 	conds         map[int]*expr.Expr
 	switchNode    map[dag.NodeID]bool
-	condErrors    int64
 	crashCount    int64
 	retryCount    int64
 	timeoutCount  int64
@@ -344,9 +343,6 @@ type Deployment struct {
 	liveNow  int
 	peakLive int
 	version  int // red-black deployment version
-	// liveByVersion counts in-flight invocations per deployment version so
-	// out-of-date versions can be recycled once drained.
-	liveByVersion map[int]int
 }
 
 // NewDeployment validates and precomputes a workflow deployment. place must
@@ -366,18 +362,17 @@ func NewDeployment(rt *Runtime, bench *workloads.Benchmark, place map[dag.NodeID
 		}
 	}
 	d := &Deployment{
-		rt:            rt,
-		bench:         bench,
-		place:         place,
-		opts:          opts.withDefaults(),
-		g:             g,
-		sinks:         g.Sinks(),
-		sources:       g.Sources(),
-		inputs:        map[dag.NodeID][]input{},
-		outputs:       map[dag.NodeID][]output{},
-		master:        &proc{env: rt.Env, cost: opts.withDefaults().MasterProc},
-		workers:       map[string]*proc{},
-		liveByVersion: map[int]int{},
+		rt:      rt,
+		bench:   bench,
+		place:   place,
+		opts:    opts.withDefaults(),
+		g:       g,
+		sinks:   g.Sinks(),
+		sources: g.Sources(),
+		inputs:  map[dag.NodeID][]input{},
+		outputs: map[dag.NodeID][]output{},
+		master:  &proc{env: rt.Env, cost: opts.withDefaults().MasterProc},
+		workers: map[string]*proc{},
 	}
 	if d.opts.Journal != nil {
 		d.jr = d.opts.Journal
@@ -481,9 +476,6 @@ func (d *Deployment) WorkerStats(worker string) EngineStats {
 // Placement returns the node→worker map in use.
 func (d *Deployment) Placement() map[dag.NodeID]string { return d.place }
 
-// PeakLiveInvocations reports the maximum concurrent invocations seen.
-func (d *Deployment) PeakLiveInvocations() int { return d.peakLive }
-
 // EngineMemory estimates a worker engine's peak resident memory for this
 // deployment (paper §5.7): base footprint + Workflow structures for the
 // sub-graph nodes placed there + State for the peak live invocations.
@@ -498,10 +490,9 @@ func (d *Deployment) EngineMemory(worker string) int64 {
 }
 
 // Redeploy switches to a new placement (red-black: version bumps, new
-// invocations use the new sub-graphs, and each old version's warm
-// containers are recycled when its in-flight invocations drain — here the
-// drain bookkeeping is per-version counts; container recycling happens via
-// the pools' keep-alive).
+// invocations use the new sub-graphs, in-flight invocations finish on the
+// placement they started with, and each old version's warm containers are
+// recycled by the pools' keep-alive once its invocations drain).
 func (d *Deployment) Redeploy(place map[dag.NodeID]string) error {
 	for _, n := range d.g.Nodes() {
 		w, ok := place[n.ID]
@@ -519,9 +510,6 @@ func (d *Deployment) Redeploy(place map[dag.NodeID]string) error {
 
 // Version reports the current red-black deployment version.
 func (d *Deployment) Version() int { return d.version }
-
-// LiveInvocations reports in-flight invocations for a version.
-func (d *Deployment) LiveInvocations(version int) int { return d.liveByVersion[version] }
 
 // Result describes one completed invocation.
 type Result struct {
@@ -619,7 +607,6 @@ func (d *Deployment) skippedOutEdges(inv *invocation, id dag.NodeID) map[int]boo
 		}
 		ok, err := compiled.EvalBool(inv.args)
 		if err != nil {
-			d.condErrors++
 			skipped[ei] = true
 			continue
 		}
@@ -631,9 +618,6 @@ func (d *Deployment) skippedOutEdges(inv *invocation, id dag.NodeID) map[int]boo
 	}
 	return skipped
 }
-
-// CondErrors reports how many switch conditions failed to evaluate.
-func (d *Deployment) CondErrors() int64 { return d.condErrors }
 
 // execJitter perturbs a task's execution time by ±15%, deterministically
 // per (invocation, node): real functions are not clockwork, and the
@@ -677,19 +661,14 @@ func (d *Deployment) keyFor(inv *invocation, edgeIdx, replica int) string {
 // completed, after which the invocation's intermediate data is released
 // (the paper's per-invocation State cleanup).
 func (d *Deployment) Invoke(done func(Result)) {
-	d.InvokeArgs(nil, done)
-}
-
-// InvokeArgs starts an invocation carrying input arguments; switch steps
-// evaluate their branch conditions against them and run only the matching
-// branch. With nil args every branch runs.
-func (d *Deployment) InvokeArgs(args map[string]any, done func(Result)) {
-	d.InvokeOpts(InvokeOptions{Args: args}, done)
+	d.InvokeOpts(InvokeOptions{}, done)
 }
 
 // InvokeOptions tunes one invocation.
 type InvokeOptions struct {
-	// Args are the invocation's input arguments (see InvokeArgs).
+	// Args are the invocation's input arguments: switch steps evaluate
+	// their branch conditions against them and run only the matching
+	// branch. With nil Args every branch runs.
 	Args map[string]any
 	// Deadline is the absolute virtual instant after which the invocation's
 	// remaining work is cancelled: untriggered steps drain as skips, queued
@@ -738,7 +717,6 @@ func (d *Deployment) InvokeWithID(id int64, opts InvokeOptions, done func(Result
 	if id >= d.nextInv {
 		d.nextInv = id + 1
 	}
-	d.liveByVersion[inv.version]++
 	d.liveNow++
 	if d.liveNow > d.peakLive {
 		d.peakLive = d.liveNow
@@ -769,11 +747,7 @@ func (d *Deployment) finishInvocation(inv *invocation) {
 	if d.jr != nil {
 		delete(d.liveInvs, inv.id)
 	}
-	d.liveByVersion[inv.version]--
 	d.liveNow--
-	if d.liveByVersion[inv.version] == 0 && inv.version != d.version {
-		delete(d.liveByVersion, inv.version) // out-of-date version drained
-	}
 	for _, k := range inv.keys {
 		d.rt.Store.Delete(k)
 	}
@@ -805,12 +779,6 @@ func (d *Deployment) failDeadline(inv *invocation, id dag.NodeID, where string) 
 	d.deadlineCount++
 	d.pubDeadline(inv, id, where)
 }
-
-// DeadlineExceededCount reports deadline abandonments so far.
-func (d *Deployment) DeadlineExceededCount() int64 { return d.deadlineCount }
-
-// LiveNow reports invocations currently in flight across all versions.
-func (d *Deployment) LiveNow() int { return d.liveNow }
 
 // ---------------------------------------------------------------------------
 // Task body shared by both patterns: container acquire → input fetch →
@@ -899,12 +867,6 @@ func (d *Deployment) crashes(inv *invocation, id dag.NodeID, replica, attemptN i
 	r := sim.NewRand(seed)
 	return r.Float64() < d.opts.FailureRate
 }
-
-// Crashes reports injected container crashes so far.
-func (d *Deployment) Crashes() int64 { return d.crashCount }
-
-// Retries reports executor retry attempts so far.
-func (d *Deployment) Retries() int64 { return d.retryCount }
 
 // ErrReissuesExhausted reports an executor that burned its entire fault
 // re-issue budget: the step failed permanently and the invocation drained

@@ -371,8 +371,8 @@ func TestRedeployVersioning(t *testing.T) {
 	if d.Version() != 1 {
 		t.Fatalf("Version = %d", d.Version())
 	}
-	if d.LiveInvocations(0) != 0 {
-		t.Fatal("old version not drained")
+	if d.liveNow != 0 {
+		t.Fatalf("%d invocations still live after the drain", d.liveNow)
 	}
 }
 

@@ -17,8 +17,8 @@ func TestNoFailuresByDefault(t *testing.T) {
 	if res.Failed {
 		t.Fatal("invocation failed without injection")
 	}
-	if d.Crashes() != 0 || d.Retries() != 0 {
-		t.Fatalf("crashes=%d retries=%d without injection", d.Crashes(), d.Retries())
+	if st := d.FailureStatsSnapshot(); st.Crashes != 0 || st.Retries != 0 {
+		t.Fatalf("crashes=%d retries=%d without injection", st.Crashes, st.Retries)
 	}
 }
 
@@ -48,11 +48,12 @@ func TestRetriesRecoverFromCrashes(t *testing.T) {
 	if failed != 0 {
 		t.Fatalf("%d invocations failed despite generous retries", failed)
 	}
-	if d.Crashes() == 0 || d.Retries() == 0 {
-		t.Fatalf("no crashes (%d) or retries (%d) despite 30%% rate", d.Crashes(), d.Retries())
+	st := d.FailureStatsSnapshot()
+	if st.Crashes == 0 || st.Retries == 0 {
+		t.Fatalf("no crashes (%d) or retries (%d) despite 30%% rate", st.Crashes, st.Retries)
 	}
-	if d.Retries() != d.Crashes() {
-		t.Fatalf("retries %d != crashes %d when nothing exhausts", d.Retries(), d.Crashes())
+	if st.Retries != st.Crashes {
+		t.Fatalf("retries %d != crashes %d when nothing exhausts", st.Retries, st.Crashes)
 	}
 }
 
@@ -75,7 +76,7 @@ func TestExhaustedRetriesFailButDrain(t *testing.T) {
 		if !res.Failed {
 			t.Fatalf("%v: Result.Failed = false under 100%% crash rate", mode)
 		}
-		if d.Crashes() == 0 {
+		if d.FailureStatsSnapshot().Crashes == 0 {
 			t.Fatalf("%v: no crashes recorded", mode)
 		}
 	}
@@ -127,7 +128,8 @@ func TestFailureDeterminism(t *testing.T) {
 			d.Invoke(nil)
 		}
 		rt.Env.Run()
-		return d.Crashes(), d.Retries()
+		st := d.FailureStatsSnapshot()
+		return st.Crashes, st.Retries
 	}
 	c1, r1 := runOnce()
 	c2, r2 := runOnce()

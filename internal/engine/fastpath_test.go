@@ -190,8 +190,10 @@ func TestPrewarmAddsPoolCapacity(t *testing.T) {
 	if _, peak := rt.Nodes["w0"].ScaleOf("f"); peak != 2 {
 		t.Fatalf("pool peak = %d, want 2 (pre-warm overlapping the busy predecessor)", peak)
 	}
-	if busy := rt.Nodes["w0"].BusyContainers(); busy != 0 {
-		t.Fatalf("%d containers still busy after the run", busy)
+	// Keep-alive has evicted every released container by the end of the
+	// run, so a live one is still held.
+	if held := rt.Nodes["w0"].Containers(); held != 0 {
+		t.Fatalf("%d containers still held after the run", held)
 	}
 }
 
@@ -245,9 +247,11 @@ func TestPrewarmCancelledOnFailureSkipWave(t *testing.T) {
 		if fp.PrewarmIssued == 0 || fp.PrewarmCancelled == 0 {
 			t.Fatalf("%v: fast-path stats = %+v, want issued and cancelled pre-warms", mode, fp)
 		}
+		// Keep-alive has evicted every released container by the end of
+		// the run, so a live one leaked.
 		for id, n := range rt.Nodes {
-			if busy := n.BusyContainers(); busy != 0 {
-				t.Fatalf("%v: %d containers leaked on %s", mode, busy, id)
+			if held := n.Containers(); held != 0 {
+				t.Fatalf("%v: %d containers leaked on %s", mode, held, id)
 			}
 		}
 	}
@@ -310,8 +314,8 @@ func TestMemoDistinctArgsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.InvokeArgs(map[string]any{"x": 1}, func(Result) {
-		d.InvokeArgs(map[string]any{"x": 2}, func(Result) {})
+	d.InvokeOpts(InvokeOptions{Args: map[string]any{"x": 1}}, func(Result) {
+		d.InvokeOpts(InvokeOptions{Args: map[string]any{"x": 2}}, func(Result) {})
 	})
 	rt.Env.Run()
 	if fp := d.FastPathStatsSnapshot(); fp.MemoHits != 0 || fp.MemoMisses != 8 {
@@ -342,10 +346,7 @@ func TestMemoHitAttributedOnCriticalPath(t *testing.T) {
 		d.Invoke(func(r Result) { second = r })
 	})
 	rt.Env.Run()
-	bd, err := obs.AnalyzeInvocation(log, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bd := analyzeInv(t, log, 1)
 	checkExact(t, bd, second)
 	if bd.Component(obs.CompMemoHit) == 0 {
 		t.Fatalf("no memo-hit time on the critical path: %v", bd.ByComponent)

@@ -143,7 +143,6 @@ func (d *Deployment) AdoptInvocation(spec AdoptSpec, committed map[int]journal.E
 		d.nextInv = spec.ID + 1
 	}
 	d.adopted++
-	d.liveByVersion[old.version]++
 	d.liveNow++
 	if d.liveNow > d.peakLive {
 		d.peakLive = d.liveNow
@@ -165,19 +164,6 @@ func (d *Deployment) DropInvocations(ids []int64) {
 		inv.abandoned = true
 		d.drainPrewarms(inv)
 		delete(d.liveInvs, id)
-		d.liveByVersion[inv.version]--
 		d.liveNow--
-		if d.liveByVersion[inv.version] == 0 && inv.version != d.version {
-			delete(d.liveByVersion, inv.version)
-		}
 	}
-}
-
-// LiveInvocationIDs reports the engine's in-flight invocation IDs,
-// ascending — the set a federation claim partitions by shard.
-func (d *Deployment) LiveInvocationIDs() []int64 {
-	if d.jr == nil {
-		return nil
-	}
-	return d.liveInvIDs()
 }

@@ -119,7 +119,7 @@ func TestHandoffAdoptionRedispatchesTornStepsExactlyOnce(t *testing.T) {
 		if st := jrA.Stats(); st.CrashDropped+st.TornTail != 2 {
 			t.Fatalf("crash should drop b and c from the open batch, stats: %+v", st)
 		}
-		dA.DropInvocations(dA.LiveInvocationIDs())
+		dA.DropInvocations(dA.liveInvIDs())
 
 		view := journal.NewView(jrA, jrB)
 		committed := view.CommittedSteps(0)
@@ -156,10 +156,7 @@ func TestHandoffAdoptionRedispatchesTornStepsExactlyOnce(t *testing.T) {
 		}
 		// The failover dead time is attributed to CompHandoff on the
 		// resumed steps' trigger chains.
-		bd, err := obs.AnalyzeInvocation(log, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		bd := analyzeInv(t, log, 0)
 		if bd.ByComponent[obs.CompHandoff] == 0 {
 			t.Fatalf("no handoff time on the critical path: %v", bd.ByComponent)
 		}
@@ -182,7 +179,7 @@ func TestDropInvocationsPreventsResurrection(t *testing.T) {
 	d.Invoke(func(Result) { got = true })
 	rt.Env.RunUntil(sim.Time(800 * time.Millisecond))
 	d.CrashEngine()
-	d.DropInvocations(d.LiveInvocationIDs())
+	d.DropInvocations(d.liveInvIDs())
 	d.RestartEngine()
 	rt.Env.Run()
 	if got {

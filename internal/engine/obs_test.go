@@ -35,11 +35,23 @@ func observe(t *testing.T, mode Mode, opts Options) (*obs.TraceLog, Result) {
 
 func analyze(t *testing.T, log *obs.TraceLog) *obs.Breakdown {
 	t.Helper()
-	bd, err := obs.AnalyzeInvocation(log, 0)
+	return analyzeInv(t, log, 0)
+}
+
+// analyzeInv attributes invocation inv's latency through obs.AnalyzeAll.
+func analyzeInv(t *testing.T, log *obs.TraceLog, inv int64) *obs.Breakdown {
+	t.Helper()
+	bds, err := obs.AnalyzeAll(log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bd
+	for _, bd := range bds {
+		if bd.Inv == inv {
+			return bd
+		}
+	}
+	t.Fatalf("invocation %d has no recorded completion", inv)
+	return nil
 }
 
 // checkExact asserts the attribution partitions the whole latency: the
@@ -152,10 +164,7 @@ func TestCritPathExactUnderConcurrency(t *testing.T) {
 		t.Fatalf("completed invocations = %v; want 3", invs)
 	}
 	for _, inv := range invs {
-		bd, err := obs.AnalyzeInvocation(log, inv)
-		if err != nil {
-			t.Fatal(err)
-		}
+		bd := analyzeInv(t, log, inv)
 		checkExact(t, bd, results[inv])
 	}
 }

@@ -102,7 +102,7 @@ func TestAdoptionPreservesTenant(t *testing.T) {
 	// the adopter re-dispatches the whole invocation.
 	rt.Env.RunUntil(sim.Time(time.Millisecond))
 	dA.CrashEngine()
-	dA.DropInvocations(dA.LiveInvocationIDs())
+	dA.DropInvocations(dA.liveInvIDs())
 
 	view := journal.NewView(jrA, jrB)
 	dB.AdoptInvocation(AdoptSpec{ID: 0, Start: 0, Tenant: "acme", Done: done},

@@ -244,17 +244,18 @@ func BenchmarkEvalPrecompiled(b *testing.B) {
 }
 
 // Property: Compile/Eval never panic on arbitrary input strings.
-func TestExprNeverPanicsProperty(t *testing.T) {
-	f := func(raw string) (ok bool) {
-		defer func() {
-			if recover() != nil {
-				ok = false
-			}
-		}()
-		_, _ = Eval(raw, Env{"x": 1.0})
-		return true
+// FuzzEval: Eval never panics, whatever the source (errors are the only
+// acceptable failure mode). The seeds are expressions the other tests
+// evaluate.
+func FuzzEval(f *testing.F) {
+	for _, seed := range []string{
+		"", "42", "3.5", "true", "'hi'", `"there"`, "$x", "$x + 1",
+		"$q >= 720 && $fmt == 'mp4'", "!($x < 2) || $x != 1",
+		"$a * $b + $a - $b", "(1 + 2) * -3 / 4 % 5", "'a' < 'b'", "$", "(", "'",
+	} {
+		f.Add(seed)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
+	f.Fuzz(func(t *testing.T, src string) {
+		_, _ = Eval(src, Env{"x": 1.0})
+	})
 }

@@ -163,9 +163,6 @@ type Injector struct {
 	// time, so schedulers can ask whether a node is inside an injected
 	// window at a given instant (see NodeDownAt).
 	downWindows map[string][]window
-
-	injected  int64
-	recovered int64
 }
 
 type window struct {
@@ -268,7 +265,6 @@ func (i *Injector) Install(s Schedule) error {
 }
 
 func (i *Injector) apply(f Fault) {
-	i.injected++
 	switch f.Kind {
 	case NodeDown:
 		i.nodes[f.Node].Fail()
@@ -295,7 +291,6 @@ func (i *Injector) apply(f Fault) {
 }
 
 func (i *Injector) recover(f Fault) {
-	i.recovered++
 	switch f.Kind {
 	case NodeDown:
 		i.nodes[f.Node].Recover()
@@ -322,12 +317,6 @@ func (i *Injector) pub(ev obs.Event) {
 		i.bus.Publish(ev)
 	}
 }
-
-// Injected reports how many fault windows have opened so far.
-func (i *Injector) Injected() int64 { return i.injected }
-
-// Recovered reports how many fault windows have closed so far.
-func (i *Injector) Recovered() int64 { return i.recovered }
 
 // RandomNodeKills builds a schedule of n node deaths drawn deterministically
 // from r: victims are picked from workers (sorted first, so iteration order

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -15,6 +16,38 @@ func testNode(env *sim.Env, id string) *cluster.Node {
 		Cores: 2, DRAM: 1 << 30, ContainerMem: 256 << 20,
 		ColdStart: 100 * time.Millisecond, KeepAlive: 10 * time.Second, PerFnLimit: 4,
 	})
+}
+
+// windowLog counts the node and store fault windows an injector opens
+// and closes, from the fault events it publishes on the returned bus.
+type windowLog struct{ opened, closed int }
+
+func (w *windowLog) bus() *obs.Bus {
+	bus := obs.NewBus()
+	bus.Subscribe(func(ev obs.Event) {
+		down := false
+		switch e := ev.(type) {
+		case obs.NodeFaultEvent:
+			down = e.Down
+		case obs.StoreFaultEvent:
+			down = e.Down
+		default:
+			return
+		}
+		if down {
+			w.opened++
+		} else {
+			w.closed++
+		}
+	})
+	return bus
+}
+
+func (w *windowLog) check(t *testing.T, at string, opened, closed int) {
+	t.Helper()
+	if w.opened != opened || w.closed != closed {
+		t.Fatalf("%s: windows opened/closed = %d/%d, want %d/%d", at, w.opened, w.closed, opened, closed)
+	}
 }
 
 func TestValidate(t *testing.T) {
@@ -63,7 +96,8 @@ func TestInstallRejectsUnknownTargets(t *testing.T) {
 func TestNodeFaultWindow(t *testing.T) {
 	env := sim.NewEnv()
 	n := testNode(env, "w0")
-	inj := NewInjector(env, map[string]*cluster.Node{"w0": n}, nil, nil, nil)
+	var log windowLog
+	inj := NewInjector(env, map[string]*cluster.Node{"w0": n}, nil, nil, log.bus())
 	err := inj.Install(Schedule{{
 		Kind: NodeDown, Node: "w0", At: time.Second, Duration: 2 * time.Second,
 	}})
@@ -78,9 +112,7 @@ func TestNodeFaultWindow(t *testing.T) {
 	if n.Failed() {
 		t.Fatal("node still failed after the window closed")
 	}
-	if inj.Injected() != 1 || inj.Recovered() != 1 {
-		t.Fatalf("injector counters = %d/%d, want 1/1", inj.Injected(), inj.Recovered())
-	}
+	log.check(t, "end", 1, 1)
 }
 
 // TestLinkAndStoreFaults wires a fabric and hybrid store and verifies the
@@ -230,7 +262,8 @@ func TestOverlappingWindowsRecoverExactly(t *testing.T) {
 	n := testNode(env, "w0")
 	remote := store.NewRemoteKV(env, fab, "master", time.Millisecond)
 	hybrid := store.NewHybrid(remote, map[string]*store.MemKV{}, true)
-	inj := NewInjector(env, map[string]*cluster.Node{"w0": n}, fab, hybrid, nil)
+	var log windowLog
+	inj := NewInjector(env, map[string]*cluster.Node{"w0": n}, fab, hybrid, log.bus())
 	err := inj.Install(Schedule{
 		{Kind: StoreOutage, At: time.Second, Duration: 4 * time.Second},          // [1s, 5s)
 		{Kind: NodeDown, Node: "w0", At: 2 * time.Second, Duration: time.Second}, // [2s, 3s)
@@ -244,9 +277,7 @@ func TestOverlappingWindowsRecoverExactly(t *testing.T) {
 	if !n.Failed() {
 		t.Fatal("at 2.5s: node alive inside its window")
 	}
-	if inj.Injected() != 2 || inj.Recovered() != 0 {
-		t.Fatalf("at 2.5s counters = %d/%d, want 2/0", inj.Injected(), inj.Recovered())
-	}
+	log.check(t, "at 2.5s", 2, 0)
 	// Node window closed, outage still open: recovery of the inner window
 	// must not drag the outer one shut.
 	env.RunUntil(sim.Time(3500 * time.Millisecond))
@@ -256,9 +287,7 @@ func TestOverlappingWindowsRecoverExactly(t *testing.T) {
 	if *probe >= 0 {
 		t.Fatalf("read issued at 2.5s completed at %v: the store was up inside its outage window", *probe)
 	}
-	if inj.Injected() != 2 || inj.Recovered() != 1 {
-		t.Fatalf("at 3.5s counters = %d/%d, want 2/1", inj.Injected(), inj.Recovered())
-	}
+	log.check(t, "at 3.5s", 2, 1)
 	env.Run()
 	if *probe < sim.Time(5*time.Second) {
 		t.Fatalf("read issued at 2.5s completed at %v, before the outage ended at 5s", *probe)
@@ -270,9 +299,7 @@ func TestOverlappingWindowsRecoverExactly(t *testing.T) {
 		t.Fatalf("faults leaked past their windows: failed=%v, read issued at %v completed at %v",
 			n.Failed(), issued, *probe)
 	}
-	if inj.Injected() != 2 || inj.Recovered() != 2 {
-		t.Fatalf("final counters = %d/%d, want 2/2", inj.Injected(), inj.Recovered())
-	}
+	log.check(t, "end", 2, 2)
 }
 
 // TestNodeDownAtTracksWindows checks the window query replacement
@@ -337,11 +364,8 @@ func TestEngineDownDrivesAttachedEngines(t *testing.T) {
 		t.Fatalf("mid-window: crashes=%d/%d restarts=%d", e1.crashes, e2.crashes, e1.restarts)
 	}
 	env.Run()
-	if e1.restarts != 1 || e2.restarts != 1 {
-		t.Fatalf("restarts = %d/%d, want 1/1", e1.restarts, e2.restarts)
-	}
-	if inj.Injected() != 1 || inj.Recovered() != 1 {
-		t.Fatalf("counters = %d/%d, want 1/1", inj.Injected(), inj.Recovered())
+	if e1.crashes != 1 || e1.restarts != 1 || e2.restarts != 1 {
+		t.Fatalf("crashes=%d restarts = %d/%d, want 1, 1/1", e1.crashes, e1.restarts, e2.restarts)
 	}
 }
 
@@ -413,9 +437,6 @@ func TestRollingEngineKillsSchedule(t *testing.T) {
 		if fed.killed[i] != wantEng[i] || fed.restarted[i] != wantEng[i] {
 			t.Fatalf("order wrong: killed=%v restarted=%v", fed.killed, fed.restarted)
 		}
-	}
-	if inj.Injected() != 3 || inj.Recovered() != 3 {
-		t.Fatalf("injected=%d recovered=%d", inj.Injected(), inj.Recovered())
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/engine"
 	"repro/internal/faults"
-	"repro/internal/journal"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/workloads"
@@ -20,23 +19,13 @@ import (
 // seeded arrivals, a scheduled fault window — so two runs with the same
 // spec produce byte-identical snapshots, which is what CI diffs.
 
-// ChaosSpec configures one chaos-availability run.
-type ChaosSpec struct {
-	Invocations int // invocations per mode (default 20)
-
-	// EngineKillAt, when > 0, additionally crashes the workflow engine at
-	// that offset: a journal is attached to the deployment and the engine
-	// recovers by replay after chaosDownFor.
-	EngineKillAt time.Duration
-}
-
 // Chaos scenario constants, sized so the fault window overlaps in-flight
 // work.
 const (
 	chaosBench       = "IR"
 	chaosInvocations = 20
 	chaosInterval    = 400 * time.Millisecond // open-loop arrival spacing
-	chaosDownFor     = 5 * time.Second        // victim (and engine) outage window
+	chaosDownFor     = 5 * time.Second        // victim outage window
 )
 
 // ChaosRow is one mode's chaos-availability measurement.
@@ -50,68 +39,53 @@ type ChaosRow struct {
 	FailedInv   int // completed with the Failed flag (budget exhausted)
 	Lost        int // invocations that never completed — must be zero
 	Stats       engine.FailureStats
-	// Durable carries journal/replay counters when EngineKillAt armed an
-	// engine crash (zero-valued otherwise).
-	Durable engine.DurableStats
-	Mean    time.Duration
-	P99     time.Duration
+	Mean        time.Duration
+	P99         time.Duration
 	// Snapshot is the run's full flight-recorder snapshot; identical specs
 	// yield byte-identical snapshots.
 	Snapshot *obs.Snapshot
 }
 
-// Chaos runs the chaos-availability scenario once per mode: deploy the
-// benchmark with recovery enabled, start staggered invocations, kill the
-// worker hosting the most placed tasks halfway through the arrival window,
-// recover it after chaosDownFor, and run the simulation dry.
-func Chaos(spec ChaosSpec, modes []engine.Mode) ([]ChaosRow, error) {
-	spec.Invocations = orDefault(spec.Invocations, chaosInvocations)
-	return sweep(modes, []ChaosSpec{spec}, chaosOne)
+// Chaos runs the chaos-availability scenario with n invocations (0 means
+// chaosInvocations) once per mode: deploy the benchmark with recovery
+// enabled, start staggered invocations, kill the worker hosting the most
+// placed tasks halfway through the arrival window, recover it after
+// chaosDownFor, and run the simulation dry.
+func Chaos(n int) ([]ChaosRow, error) {
+	return sweep([]int{orDefault(n, chaosInvocations)}, chaosOne)
 }
 
-func chaosOne(mode engine.Mode, spec ChaosSpec) (ChaosRow, error) {
+func chaosOne(mode engine.Mode, n int) (ChaosRow, error) {
 	tb := NewTestbed(ClusterSpec{FaaStore: true})
 	bus, log := observe(tb)
-	var jr *journal.WAL
-	if spec.EngineKillAt > 0 {
-		jr = journal.New(tb.Env, journal.Config{})
-	}
-	d, err := tb.Deploy(workloads.ByName(chaosBench), recoveryOptions(mode, jr))
+	d, err := tb.Deploy(workloads.ByName(chaosBench), recoveryOptions(mode, nil))
 	if err != nil {
 		return ChaosRow{}, fmt.Errorf("harness: chaos deploy %s/%s: %w", chaosBench, mode, err)
 	}
 
 	victim := chaosVictim(d.Placement.Worker, tb.Workers)
-	killAt := chaosInterval * time.Duration(spec.Invocations) / 2
+	killAt := chaosInterval * time.Duration(n) / 2
 	inj := faults.NewInjector(tb.Env, tb.Runtime.Nodes, tb.Fabric, tb.Runtime.Store, bus)
-	schedule := faults.Schedule{{
+	if err := inj.Install(faults.Schedule{{
 		Kind:     faults.NodeDown,
 		Node:     victim,
 		At:       killAt,
 		Duration: chaosDownFor,
-	}}
-	if spec.EngineKillAt > 0 {
-		inj.AttachEngines(d.Engine)
-		schedule = append(schedule, faults.Fault{
-			Kind: faults.EngineDown, At: spec.EngineKillAt, Duration: chaosDownFor,
-		})
-	}
-	if err := inj.Install(schedule); err != nil {
+	}}); err != nil {
 		return ChaosRow{}, err
 	}
 
-	run := tb.Drive(Client{Target: d.Invoke, Arrivals: Arrivals{Interval: chaosInterval}, N: spec.Invocations})[0]
+	run := tb.Drive(Client{Target: d.Invoke, Arrivals: Arrivals{Interval: chaosInterval}, N: n})[0]
 	return ChaosRow{
 		Mode:        mode,
 		Victim:      victim,
 		KillAt:      killAt,
 		DownFor:     chaosDownFor,
-		Invocations: spec.Invocations,
+		Invocations: n,
 		Completed:   run.Completed,
 		FailedInv:   run.Failed,
 		Lost:        run.Lost,
 		Stats:       d.Engine.FailureStatsSnapshot(),
-		Durable:     d.Engine.DurableStatsSnapshot(),
 		Mean:        run.Rec.Mean(),
 		P99:         run.Rec.P99(),
 		Snapshot: obs.BuildSnapshot(log, map[string]string{

@@ -6,7 +6,10 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/faults"
+	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/workloads"
 )
 
 // TestChaosZeroLostInvocations kills the busiest worker mid-run in both
@@ -14,7 +17,7 @@ import (
 // layer's core guarantee. The dead worker's tasks must actually have been
 // re-placed and re-issued, not just lucky.
 func TestChaosZeroLostInvocations(t *testing.T) {
-	rows, err := Chaos(ChaosSpec{}, nil)
+	rows, err := Chaos(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +48,11 @@ func TestChaosZeroLostInvocations(t *testing.T) {
 // the simulation clock, so nothing about a chaos run may depend on host
 // state. This is the property the CI scenario-smoke job diffs.
 func TestChaosDeterministic(t *testing.T) {
-	spec := ChaosSpec{Invocations: 12}
-	a, err := Chaos(spec, nil)
+	a, err := Chaos(12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Chaos(spec, nil)
+	b, err := Chaos(12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +76,7 @@ func TestChaosDeterministic(t *testing.T) {
 // observable end to end: the snapshot must carry the node fault window and
 // the per-executor recovery events with their re-placement targets.
 func TestChaosRecoveryEventsInTrace(t *testing.T) {
-	rows, err := Chaos(ChaosSpec{}, []engine.Mode{engine.ModeWorkerSP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rows[0]
+	r := workerSP(t, []int{chaosInvocations}, chaosOne)[0]
 	nodeFaults, recoveries, replacedTo := 0, 0, 0
 	for _, ev := range r.Snapshot.Events {
 		switch e := ev.Ev.(type) {
@@ -108,23 +106,35 @@ func TestChaosRecoveryEventsInTrace(t *testing.T) {
 	}
 }
 
-// TestChaosWithEngineKill layers an engine crash on top of the node kill:
-// the journal-backed deployment must replay committed steps after restart
-// and still lose nothing.
+// TestChaosWithEngineKill layers an engine crash on top of the chaos
+// scenario's node kill, on one journaled deployment: the engine must
+// replay committed steps after restart and still lose nothing.
 func TestChaosWithEngineKill(t *testing.T) {
-	rows, err := Chaos(ChaosSpec{EngineKillAt: 3 * time.Second},
-		[]engine.Mode{engine.ModeWorkerSP})
+	tb := NewTestbed(ClusterSpec{FaaStore: true})
+	bus, _ := observe(tb)
+	d, err := tb.Deploy(workloads.ByName(chaosBench),
+		recoveryOptions(engine.ModeWorkerSP, journal.New(tb.Env, journal.Config{})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rows[0]
-	if r.Lost != 0 {
-		t.Fatalf("lost %d of %d invocations", r.Lost, r.Invocations)
+	inj := faults.NewInjector(tb.Env, tb.Runtime.Nodes, tb.Fabric, tb.Runtime.Store, bus)
+	inj.AttachEngines(d.Engine)
+	if err := inj.Install(faults.Schedule{
+		{Kind: faults.NodeDown, Node: chaosVictim(d.Placement.Worker, tb.Workers),
+			At: chaosInterval * chaosInvocations / 2, Duration: chaosDownFor},
+		{Kind: faults.EngineDown, At: 3 * time.Second, Duration: chaosDownFor},
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if r.Durable.EngineCrashes != 1 {
-		t.Fatalf("engine crashes = %d, want 1", r.Durable.EngineCrashes)
+	run := tb.Drive(Client{Target: d.Invoke, Arrivals: Arrivals{Interval: chaosInterval}, N: chaosInvocations})[0]
+	if run.Lost != 0 {
+		t.Fatalf("lost %d of %d invocations", run.Lost, chaosInvocations)
 	}
-	if r.Durable.ReplaySkips == 0 {
+	st := d.Engine.DurableStatsSnapshot()
+	if st.EngineCrashes != 1 {
+		t.Fatalf("engine crashes = %d, want 1", st.EngineCrashes)
+	}
+	if st.ReplaySkips == 0 {
 		t.Fatal("restart replayed no committed steps")
 	}
 }

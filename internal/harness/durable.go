@@ -27,11 +27,6 @@ import (
 // Both runs are deterministic; same-spec runs yield byte-identical
 // snapshots, which CI diffs across two invocations.
 
-// DurableSpec configures one durable-execution run.
-type DurableSpec struct {
-	Invocations int // invocations per mode/scenario (default 20)
-}
-
 // Durable scenario constants, sized so the fault window overlaps in-flight
 // work. The journal keeps its default fsync latency and batch window.
 const (
@@ -67,10 +62,11 @@ type DurableRow struct {
 	Snapshot    *obs.Snapshot
 }
 
-// Durable runs both durability scenarios under each mode.
-func Durable(spec DurableSpec, modes []engine.Mode) ([]DurableRow, error) {
-	n := orDefault(spec.Invocations, durableInvocations)
-	return sweep(modes, []string{ScenarioEngineKill, ScenarioNodeKill},
+// Durable runs both durability scenarios under each mode with n
+// invocations each (0 means durableInvocations).
+func Durable(n int) ([]DurableRow, error) {
+	n = orDefault(n, durableInvocations)
+	return sweep([]string{ScenarioEngineKill, ScenarioNodeKill},
 		func(mode engine.Mode, scenario string) (DurableRow, error) { return durableOne(n, mode, scenario) })
 }
 

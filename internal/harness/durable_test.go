@@ -13,7 +13,7 @@ import (
 // a node kill with ReplicationFactor 2, consumers read surviving replicas
 // instead of re-executing producers.
 func TestDurableGatesPass(t *testing.T) {
-	rows, err := Durable(DurableSpec{}, nil)
+	rows, err := Durable(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,15 +38,11 @@ func TestDurableGatesPass(t *testing.T) {
 // all on the simulation clock. This is the property the CI scenario-smoke
 // job diffs across two process invocations.
 func TestDurableDeterministic(t *testing.T) {
-	spec := DurableSpec{Invocations: 10}
-	a, err := Durable(spec, []engine.Mode{engine.ModeWorkerSP})
-	if err != nil {
-		t.Fatal(err)
+	run := func() []DurableRow {
+		return workerSP(t, []string{ScenarioEngineKill, ScenarioNodeKill},
+			func(mode engine.Mode, scenario string) (DurableRow, error) { return durableOne(10, mode, scenario) })
 	}
-	b, err := Durable(spec, []engine.Mode{engine.ModeWorkerSP})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := run(), run()
 	for i := range a {
 		da, err := a[i].Snapshot.Marshal()
 		if err != nil {

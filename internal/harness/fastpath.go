@@ -26,11 +26,6 @@ import (
 // are deterministic; same-spec runs yield byte-identical snapshots, which
 // CI diffs across two invocations.
 
-// FastPathSpec configures one fast-path scenario sweep.
-type FastPathSpec struct {
-	Invocations int // closed-loop invocations per variant (default 10)
-}
-
 // Fast-path scenario constants.
 const (
 	fastPathWidth       = 10 // Genome task-node count
@@ -70,10 +65,11 @@ type FastPathRow struct {
 	Snapshot    *obs.Snapshot
 }
 
-// FastPath runs the fast-path sweep under each mode.
-func FastPath(spec FastPathSpec, modes []engine.Mode) ([]FastPathRow, error) {
-	n := orDefault(spec.Invocations, fastPathInvocations)
-	return sweep(modes, []string{VariantOff, VariantDirect, VariantPrewarm, VariantFull},
+// FastPath runs the fast-path sweep under each mode with n closed-loop
+// invocations per variant (0 means fastPathInvocations).
+func FastPath(n int) ([]FastPathRow, error) {
+	n = orDefault(n, fastPathInvocations)
+	return sweep([]string{VariantOff, VariantDirect, VariantPrewarm, VariantFull},
 		func(mode engine.Mode, variant string) (FastPathRow, error) { return fastPathOne(n, mode, variant) })
 }
 

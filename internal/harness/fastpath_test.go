@@ -6,7 +6,7 @@ import (
 )
 
 func TestFastPathScenarioGates(t *testing.T) {
-	rows, err := FastPath(FastPathSpec{Invocations: 6}, nil)
+	rows, err := FastPath(6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,12 +22,11 @@ func TestFastPathScenarioGates(t *testing.T) {
 }
 
 func TestFastPathScenarioDeterministic(t *testing.T) {
-	spec := FastPathSpec{Invocations: 4}
-	r1, err := FastPath(spec, nil)
+	r1, err := FastPath(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := FastPath(spec, nil)
+	r2, err := FastPath(4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,18 +33,12 @@ import (
 // Both runs are deterministic; same-spec runs yield byte-identical
 // snapshots, which CI diffs across two invocations.
 
-// FederationSpec configures one federated chaos run.
-type FederationSpec struct {
-	Members     int // federation size (default 3)
-	Invocations int // total submissions (default 24)
-	Seed        uint64
-}
-
 // Federation scenario constants.
 const (
 	federationBench        = "IR"
 	federationMembers      = 3
 	federationInvocations  = 24
+	federationSeed         = 1                      // 0 would fall back to the default seed
 	federationInterval     = 400 * time.Millisecond // open-loop arrival spacing
 	federationShards       = 16                     // ownership shards
 	federationLeaseTTL     = time.Second
@@ -90,18 +84,18 @@ type FederationRow struct {
 	Snapshot      *obs.Snapshot
 }
 
-// Federation runs both federated chaos scenarios under each mode.
-func Federation(spec FederationSpec, modes []engine.Mode) ([]FederationRow, error) {
-	spec.Members = orDefault(spec.Members, federationMembers)
-	spec.Invocations = orDefault(spec.Invocations, federationInvocations)
-	return sweep(modes, []string{ScenarioRollingKill, ScenarioStall},
+// Federation runs both federated chaos scenarios under each mode with n
+// total submissions each (0 means federationInvocations).
+func Federation(n int) ([]FederationRow, error) {
+	n = orDefault(n, federationInvocations)
+	return sweep([]string{ScenarioRollingKill, ScenarioStall},
 		func(mode engine.Mode, scenario string) (FederationRow, error) {
-			return federationOne(spec, mode, scenario)
+			return federationOne(n, mode, scenario)
 		})
 }
 
-func federationOne(spec FederationSpec, mode engine.Mode, scenario string) (FederationRow, error) {
-	tb := NewTestbed(ClusterSpec{FaaStore: true, Seed: spec.Seed})
+func federationOne(n int, mode engine.Mode, scenario string) (FederationRow, error) {
+	tb := NewTestbed(ClusterSpec{FaaStore: true})
 	bus, log := observe(tb)
 	handoffs := 0
 	var maxHandoff sim.Time
@@ -114,7 +108,7 @@ func federationOne(spec FederationSpec, mode engine.Mode, scenario string) (Fede
 		}
 	})
 
-	deps, err := tb.DeployReplicas(workloads.ByName(federationBench), spec.Members, func(i int) engine.Options {
+	deps, err := tb.DeployReplicas(workloads.ByName(federationBench), federationMembers, func(i int) engine.Options {
 		return recoveryOptions(mode, journal.New(tb.Env, journal.Config{}))
 	})
 	if err != nil {
@@ -134,7 +128,7 @@ func federationOne(spec FederationSpec, mode engine.Mode, scenario string) (Fede
 		RenewEvery:   federationRenewEvery,
 		CheckEvery:   federationCheckEvery,
 		HandoffDelay: federationHandoffDelay,
-		Seed:         spec.Seed + 1, // 0 would fall back to the default seed
+		Seed:         federationSeed,
 	}, members...)
 	if err != nil {
 		return FederationRow{}, err
@@ -160,7 +154,7 @@ func federationOne(spec FederationSpec, mode engine.Mode, scenario string) (Fede
 
 	rec := &metrics.Recorder{}
 	completed, failed, retried := 0, 0, 0
-	for i := 0; i < spec.Invocations; i++ {
+	for i := 0; i < n; i++ {
 		delay := time.Duration(i) * federationInterval
 		var submit func()
 		submit = func() {
@@ -182,8 +176,8 @@ func federationOne(spec FederationSpec, mode engine.Mode, scenario string) (Fede
 	}
 	// The lease/detector timers tick forever; run to a horizon that covers
 	// every fault window plus recovery, stop the control plane, and drain.
-	horizon := federationKillStart + time.Duration(spec.Members)*federationKillEvery +
-		time.Duration(spec.Invocations)*federationInterval + 2*time.Minute
+	horizon := federationKillStart + federationMembers*federationKillEvery +
+		time.Duration(n)*federationInterval + 2*time.Minute
 	tb.Env.RunUntil(sim.Time(horizon))
 	fed.Stop()
 	tb.Env.Run()
@@ -191,11 +185,11 @@ func federationOne(spec FederationSpec, mode engine.Mode, scenario string) (Fede
 	return FederationRow{
 		Mode:          mode,
 		Scenario:      scenario,
-		Members:       spec.Members,
-		Invocations:   spec.Invocations,
+		Members:       federationMembers,
+		Invocations:   n,
 		Completed:     completed,
 		FailedInv:     failed,
-		Lost:          spec.Invocations - completed,
+		Lost:          n - completed,
 		Retried:       retried,
 		Fed:           fed.Stats(),
 		Handoffs:      handoffs,

@@ -7,16 +7,22 @@ import (
 	"repro/internal/engine"
 )
 
+// federationWorkerSP runs both federated chaos scenarios under WorkerSP
+// alone with n submissions each.
+func federationWorkerSP(t *testing.T, n int) []FederationRow {
+	t.Helper()
+	return workerSP(t, []string{ScenarioRollingKill, ScenarioStall},
+		func(mode engine.Mode, scenario string) (FederationRow, error) {
+			return federationOne(n, mode, scenario)
+		})
+}
+
 // TestFederationScenarioGates runs both federated chaos scenarios and
 // enforces the acceptance gates: every invocation completes, zero lost,
 // zero double-finishes and zero double-commits across rolling engine
 // kills; the stall false positive is resolved by fencing.
 func TestFederationScenarioGates(t *testing.T) {
-	rows, err := Federation(FederationSpec{Invocations: 12, Members: 3, Seed: 11},
-		[]engine.Mode{engine.ModeWorkerSP})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := federationWorkerSP(t, 12)
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 1 mode × 2 scenarios", len(rows))
 	}
@@ -30,10 +36,10 @@ func TestFederationScenarioGates(t *testing.T) {
 	}
 }
 
-// TestFederationBothModes exercises MasterSP too (cheaper spec: fewer
-// invocations, smaller federation).
+// TestFederationBothModes exercises MasterSP too (cheaper run: fewer
+// invocations).
 func TestFederationBothModes(t *testing.T) {
-	rows, err := Federation(FederationSpec{Invocations: 8, Members: 2, Seed: 5}, nil)
+	rows, err := Federation(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,15 +57,7 @@ func TestFederationBothModes(t *testing.T) {
 // property the CI scenario-smoke job diffs across two process
 // invocations.
 func TestFederationDeterministic(t *testing.T) {
-	spec := FederationSpec{Invocations: 10, Members: 3, Seed: 42}
-	a, err := Federation(spec, []engine.Mode{engine.ModeWorkerSP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Federation(spec, []engine.Mode{engine.ModeWorkerSP})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := federationWorkerSP(t, 10), federationWorkerSP(t, 10)
 	for i := range a {
 		da, err := a[i].Snapshot.Marshal()
 		if err != nil {
@@ -79,11 +77,7 @@ func TestFederationDeterministic(t *testing.T) {
 // TestCheckFederationCatchesViolations feeds doctored rows through the
 // gate checker.
 func TestCheckFederationCatchesViolations(t *testing.T) {
-	rows, err := Federation(FederationSpec{Invocations: 8, Members: 2, Seed: 5},
-		[]engine.Mode{engine.ModeWorkerSP})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := federationWorkerSP(t, 8)
 	bad := append([]FederationRow(nil), rows...)
 	bad[0].Lost = 1
 	if err := CheckFederation(bad); err == nil {

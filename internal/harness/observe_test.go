@@ -88,10 +88,10 @@ func TestBottleneckStorageThrottle(t *testing.T) {
 			t.Fatal(err)
 		}
 		sums := obs.SummarizeBottlenecks(ibs)
-		if len(sums) != 1 {
-			t.Fatalf("%s: %d bottleneck groups; want 1", sys, len(sums))
+		if len(sums) != 1 || len(sums[0].Hotspots) == 0 {
+			t.Fatalf("%s: %d bottleneck groups; want 1 with hotspots", sys, len(sums))
 		}
-		return sums[0].Dominant()
+		return sums[0].Hotspots[0]
 	}
 	master := dominant(HyperFlow)
 	if !strings.Contains(master.Resource, "link:master") {

@@ -24,13 +24,6 @@ import (
 // goodput at 2x offered load falls off the peak. Both variants are fully
 // deterministic: same spec, byte-identical snapshots.
 
-// OverloadSpec configures one overload sweep.
-type OverloadSpec struct {
-	// NoAdmission removes the front-door controller (the counterfactual:
-	// backpressure and deadlines alone, goodput collapses past saturation).
-	NoAdmission bool
-}
-
 // Overload scenario constants, sized for a CI smoke run. The tenancy
 // scenario shares the bench, deadline, queue depth and probe.
 const (
@@ -121,10 +114,12 @@ func overloadSaturation(mode engine.Mode) (float64, error) {
 
 // Overload runs the sweep once per mode. Each rate point runs on a fresh
 // testbed so points are independent; the saturation probe runs once per
-// mode and fixes the admission rate and every offered rate.
-func Overload(spec OverloadSpec, modes []engine.Mode) ([]OverloadRow, error) {
+// mode and fixes the admission rate and every offered rate. noAdmission
+// removes the front-door controller (the counterfactual: backpressure and
+// deadlines alone, goodput collapses past saturation).
+func Overload(noAdmission bool) ([]OverloadRow, error) {
 	sats := map[engine.Mode]float64{}
-	return sweep(modes, overloadMultipliers, func(mode engine.Mode, m float64) (OverloadRow, error) {
+	return sweep(overloadMultipliers, func(mode engine.Mode, m float64) (OverloadRow, error) {
 		sat, ok := sats[mode]
 		if !ok {
 			var err error
@@ -133,7 +128,7 @@ func Overload(spec OverloadSpec, modes []engine.Mode) ([]OverloadRow, error) {
 			}
 			sats[mode] = sat
 		}
-		return overloadOne(mode, sat, m, overloadWindow, !spec.NoAdmission)
+		return overloadOne(mode, sat, m, overloadWindow, !noAdmission)
 	})
 }
 

@@ -7,18 +7,22 @@ import (
 	"repro/internal/engine"
 )
 
-// overloadSmokeSpec is the default sweep (well under a second of wall
-// clock per mode); the default window is long enough that the 2x point is
-// deep into steady-state congestion.
-func overloadSmokeSpec(noAdmission bool) OverloadSpec {
-	return OverloadSpec{NoAdmission: noAdmission}
-}
-
-func TestOverloadGracefulDegradationWithControls(t *testing.T) {
-	rows, err := Overload(overloadSmokeSpec(false), []engine.Mode{engine.ModeWorkerSP})
+// overloadWorkerSP is the default sweep under WorkerSP alone (well under
+// a second of wall clock); the default window is long enough that the 2x
+// point is deep into steady-state congestion.
+func overloadWorkerSP(t *testing.T, noAdmission bool) []OverloadRow {
+	t.Helper()
+	sat, err := overloadSaturation(engine.ModeWorkerSP)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return workerSP(t, overloadMultipliers, func(mode engine.Mode, m float64) (OverloadRow, error) {
+		return overloadOne(mode, sat, m, overloadWindow, !noAdmission)
+	})
+}
+
+func TestOverloadGracefulDegradationWithControls(t *testing.T) {
+	rows := overloadWorkerSP(t, false)
 	if err := CheckOverload(rows, 0.7); err != nil {
 		t.Fatalf("controls on, gate tripped: %v", err)
 	}
@@ -40,10 +44,7 @@ func TestOverloadGracefulDegradationWithControls(t *testing.T) {
 }
 
 func TestOverloadCounterfactualCollapses(t *testing.T) {
-	rows, err := Overload(overloadSmokeSpec(true), []engine.Mode{engine.ModeWorkerSP})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := overloadWorkerSP(t, true)
 	if err := CheckOverload(rows, 0.7); err == nil {
 		t.Fatal("no-admission sweep passed the goodput gate; expected collapse past saturation")
 	}
@@ -58,10 +59,7 @@ func TestOverloadCounterfactualCollapses(t *testing.T) {
 
 func TestOverloadSameSeedSnapshotsIdentical(t *testing.T) {
 	run := func() []byte {
-		rows, err := Overload(overloadSmokeSpec(false), []engine.Mode{engine.ModeWorkerSP})
-		if err != nil {
-			t.Fatal(err)
-		}
+		rows := overloadWorkerSP(t, false)
 		data, err := rows[len(rows)-1].Snapshot.Marshal()
 		if err != nil {
 			t.Fatal(err)

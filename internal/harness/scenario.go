@@ -58,32 +58,32 @@ func (s Scenario) Run(n int, noAdmission bool) (ScenarioResult, error) {
 var Scenarios = []Scenario{
 	{"chaos", "chaos availability: kill a worker mid-run, require zero lost invocations", 40,
 		func(n int, _ bool) (ScenarioResult, error) {
-			rows, err := Chaos(ChaosSpec{Invocations: n}, nil)
+			rows, err := Chaos(n)
 			return tabulate(rows, err, RenderChaos, CheckChaos)
 		}},
 	{"overload", "overload control: sweep arrival rate past saturation, require graceful degradation", 0,
 		func(_ int, noAdmission bool) (ScenarioResult, error) {
-			rows, err := Overload(OverloadSpec{NoAdmission: noAdmission}, nil)
+			rows, err := Overload(noAdmission)
 			return tabulate(rows, err, RenderOverload, func(rows []OverloadRow) error { return CheckOverload(rows, 0.7) })
 		}},
 	{"durable", "durable execution: engine crash replays the journal, node kill reads replicas", 40,
 		func(n int, _ bool) (ScenarioResult, error) {
-			rows, err := Durable(DurableSpec{Invocations: n}, nil)
+			rows, err := Durable(n)
 			return tabulate(rows, err, RenderDurable, CheckDurable)
 		}},
 	{"fastpath", "data-plane fast path: direct passing, pre-warm, memoization vs the store-hop baseline", 20,
 		func(n int, _ bool) (ScenarioResult, error) {
-			rows, err := FastPath(FastPathSpec{Invocations: n}, nil)
+			rows, err := FastPath(n)
 			return tabulate(rows, err, RenderFastPath, CheckFastPath)
 		}},
 	{"federation", "engine federation: rolling member kills fail over by lease expiry and journal handoff", 24,
 		func(n int, _ bool) (ScenarioResult, error) {
-			rows, err := Federation(FederationSpec{Invocations: n}, nil)
+			rows, err := Federation(n)
 			return tabulate(rows, err, RenderFederation, CheckFederation)
 		}},
 	{"tenants", "multi-tenant isolation: one noisy tenant at 10x fair share, zero starvation required", 0,
 		func(int, bool) (ScenarioResult, error) {
-			rows, err := Tenancy(TenancySpec{}, nil)
+			rows, err := Tenancy()
 			res, err := tabulate(rows, err, RenderTenancy, func(rows []TenancyRow) error { return CheckTenancy(rows, 0.9, 0.1) })
 			for _, r := range rows {
 				res.Summary = append(res.Summary, fmt.Sprintf(
@@ -110,14 +110,9 @@ func tabulate[R scenarioRow](rows []R, err error, render func([]R) *metrics.Tabl
 	return res, nil
 }
 
-// bothModes is every scenario's default mode list.
-var bothModes = []engine.Mode{engine.ModeWorkerSP, engine.ModeMasterSP}
-
-// sweep runs one per mode × variant, mode-major; no modes means both.
-func sweep[V, R any](modes []engine.Mode, variants []V, one func(engine.Mode, V) (R, error)) ([]R, error) {
-	if len(modes) == 0 {
-		modes = bothModes
-	}
+// sweep runs one per mode × variant, mode-major, WorkerSP first.
+func sweep[V, R any](variants []V, one func(engine.Mode, V) (R, error)) ([]R, error) {
+	modes := []engine.Mode{engine.ModeWorkerSP, engine.ModeMasterSP}
 	rows := make([]R, 0, len(modes)*len(variants))
 	for _, mode := range modes {
 		for _, v := range variants {

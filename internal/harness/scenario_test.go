@@ -6,6 +6,21 @@ import (
 	"repro/internal/engine"
 )
 
+// workerSP runs one per variant under WorkerSP only: the single-mode slice
+// of sweep, for tests that need not pay for MasterSP too.
+func workerSP[V, R any](t *testing.T, variants []V, one func(engine.Mode, V) (R, error)) []R {
+	t.Helper()
+	rows := make([]R, 0, len(variants))
+	for _, v := range variants {
+		row, err := one(engine.ModeWorkerSP, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
 // TestScenarioRegistry runs every registered scenario at a small n. Each
 // must pass its gate, and snapshot file names must be unique across the
 // whole registry, so one shared -snapshots directory never overwrites a

@@ -23,11 +23,6 @@ import (
 // untenanted stream achieves at the same offered rate (isolation costs
 // nothing). Fully deterministic: same spec, byte-identical snapshots.
 
-// TenancySpec configures one noisy-neighbor run. It has no settable
-// field: the scenario runs at fixed size, on the overload scenario's
-// bench, deadline, queue depth and probe.
-type TenancySpec struct{}
-
 // Tenancy scenario constants, sized for a CI smoke run.
 const (
 	// tenancyWindow is the arrival window, longer than the overload one:
@@ -92,26 +87,30 @@ func tenantNames() []string {
 // probe runs once per mode and fixes every tenant's fair share; the tenancy
 // run and the single-tenant reference each get a fresh testbed so they are
 // independent.
-func Tenancy(spec TenancySpec, modes []engine.Mode) ([]TenancyRow, error) {
-	return sweep(modes, []TenancySpec{spec}, func(mode engine.Mode, _ TenancySpec) (TenancyRow, error) {
-		sat, err := overloadSaturation(mode)
-		if err != nil {
-			return TenancyRow{}, err
-		}
-		row, err := tenancyOne(mode, sat)
-		if err != nil {
-			return TenancyRow{}, err
-		}
-		// Single-tenant reference: one untenanted admitted stream at the
-		// same aggregate offered rate, same admission rate and cap — the
-		// goodput a non-isolated front door achieves with the same demand.
-		ref, err := overloadOne(mode, sat, row.AggRate/sat, tenancyWindow, true)
-		if err != nil {
-			return TenancyRow{}, err
-		}
-		row.RefGoodput = ref.Goodput
-		return row, nil
-	})
+func Tenancy() ([]TenancyRow, error) {
+	return sweep([]struct{}{{}}, func(mode engine.Mode, _ struct{}) (TenancyRow, error) { return tenancyMode(mode) })
+}
+
+// tenancyMode runs the noisy-neighbor scenario and its single-tenant
+// reference under one mode.
+func tenancyMode(mode engine.Mode) (TenancyRow, error) {
+	sat, err := overloadSaturation(mode)
+	if err != nil {
+		return TenancyRow{}, err
+	}
+	row, err := tenancyOne(mode, sat)
+	if err != nil {
+		return TenancyRow{}, err
+	}
+	// Single-tenant reference: one untenanted admitted stream at the
+	// same aggregate offered rate, same admission rate and cap — the
+	// goodput a non-isolated front door achieves with the same demand.
+	ref, err := overloadOne(mode, sat, row.AggRate/sat, tenancyWindow, true)
+	if err != nil {
+		return TenancyRow{}, err
+	}
+	row.RefGoodput = ref.Goodput
+	return row, nil
 }
 
 func tenancyOne(mode engine.Mode, satRate float64) (TenancyRow, error) {

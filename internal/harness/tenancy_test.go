@@ -8,14 +8,13 @@ import (
 )
 
 func TestTenancyNoisyNeighborGate(t *testing.T) {
-	rows, err := Tenancy(TenancySpec{}, []engine.Mode{engine.ModeWorkerSP})
+	row, err := tenancyMode(engine.ModeWorkerSP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckTenancy(rows, 0.9, 0.1); err != nil {
+	if err := CheckTenancy([]TenancyRow{row}, 0.9, 0.1); err != nil {
 		t.Fatalf("zero-starvation gate tripped: %v", err)
 	}
-	row := rows[0]
 	if len(row.Tenants) != 21 {
 		t.Fatalf("tenant count = %d, want 21", len(row.Tenants))
 	}
@@ -49,11 +48,11 @@ func TestTenancyNoisyNeighborGate(t *testing.T) {
 
 func TestTenancySameSeedSnapshotsIdentical(t *testing.T) {
 	run := func() []byte {
-		rows, err := Tenancy(TenancySpec{}, []engine.Mode{engine.ModeWorkerSP})
+		row, err := tenancyMode(engine.ModeWorkerSP)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := rows[0].Snapshot.Marshal()
+		data, err := row.Snapshot.Marshal()
 		if err != nil {
 			t.Fatal(err)
 		}

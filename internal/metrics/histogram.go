@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"time"
 )
 
 // Histogram is a fixed-size exponential-bucket distribution: bucket i
@@ -93,9 +92,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveDuration records a duration in seconds (the Prometheus base unit).
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
 // Count reports the number of observations.
 func (h *Histogram) Count() uint64 { return h.count }
 
@@ -115,9 +111,6 @@ func (h *Histogram) Min() float64 { return h.min }
 
 // Max reports the largest observed value (0 when empty).
 func (h *Histogram) Max() float64 { return h.max }
-
-// Buckets reports the finite upper bounds (aliased; do not mutate).
-func (h *Histogram) Buckets() []float64 { return h.bounds }
 
 // Quantile estimates the q-quantile (0 <= q <= 1) as the upper bound of
 // the bucket holding the nearest-rank sample — an over-estimate by at most

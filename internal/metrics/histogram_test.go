@@ -4,16 +4,15 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestHistogramBucketing(t *testing.T) {
 	h := NewHistogram(0.001, 2, 10) // bounds 1ms, 2ms, ..., 512ms
-	if got := len(h.Buckets()); got != 10 {
+	if got := len(h.bounds); got != 10 {
 		t.Fatalf("bucket count = %d, want 10", got)
 	}
 	// One sample per finite bucket, exactly at its upper bound (inclusive).
-	for _, ub := range h.Buckets() {
+	for _, ub := range h.bounds {
 		h.Observe(ub)
 	}
 	h.Observe(10) // overflow
@@ -43,7 +42,7 @@ func TestHistogramBucketing(t *testing.T) {
 func TestHistogramEdges(t *testing.T) {
 	h := NewHistogram(0.5, 1.7, 24)
 	ref := func(v float64) int {
-		b := h.Buckets()
+		b := h.bounds
 		for i, ub := range b {
 			if v <= ub {
 				return i
@@ -52,7 +51,7 @@ func TestHistogramEdges(t *testing.T) {
 		return len(b)
 	}
 	vals := []float64{0.1, 0.5, 0.500001, 1.3}
-	for _, ub := range h.Buckets() {
+	for _, ub := range h.bounds {
 		vals = append(vals, ub, math.Nextafter(ub, 0), math.Nextafter(ub, math.MaxFloat64))
 	}
 	vals = append(vals, 1e12)
@@ -65,7 +64,7 @@ func TestHistogramEdges(t *testing.T) {
 
 func TestHistogramExposition(t *testing.T) {
 	h := NewHistogram(0.25, 2, 3) // bounds 0.25, 0.5, 1
-	h.ObserveDuration(100 * time.Millisecond)
+	h.Observe(0.1)
 	h.Observe(0.5)
 	h.Observe(0.75)
 	h.Observe(3)

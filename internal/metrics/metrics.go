@@ -75,22 +75,6 @@ func (r *Recorder) Percentile(q float64) time.Duration {
 // P99 is shorthand for Percentile(0.99).
 func (r *Recorder) P99() time.Duration { return r.Percentile(0.99) }
 
-// Stddev reports the population standard deviation of the samples
-// (0 with fewer than two samples).
-func (r *Recorder) Stddev() time.Duration {
-	n := len(r.samples)
-	if n < 2 {
-		return 0
-	}
-	mean := float64(r.Mean())
-	var ss float64
-	for _, s := range r.samples {
-		d := float64(s) - mean
-		ss += d * d
-	}
-	return time.Duration(math.Sqrt(ss / float64(n)))
-}
-
 // Clamp caps every recorded sample at limit — the paper's 60 s execution
 // timeout handling ("the end-to-end latency is marked the 60s").
 func (r *Recorder) Clamp(limit time.Duration) {
@@ -114,13 +98,6 @@ func (r *Recorder) TimeoutRate(limit time.Duration) float64 {
 		}
 	}
 	return float64(n) / float64(len(r.samples))
-}
-
-// Samples returns a copy of the raw samples.
-func (r *Recorder) Samples() []time.Duration {
-	out := make([]time.Duration, len(r.samples))
-	copy(out, r.samples)
-	return out
 }
 
 // Table renders rows of labeled values as an aligned plain-text table.

@@ -92,16 +92,6 @@ func TestTimeoutRateEmpty(t *testing.T) {
 	}
 }
 
-func TestSamplesCopy(t *testing.T) {
-	var r Recorder
-	r.Add(time.Second)
-	s := r.Samples()
-	s[0] = 0
-	if r.Max() != time.Second {
-		t.Fatal("Samples returned a live reference")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("bench", "latency")
 	tb.AddRow("Cyc", "1.234s")
@@ -180,7 +170,7 @@ func TestClampProperty(t *testing.T) {
 			r.Add(time.Duration(v % 2000))
 		}
 		r.Clamp(limit)
-		s := r.Samples()
+		s := append([]time.Duration(nil), r.samples...)
 		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 		for _, v := range s {
 			if v > limit {
@@ -216,41 +206,14 @@ func TestPercentileDoesNotReorderSamples(t *testing.T) {
 	if got := r.Percentile(0.5); got != 3 {
 		t.Fatalf("p50 = %v; want 3", got)
 	}
-	for i, d := range r.Samples() {
+	for i, d := range r.samples {
 		if d != in[i] {
-			t.Fatalf("samples reordered after Percentile: %v; want %v", r.Samples(), in)
+			t.Fatalf("samples reordered after Percentile: %v; want %v", r.samples, in)
 		}
 	}
 	// Cache must invalidate on Add.
 	r.Add(0)
 	if got := r.Percentile(0); got != 0 {
 		t.Fatalf("min after Add = %v; want 0", got)
-	}
-}
-
-func TestStddev(t *testing.T) {
-	var r Recorder
-	if r.Stddev() != 0 {
-		t.Fatal("stddev of empty recorder")
-	}
-	r.Add(10)
-	if r.Stddev() != 0 {
-		t.Fatal("stddev of single sample")
-	}
-	// Samples 2,4,4,4,5,5,7,9 → population stddev 2 (textbook example).
-	r2 := Recorder{}
-	for _, v := range []time.Duration{2, 4, 4, 4, 5, 5, 7, 9} {
-		r2.Add(v)
-	}
-	if got := r2.Stddev(); got != 2 {
-		t.Fatalf("stddev = %v; want 2", got)
-	}
-	// Identical samples → 0.
-	r3 := Recorder{}
-	for i := 0; i < 5; i++ {
-		r3.Add(42 * time.Millisecond)
-	}
-	if got := r3.Stddev(); got != 0 {
-		t.Fatalf("stddev of constant samples = %v; want 0", got)
 	}
 }

@@ -121,13 +121,8 @@ func indexEvents(events []Event) map[int64]*invTrace {
 	return traces
 }
 
-// AnalyzeInvocation walks one completed invocation's event graph and
-// attributes its latency. It errors when the log holds no completed
-// invocation with that ID.
-func AnalyzeInvocation(l *TraceLog, inv int64) (*Breakdown, error) {
-	return analyzeTrace(indexEvents(l.Events())[inv], inv)
-}
-
+// analyzeTrace walks one completed invocation's event graph and
+// attributes its latency.
 func analyzeTrace(t *invTrace, inv int64) (*Breakdown, error) {
 	if t == nil || !t.hasEnd {
 		return nil, fmt.Errorf("obs: invocation %d has no recorded completion", inv)

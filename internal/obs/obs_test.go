@@ -107,11 +107,21 @@ func synthLog() *TraceLog {
 	return l
 }
 
-func TestAnalyzeSyntheticExact(t *testing.T) {
-	bd, err := AnalyzeInvocation(synthLog(), 0)
+// analyzeOnly attributes the log's one completed invocation.
+func analyzeOnly(t *testing.T, l *TraceLog) *Breakdown {
+	t.Helper()
+	bds, err := AnalyzeAll(l)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(bds) != 1 {
+		t.Fatalf("%d breakdowns, want 1", len(bds))
+	}
+	return bds[0]
+}
+
+func TestAnalyzeSyntheticExact(t *testing.T) {
+	bd := analyzeOnly(t, synthLog())
 	if bd.Total != 110*time.Nanosecond {
 		t.Fatalf("total = %v", bd.Total)
 	}
@@ -142,10 +152,7 @@ func TestAnalyzeGapFallsToQueue(t *testing.T) {
 		{Comp: CompSchedule, Start: 100, End: 110},
 	}})
 	l.Record(InvocationEvent{Inv: 0, End: true, At: 110})
-	bd, err := AnalyzeInvocation(l, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bd := analyzeOnly(t, l)
 	if bd.Sum() != bd.Total {
 		t.Fatalf("sum %v != total %v", bd.Sum(), bd.Total)
 	}
@@ -157,9 +164,17 @@ func TestAnalyzeGapFallsToQueue(t *testing.T) {
 	}
 }
 
+// TestAnalyzeMissingInvocation: an invocation with no recorded completion
+// gets no breakdown.
 func TestAnalyzeMissingInvocation(t *testing.T) {
-	if _, err := AnalyzeInvocation(NewTraceLog(), 7); err == nil {
-		t.Fatal("want error for unknown invocation")
+	l := NewTraceLog()
+	l.Record(InvocationEvent{Inv: 7, At: 0})
+	bds, err := AnalyzeAll(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bds) != 0 {
+		t.Fatalf("incomplete invocation analyzed: %+v", bds[0])
 	}
 }
 

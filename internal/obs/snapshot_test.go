@@ -235,3 +235,18 @@ func TestCollectorGaugesZeroAcrossReset(t *testing.T) {
 		t.Errorf("counter lost on ZeroGauges:\n%s", text)
 	}
 }
+
+// FuzzParseSnapshot: ParseSnapshot never panics on a malformed snapshot;
+// errors are the only acceptable failure mode. The seed carries every
+// event kind.
+func FuzzParseSnapshot(f *testing.F) {
+	data, err := BuildSnapshot(fullLog(), map[string]string{"system": "test"}).Marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add([]byte(`{"events": [{"kind": "nope", "ev": {}}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _ = ParseSnapshot(data)
+	})
+}

@@ -472,14 +472,6 @@ type InvBottlenecks struct {
 	Hotspots []Hotspot `json:"hotspots"`
 }
 
-// Dominant reports the largest hotspot (zero value when empty).
-func (ib *InvBottlenecks) Dominant() Hotspot {
-	if len(ib.Hotspots) == 0 {
-		return Hotspot{}
-	}
-	return ib.Hotspots[0]
-}
-
 // hottest picks, among resources of the given kinds (optionally restricted
 // to a node set), the one with the highest duration-weighted mean
 // occupancy over the windows. Ties break by name for determinism.
@@ -593,14 +585,6 @@ type BottleneckSummary struct {
 	// modal resource — the resource most often responsible, weighted by
 	// attributed time — and its duration-weighted mean occupancy.
 	Hotspots []Hotspot `json:"hotspots"`
-}
-
-// Dominant reports the largest aggregated hotspot (zero value when empty).
-func (s BottleneckSummary) Dominant() Hotspot {
-	if len(s.Hotspots) == 0 {
-		return Hotspot{}
-	}
-	return s.Hotspots[0]
 }
 
 // String renders the summary as an aligned per-component table.

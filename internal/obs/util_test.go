@@ -214,12 +214,12 @@ func TestAttributeBottlenecks(t *testing.T) {
 	if byComp[CompSchedule].Resource != "" {
 		t.Fatalf("schedule hotspot = %+v; want no resource", byComp[CompSchedule])
 	}
-	if ib.Dominant().Comp != CompExec {
-		t.Fatalf("dominant = %+v; want exec", ib.Dominant())
+	if ib.Hotspots[0].Comp != CompExec {
+		t.Fatalf("dominant = %+v; want exec", ib.Hotspots[0])
 	}
 
 	sums := SummarizeBottlenecks(ibs)
-	if len(sums) != 1 || sums[0].Count != 1 || sums[0].Dominant().Comp != CompExec {
+	if len(sums) != 1 || sums[0].Count != 1 || sums[0].Hotspots[0].Comp != CompExec {
 		t.Fatalf("summaries = %+v", sums)
 	}
 	text := sums[0].String()

@@ -157,29 +157,6 @@ func BenchEngineDispatch(b *testing.B, mode engine.Mode, om ObsMode) {
 	benchInvocations(b, tb, d)
 }
 
-// controlBed builds the paper's 8-node testbed with Genome(50) deployed
-// under WorkerSP and no data movement: the §5.2 scheduling-overhead setup,
-// where only the sim kernel, engine dispatch and container Acquire work.
-func controlBed() (*harness.Testbed, *engine.Deployment, error) {
-	tb := harness.NewTestbed(harness.ClusterSpec{})
-	d, err := tb.Deploy(workloads.Genome(50), engine.Options{Mode: engine.ModeWorkerSP, Data: engine.DataNone})
-	if err != nil {
-		return nil, nil, err
-	}
-	return tb, d.Engine, nil
-}
-
-// BenchDispatchControl measures one warm Genome(50) WorkerSP invocation
-// with no data movement per op: the per-step cost of the simulator's
-// dispatch path, with allocs/op and events/op as its deterministic proxies.
-func BenchDispatchControl(b *testing.B) {
-	tb, d, err := controlBed()
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchInvocations(b, tb, d)
-}
-
 // storageBed builds the paper's 8-node testbed with Genome(50) deployed
 // under MasterSP with FaaStore off: every payload crosses the storage
 // node's link, the setup of bench's gen-storage-bound workload.
@@ -320,14 +297,4 @@ func microSuite() []microBench {
 		{"store/hybrid-remote", func(b *testing.B) { BenchStoreHybrid(b, false) }},
 		{"metrics/hist-observe", BenchMetricsHistogram},
 	}
-}
-
-// MicroNames lists the micro-suite benchmark identities in run order.
-func MicroNames() []string {
-	suite := microSuite()
-	out := make([]string, len(suite))
-	for i, mb := range suite {
-		out[i] = mb.name
-	}
-	return out
 }

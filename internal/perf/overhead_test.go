@@ -7,9 +7,11 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/harness"
 	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/workloads"
 )
 
 // Self-overhead accounting: the observability layer must be close to free
@@ -48,6 +50,30 @@ func TestDispatchObsIdleAddsNoAllocs(t *testing.T) {
 		t.Fatalf("obs-idle dispatch allocates %d more than obs-off (%d vs %d) — an unguarded publish site is boxing events nobody reads",
 			delta, idle, off)
 	}
+}
+
+// controlBed builds the paper's 8-node testbed with Genome(50) deployed
+// under WorkerSP and no data movement: the §5.2 scheduling-overhead setup,
+// where only the sim kernel, engine dispatch and container Acquire work.
+func controlBed() (*harness.Testbed, *engine.Deployment, error) {
+	tb := harness.NewTestbed(harness.ClusterSpec{})
+	d, err := tb.Deploy(workloads.Genome(50), engine.Options{Mode: engine.ModeWorkerSP, Data: engine.DataNone})
+	if err != nil {
+		return nil, nil, err
+	}
+	return tb, d.Engine, nil
+}
+
+// BenchmarkDispatchControl measures one warm Genome(50) WorkerSP
+// invocation with no data movement per op, the setup of bench's
+// gen-control workload: the per-step cost of the simulator's dispatch
+// path, with allocs/op and events/op as its deterministic proxies.
+func BenchmarkDispatchControl(b *testing.B) {
+	tb, d, err := controlBed()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchInvocations(b, tb, d)
 }
 
 // TestControlDispatchAllocs gates the allocation cost of the simulator's

@@ -232,16 +232,16 @@ func TestRunMacroDeterministic(t *testing.T) {
 }
 
 func TestMicroNamesStable(t *testing.T) {
-	names := MicroNames()
-	if len(names) < 8 {
-		t.Fatalf("micro suite shrank to %d entries", len(names))
+	suite := microSuite()
+	if len(suite) < 8 {
+		t.Fatalf("micro suite shrank to %d entries", len(suite))
 	}
 	seen := map[string]bool{}
-	for _, n := range names {
-		if seen[n] {
-			t.Fatalf("duplicate micro benchmark name %q", n)
+	for _, mb := range suite {
+		if seen[mb.name] {
+			t.Fatalf("duplicate micro benchmark name %q", mb.name)
 		}
-		seen[n] = true
+		seen[mb.name] = true
 	}
 	for _, want := range []string{"sim/event-kernel", "network/fair-share",
 		"engine/dispatch-workersp", "engine/dispatch-mastersp", "store/hybrid-local"} {
@@ -249,4 +249,27 @@ func TestMicroNamesStable(t *testing.T) {
 			t.Fatalf("micro suite lost %q", want)
 		}
 	}
+}
+
+// FuzzParseBench: ParseBench never panics on a malformed BENCH snapshot;
+// errors are the only acceptable failure mode.
+func FuzzParseBench(f *testing.F) {
+	data, err := snap(BenchResult{
+		Name:       "sim/event-kernel",
+		Iterations: 1000,
+		Metrics: []Metric{
+			timeMetric("ns/op", 125.5, false),
+			allocMetric("allocs/op", 1, TolAlloc),
+			domainMetric("events/op", 2, TolDomainLoose, false),
+		},
+	}).Marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add([]byte(`{"version": 99}`))
+	f.Add([]byte("not json"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _ = ParseBench(data)
+	})
 }

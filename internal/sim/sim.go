@@ -41,13 +41,12 @@ const MaxTime = Time(math.MaxInt64)
 // Event is a scheduled callback. The zero value is meaningless; callers
 // hold only the events they own, made with Env.NewEvent.
 type Event struct {
-	at       Time
-	seq      uint64
-	fn       func()
-	env      *Env
-	index    int // heap index, -1 when not queued
-	canceled bool
-	owned    bool // made by NewEvent: the kernel never recycles it
+	at    Time
+	seq   uint64
+	fn    func()
+	env   *Env
+	index int  // heap index, -1 when not queued
+	owned bool // made by NewEvent: the kernel never recycles it
 }
 
 // At reports the virtual instant the event will fire.
@@ -56,7 +55,6 @@ func (ev *Event) At() Time { return ev.at }
 // Cancel prevents the event from firing and removes it from the queue.
 // Canceling an already-fired or already-canceled event is a no-op.
 func (ev *Event) Cancel() {
-	ev.canceled = true
 	if ev.index >= 0 {
 		ev.env.queue.remove(ev.index)
 	}
@@ -65,10 +63,6 @@ func (ev *Event) Cancel() {
 // Queued reports whether the event is waiting in the queue: armed, and
 // neither fired nor canceled since.
 func (ev *Event) Queued() bool { return ev.index >= 0 }
-
-// Canceled reports whether Cancel was called on the event since it was
-// last scheduled.
-func (ev *Event) Canceled() bool { return ev.canceled }
 
 // before is the queue order: by instant, then by scheduling sequence. The
 // order is total, so firing order does not depend on the heap's shape.
@@ -243,7 +237,6 @@ func (e *Env) Reschedule(ev *Event, t Time) {
 	ev.at = t
 	ev.seq = e.nextSeq
 	e.nextSeq++
-	ev.canceled = false
 	if ev.index >= 0 {
 		e.queue.fix(ev.index)
 	} else {
@@ -310,13 +303,4 @@ func (e *Env) peek() (Time, bool) {
 		return 0, false
 	}
 	return e.queue[0].at, true
-}
-
-// NextAt reports the timestamp of the next pending event, or MaxTime when
-// the queue is empty.
-func (e *Env) NextAt() Time {
-	if t, ok := e.peek(); ok {
-		return t
-	}
-	return MaxTime
 }

@@ -284,3 +284,17 @@ func BenchmarkGenerate200(b *testing.B) {
 		}
 	}
 }
+
+// FuzzParse: Parse never panics on malformed trace JSON; errors are the
+// only acceptable failure mode.
+func FuzzParse(f *testing.F) {
+	data, err := sampleTrace().Marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add([]byte("not json"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _ = Parse(data)
+	})
+}

@@ -428,20 +428,16 @@ steps:
 	if err := wf.Graph.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Every leaf reachable from a.
+	// a is the only source of the acyclic graph, so every leaf is
+	// reachable from it, and every leaf drains into z, the only sink.
 	g := wf.Graph
 	a := nodeByName(t, g, "a")
 	z := nodeByName(t, g, "z")
-	for _, n := range g.Nodes() {
-		if n.ID == a.ID {
-			continue
-		}
-		if !g.Reachable(a.ID, n.ID) {
-			t.Fatalf("node %s unreachable from a", n.Name)
-		}
+	if src := g.Sources(); len(src) != 1 || src[0] != a.ID {
+		t.Fatalf("sources = %v, want only a (%d)", src, a.ID)
 	}
-	if !g.Reachable(a.ID, z.ID) {
-		t.Fatal("sink unreachable")
+	if snk := g.Sinks(); len(snk) != 1 || snk[0] != z.ID {
+		t.Fatalf("sinks = %v, want only z (%d)", snk, z.ID)
 	}
 }
 
@@ -452,4 +448,30 @@ func BenchmarkParseVideoWDL(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// FuzzParse: Parse never panics on malformed WDL; errors are the only
+// acceptable failure mode.
+func FuzzParse(f *testing.F) {
+	f.Add(videoWDL)
+	f.Add("")
+	f.Add("name: x\nsteps:\n  - name: a\n    function: f\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		_, _ = Parse(src)
+	})
+}
+
+// FuzzParseJSON: ParseJSON never panics on malformed JSON workflows.
+func FuzzParseJSON(f *testing.F) {
+	f.Add([]byte(`{"name": "jsonflow", "default_output": 500, "steps": [
+  {"name": "a", "function": "f1", "output": 100},
+  {"name": "p", "type": "parallel", "branches": [
+    {"steps": [{"name": "b", "function": "f2"}]},
+    {"steps": [{"name": "c", "function": "f3"}]}]},
+  {"name": "d", "function": "f4"}]}`))
+	f.Add([]byte("not json"))
+	f.Add([]byte(`[1,2]`))
+	f.Fuzz(func(t *testing.T, src []byte) {
+		_, _ = ParseJSON(src)
+	})
 }

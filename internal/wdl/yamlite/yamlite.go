@@ -419,21 +419,6 @@ func Int(m map[string]any, key string) (int64, bool) {
 	return 0, false
 }
 
-// Float extracts a numeric field from a parsed mapping.
-func Float(m map[string]any, key string) (float64, bool) {
-	v, ok := m[key]
-	if !ok {
-		return 0, false
-	}
-	switch n := v.(type) {
-	case int64:
-		return float64(n), true
-	case float64:
-		return n, true
-	}
-	return 0, false
-}
-
 // Seq extracts a sequence field from a parsed mapping.
 func Seq(m map[string]any, key string) ([]any, bool) {
 	v, ok := m[key]

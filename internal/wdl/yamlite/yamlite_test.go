@@ -257,11 +257,8 @@ func TestAccessors(t *testing.T) {
 	if i, ok := Int(m, "f"); !ok || i != 2 {
 		t.Fatal("Int on float failed")
 	}
-	if f, ok := Float(m, "f"); !ok || f != 2.5 {
-		t.Fatal("Float accessor failed")
-	}
-	if f, ok := Float(m, "i"); !ok || f != 4 {
-		t.Fatal("Float on int failed")
+	if m["f"] != 2.5 {
+		t.Fatalf("f parsed as %#v, want float64 2.5", m["f"])
 	}
 	if s, ok := Seq(m, "seq"); !ok || len(s) != 1 {
 		t.Fatal("Seq accessor failed")
@@ -488,21 +485,21 @@ steps:
 	}
 }
 
-// Property: Parse never panics, whatever bytes arrive (errors are the only
-// acceptable failure mode for malformed input).
-func TestParseNeverPanicsProperty(t *testing.T) {
-	f := func(raw []byte) (ok bool) {
-		defer func() {
-			if recover() != nil {
-				ok = false
-			}
-		}()
-		_, _ = Parse(string(raw))
-		return true
+// FuzzParse: Parse never panics, whatever bytes arrive (errors are the
+// only acceptable failure mode for malformed input). The seeds are the
+// documents and fragments the other tests parse.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"", "---\na: 1\n", "\n# only a comment\n",
+		"s: x\ni: 4\nf: 2.5\nseq: [1]\nsub:\n  k: v\n",
+		"a:\n  - x: 1\n    y: [1, 'two', \"three\"]\n  - - nested\n",
+		"a:", "- ", "x: 1", "\"q", "'s", "[1,", "]: ", "#c", "\ta: 1",
+	} {
+		f.Add(seed)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
+	f.Fuzz(func(t *testing.T, src string) {
+		_, _ = Parse(src)
+	})
 }
 
 // Property: structured junk (random printable lines with colons and

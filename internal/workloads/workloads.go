@@ -78,11 +78,6 @@ func (b *Benchmark) Validate() error {
 	return nil
 }
 
-// FaaSBytes predicts the bytes one invocation moves across the network
-// when every edge goes through the remote store: each payload is uploaded
-// once by its producer and downloaded once by its consumer.
-func (b *Benchmark) FaaSBytes() int64 { return 2 * b.Graph.TotalBytes() }
-
 // MemProfiles converts the function specs of the nodes in the graph into
 // FaaStore quota inputs (one entry per graph node, honoring foreach
 // widths as the Map(v) factor).
