@@ -227,11 +227,7 @@ func cmdReport(args []string) error {
 			return err
 		}
 		tb.Drive(harness.Client{Target: d.Invoke, Warmup: 1, N: *n})
-		bds, err := obs.AnalyzeAll(log)
-		if err != nil {
-			return err
-		}
-		s := obs.Summarize(bds)
+		s := obs.Summarize(obs.AnalyzeAll(log))
 		if *jsonOut {
 			comps := map[string]int64{}
 			for c, dur := range s.Mean {
@@ -314,13 +310,8 @@ func cmdUtil(args []string) error {
 		fmt.Printf("  %-24s %12.3g %12.3g %12.3g %5.1f%% %5.1f%%\n",
 			rs.Name, rs.Mean, rs.Peak, rs.P95, 100*rs.BusyFrac, 100*rs.MeanOcc)
 	}
-	log := snap.Log()
-	ibs, err := obs.AttributeBottlenecks(log, nil)
-	if err != nil {
-		return err
-	}
 	fmt.Println()
-	for _, s := range obs.SummarizeBottlenecks(ibs) {
+	for _, s := range obs.SummarizeBottlenecks(obs.AttributeBottlenecks(snap.Log())) {
 		fmt.Print(s.String())
 	}
 	return nil

@@ -100,12 +100,7 @@ func main() {
 		fmt.Printf("timeouts: %.1f%% of invocations hit the 60s deadline\n", stats.Timeouts*100)
 	}
 	if *report {
-		text, err := observer.ReportText()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "faasflow:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\n%s", text)
+		fmt.Printf("\n%s", observer.ReportText())
 	}
 	if *tracePath != "" {
 		data, err := observer.ChromeTrace()

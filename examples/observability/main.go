@@ -49,11 +49,7 @@ func main() {
 		name string
 		o    *faasflow.Observer
 	}{{"MasterSP", masterObs}, {"WorkerSP+FaaStore", workerObs}} {
-		sums, err := run.o.Bottlenecks()
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, s := range sums {
+		for _, s := range run.o.Bottlenecks() {
 			fmt.Printf("[%s] %s", run.name, s)
 		}
 	}

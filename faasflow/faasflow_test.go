@@ -342,10 +342,7 @@ func TestObserverReportAndTrace(t *testing.T) {
 		t.Fatal("attached observer saw nothing")
 	}
 
-	bds, err := o.Breakdowns()
-	if err != nil {
-		t.Fatal(err)
-	}
+	bds := o.Breakdowns()
 	// Run(3) does one warm-up pass plus 3 measured invocations.
 	if len(bds) != 4 {
 		t.Fatalf("breakdowns = %d; want 4", len(bds))
@@ -363,17 +360,11 @@ func TestObserverReportAndTrace(t *testing.T) {
 		}
 	}
 
-	rep, err := o.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := o.Report()
 	if rep.Count != 4 || rep.MeanTotal <= 0 || rep.Mean["exec"] <= 0 {
 		t.Fatalf("report = %+v", rep)
 	}
-	text, err := o.ReportText()
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := o.ReportText()
 	if !strings.Contains(text, "exec") {
 		t.Fatalf("report text missing exec:\n%s", text)
 	}

@@ -119,7 +119,7 @@ type Recovery struct {
 // FailureStats aggregates an app's failure and recovery counters.
 type FailureStats = engine.FailureStats
 
-// FailureStats reports the app's crash, timeout, re-issue, and re-placement
+// FailureStats reports the app's timeout, re-issue, and re-placement
 // counters so far. Federated apps aggregate across every member engine
 // (with Exhausted the sorted cross-member union).
 func (a *App) FailureStats() FailureStats {
@@ -129,8 +129,6 @@ func (a *App) FailureStats() FailureStats {
 	var out FailureStats
 	for _, id := range a.fed.MemberIDs() {
 		st := a.fed.Engine(id).FailureStatsSnapshot()
-		out.Crashes += st.Crashes
-		out.Retries += st.Retries
 		out.Timeouts += st.Timeouts
 		out.Reissues += st.Reissues
 		out.Replacements += st.Replacements

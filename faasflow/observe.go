@@ -116,16 +116,13 @@ func toBreakdown(b *obs.Breakdown) Breakdown {
 }
 
 // Breakdowns analyzes every completed invocation observed so far.
-func (o *Observer) Breakdowns() ([]Breakdown, error) {
-	bds, err := obs.AnalyzeAll(o.log)
-	if err != nil {
-		return nil, err
-	}
+func (o *Observer) Breakdowns() []Breakdown {
+	bds := obs.AnalyzeAll(o.log)
 	out := make([]Breakdown, len(bds))
 	for i, b := range bds {
 		out[i] = toBreakdown(b)
 	}
-	return out, nil
+	return out
 }
 
 // Report aggregates breakdowns into per-component mean attribution.
@@ -136,27 +133,19 @@ type Report struct {
 }
 
 // Report analyzes all completed invocations and averages the attribution.
-func (o *Observer) Report() (Report, error) {
-	bds, err := obs.AnalyzeAll(o.log)
-	if err != nil {
-		return Report{}, err
-	}
-	s := obs.Summarize(bds)
+func (o *Observer) Report() Report {
+	s := obs.Summarize(obs.AnalyzeAll(o.log))
 	mean := map[string]time.Duration{}
 	for c, d := range s.Mean {
 		mean[c.String()] = d
 	}
-	return Report{Count: s.Count, MeanTotal: s.MeanTotal, Mean: mean}, nil
+	return Report{Count: s.Count, MeanTotal: s.MeanTotal, Mean: mean}
 }
 
 // ReportText renders the attribution report as an aligned table sorted by
 // mean component time.
-func (o *Observer) ReportText() (string, error) {
-	bds, err := obs.AnalyzeAll(o.log)
-	if err != nil {
-		return "", err
-	}
-	return obs.Summarize(bds).String(), nil
+func (o *Observer) ReportText() string {
+	return obs.Summarize(obs.AnalyzeAll(o.log)).String()
 }
 
 // ResourceUtilization is one resource's condensed occupancy timeline: mean,
@@ -178,12 +167,8 @@ type BottleneckSummary = obs.BottleneckSummary
 
 // Bottlenecks joins every completed invocation's critical path with
 // resource saturation and aggregates per (workflow, mode).
-func (o *Observer) Bottlenecks() ([]BottleneckSummary, error) {
-	ibs, err := obs.AttributeBottlenecks(o.log, nil)
-	if err != nil {
-		return nil, err
-	}
-	return obs.SummarizeBottlenecks(ibs), nil
+func (o *Observer) Bottlenecks() []BottleneckSummary {
+	return obs.SummarizeBottlenecks(obs.AttributeBottlenecks(o.log))
 }
 
 // Snapshot is a flight-recorder artifact: the full event log, per-workflow

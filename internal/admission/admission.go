@@ -128,9 +128,6 @@ type Stats struct {
 	RejectedConcurrency int64
 }
 
-// Rejected sums rejections across reasons.
-func (s Stats) Rejected() int64 { return s.RejectedRate + s.RejectedConcurrency }
-
 // TenantStats is one tenant's slice of the lifetime counters. Weight and
 // the effective limits are echoed so surfaces (gateway /tenants) can render
 // the configuration next to the counters.
@@ -489,17 +486,6 @@ func (a *Controller) Live() int {
 		return 0
 	}
 	return a.live
-}
-
-// TenantLive reports a tenant's admitted workflows currently in flight.
-func (a *Controller) TenantLive(tenant string) int {
-	if a == nil {
-		return 0
-	}
-	if ts := a.tenants[tenant]; ts != nil {
-		return ts.live
-	}
-	return 0
 }
 
 // Stats returns a snapshot of lifetime counters.

@@ -123,12 +123,12 @@ func TestTenantConcurrencyCapAndRelease(t *testing.T) {
 	if !errors.As(err, &aerr) || aerr.Reason != "tenant-concurrency" || aerr.Tenant != "t" {
 		t.Fatalf("rejection = %#v, want tenant-concurrency for t", err)
 	}
-	if a.TenantLive("t") != 1 || a.Live() != 1 {
-		t.Fatalf("live = %d/%d, want 1/1", a.TenantLive("t"), a.Live())
+	if a.tenants["t"].live != 1 || a.Live() != 1 {
+		t.Fatalf("live = %d/%d, want 1/1", a.tenants["t"].live, a.Live())
 	}
 	release()
-	if a.TenantLive("t") != 0 || a.Live() != 0 {
-		t.Fatalf("post-release live = %d/%d, want 0/0", a.TenantLive("t"), a.Live())
+	if a.tenants["t"].live != 0 || a.Live() != 0 {
+		t.Fatalf("post-release live = %d/%d, want 0/0", a.tenants["t"].live, a.Live())
 	}
 	// The closure is idempotent: a double release must not underflow.
 	release()

@@ -499,12 +499,6 @@ func NewNode(env *sim.Env, id string, cfg Config) *Node {
 	}
 }
 
-// ID reports the node's identifier.
-func (n *Node) ID() string { return n.id }
-
-// Config reports the node's configuration.
-func (n *Node) Config() Config { return n.cfg }
-
 // Stats returns a snapshot of lifetime counters. CPUBusy includes the work
 // in-flight tasks have done so far; reading it changes no simulation state.
 func (n *Node) Stats() NodeStats {
@@ -515,9 +509,6 @@ func (n *Node) Stats() NodeStats {
 	}
 	return st
 }
-
-// MemUsed reports bytes currently held by containers.
-func (n *Node) MemUsed() int64 { return n.memUsed }
 
 // Containers reports the number of live containers.
 func (n *Node) Containers() int { return n.containers }
@@ -550,17 +541,6 @@ func (n *Node) ScaleOf(fn string) (current, peak int) {
 	return 0, 0
 }
 
-// Capacity reports how many more containers this node can host, limited by
-// DRAM not yet reserved by containers or reclaimed by FaaStore. This is the
-// Cap[node] input to the grouping algorithm.
-func (n *Node) Capacity() int {
-	free := n.cfg.DRAM - n.memUsed - n.reclaimed
-	if free < 0 {
-		return 0
-	}
-	return int(free / n.cfg.ContainerMem)
-}
-
 // Reclaim transfers bytes of node DRAM to FaaStore's in-memory store
 // (positive) or returns them (negative). It fails when the node cannot
 // cover the request with free memory.
@@ -579,28 +559,6 @@ func (n *Node) Reclaim(bytes int64) error {
 		n.pumpAll()
 	}
 	return nil
-}
-
-// Acquire obtains a container for fn, calling ready with the container and
-// whether the acquisition was a cold start. Warm reuse completes on the
-// next event tick; cold start pays Config.ColdStart; when the function is
-// at its scale limit or the node is out of memory, the request queues until
-// a container frees up. Queued requests are served weighted-fair across
-// tenants and strictly in arrival order within a tenant; with no
-// tenant-labelled requests that is exact FIFO — a new request never jumps
-// ahead of queued waiters.
-//
-// If the node fails (Fail) before the request is served — or has already
-// failed — ready is called with a nil container; callers must treat that as
-// an aborted acquisition and recover elsewhere. Acquire ignores
-// Config.MaxQueueDepth and deadlines; AcquireOpts is the bounded variant.
-func (n *Node) Acquire(fn string, ready func(c *Container, cold bool)) {
-	if ready == nil {
-		panic("cluster: Acquire with nil callback")
-	}
-	n.acquire(fn, AcquireOptions{unbounded: true}, func(c *Container, cold bool, err error) {
-		ready(c, cold)
-	})
 }
 
 // AcquireOptions tunes one AcquireOpts request.
@@ -624,24 +582,25 @@ type AcquireOptions struct {
 	// bounds each tenant's queue separately. "" joins the untenanted queue
 	// (weight 1).
 	Tenant string
-
-	// unbounded marks legacy Acquire calls, which predate MaxQueueDepth
-	// and keep the historical never-shed semantics.
-	unbounded bool
 }
 
-// AcquireOpts is Acquire with overload controls: the request is shed with
-// ErrQueueFull when the function's waiting queue is at Config.MaxQueueDepth,
-// withdrawn with ErrDeadline when still queued at opts.Deadline, and aborted
-// with ErrNodeDown by node failure. On success err is nil and c non-nil.
+// AcquireOpts obtains a container for fn and calls ready with it and
+// whether the acquisition was a cold start. Warm reuse completes on the
+// next event tick; cold start pays Config.ColdStart; when the function is
+// at its scale limit or the node is out of memory, the request queues until
+// a container frees up. Queued requests are served weighted-fair across
+// tenants and strictly in arrival order within a tenant; with no
+// tenant-labelled requests that is exact FIFO — a new request never jumps
+// ahead of queued waiters.
+//
+// The request is shed with ErrQueueFull when the function's waiting queue
+// is at Config.MaxQueueDepth, withdrawn with ErrDeadline when still queued
+// at opts.Deadline, and aborted with ErrNodeDown by node failure (before
+// or after it queued). On success err is nil and c non-nil.
 func (n *Node) AcquireOpts(fn string, opts AcquireOptions, ready func(c *Container, cold bool, err error)) {
 	if ready == nil {
 		panic("cluster: AcquireOpts with nil callback")
 	}
-	n.acquire(fn, opts, ready)
-}
-
-func (n *Node) acquire(fn string, opts AcquireOptions, ready func(c *Container, cold bool, err error)) {
 	if n.failed {
 		n.env.Schedule(0, func() { ready(nil, false, ErrNodeDown) })
 		return
@@ -679,7 +638,7 @@ func (n *Node) acquire(fn string, opts AcquireOptions, ready func(c *Container, 
 	if !p.q.contains(w) {
 		return
 	}
-	if !opts.unbounded && n.cfg.MaxQueueDepth > 0 && p.q.tenantLen(w.tenant) > n.cfg.MaxQueueDepth {
+	if n.cfg.MaxQueueDepth > 0 && p.q.tenantLen(w.tenant) > n.cfg.MaxQueueDepth {
 		// Backpressure: shedding the newcomer (the tail of its tenant's
 		// FIFO) keeps order for everyone already standing, and the depth
 		// bound is per tenant, so one tenant's backlog cannot shed another's
@@ -717,7 +676,7 @@ func (n *Node) expireWaiter(fn string, w *waiter) {
 
 // pump serves fn's waiting queue front-first while resources allow: warm
 // reuse, then cold start under the scale limit and free node memory. It is
-// the single wakeup path shared by Acquire, Destroy, evict, Reclaim, and
+// the single wakeup path shared by AcquireOpts, evict, Reclaim, and
 // Recover, so any freed slot or memory re-examines the queue.
 // dropFenced fails front-of-queue waiters whose epoch fence now rejects
 // them — an ownership change while queued must not be rewarded with a
@@ -808,35 +767,6 @@ func (n *Node) pumpAll() {
 	}
 }
 
-// Prewarm creates up to count warm containers for fn ahead of traffic (the
-// §7 prewarm-pool strategy). It reports how many were actually created —
-// fewer when the per-function limit or node memory intervenes. Prewarmed
-// containers pay the cold start now, sit warm, and age out after the
-// keep-alive window like any other.
-func (n *Node) Prewarm(fn string, count int) int {
-	if n.failed {
-		return 0
-	}
-	created := 0
-	for i := 0; i < count; i++ {
-		p := n.pools[fn]
-		if p == nil {
-			p = newFnPool(n)
-			n.pools[fn] = p
-		}
-		if p.total >= n.cfg.PerFnLimit || n.memUsed+n.cfg.ContainerMem+n.reclaimed > n.cfg.DRAM {
-			break
-		}
-		created++
-		n.Acquire(fn, func(c *Container, cold bool) {
-			if c != nil {
-				n.Release(c)
-			}
-		})
-	}
-	return created
-}
-
 // Release returns a container after an invocation. If requests are queued
 // for the function, the container is handed over immediately; otherwise it
 // goes warm and expires after the keep-alive window.
@@ -868,34 +798,9 @@ func (n *Node) Release(c *Container) {
 	n.pubContainer(c.Fn, obs.ContainerReleased)
 }
 
-// Destroy removes a container immediately (crashed sandboxes, red-black
-// recycling of out-of-date sub-graph versions). The freed slot and memory
-// wake queued Acquire waiters — for this function and for any pool queued
-// on node memory.
-func (n *Node) Destroy(c *Container) {
-	if c.dead {
-		return // lost to a node failure; already accounted
-	}
-	if c.expiry != nil {
-		c.expiry.Cancel()
-	}
-	p := n.pools[c.Fn]
-	if c.idle {
-		for i, w := range p.warm {
-			if w == c {
-				p.warm = append(p.warm[:i], p.warm[i+1:]...)
-				break
-			}
-		}
-	}
-	n.freeContainer(c)
-	n.pubContainer(c.Fn, obs.ContainerDestroyed)
-	n.pumpAll()
-}
-
 func (n *Node) evict(c *Container) {
 	if !c.idle {
-		return // re-acquired before expiry fired (defensive; Acquire cancels)
+		return // re-acquired before expiry fired (defensive; AcquireOpts cancels)
 	}
 	p := n.pools[c.Fn]
 	for i, w := range p.warm {
@@ -921,7 +826,7 @@ func (n *Node) freeContainer(c *Container) {
 
 // Fail models the node crashing: every container (warm or busy) is
 // destroyed, in-flight Exec work is killed (the done callbacks never fire),
-// and queued Acquire waiters are aborted with a nil container. The node
+// and queued AcquireOpts waiters are aborted with ErrNodeDown. The node
 // rejects new work until Recover is called; warm pools restart cold.
 func (n *Node) Fail() {
 	if n.failed {

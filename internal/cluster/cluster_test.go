@@ -29,6 +29,13 @@ func tenantQueued(n *Node, tenant string) int {
 	return total
 }
 
+// acquire requests a container with no overload controls and hands ready
+// the outcome; a refused request (node down, queue full) arrives as a nil
+// container.
+func acquire(n *Node, fn string, ready func(c *Container, cold bool)) {
+	n.AcquireOpts(fn, AcquireOptions{}, func(c *Container, cold bool, _ error) { ready(c, cold) })
+}
+
 func smallConfig() Config {
 	return Config{
 		Cores:        2,
@@ -64,10 +71,10 @@ func TestColdStartThenWarmReuse(t *testing.T) {
 	var first, second *Container
 	var firstCold, secondCold bool
 	var firstAt, secondAt sim.Time
-	n.Acquire("f", func(c *Container, cold bool) {
+	acquire(n, "f", func(c *Container, cold bool) {
 		first, firstCold, firstAt = c, cold, env.Now()
 		n.Release(c)
-		n.Acquire("f", func(c2 *Container, cold2 bool) {
+		acquire(n, "f", func(c2 *Container, cold2 bool) {
 			second, secondCold, secondAt = c2, cold2, env.Now()
 		})
 	})
@@ -99,7 +106,7 @@ func TestPerFunctionScaleLimitQueues(t *testing.T) {
 	acquired := 0
 	var held []*Container
 	for i := 0; i < 5; i++ {
-		n.Acquire("f", func(c *Container, cold bool) {
+		acquire(n, "f", func(c *Container, cold bool) {
 			acquired++
 			held = append(held, c)
 		})
@@ -128,21 +135,21 @@ func TestNodeMemoryLimitsContainers(t *testing.T) {
 	acquired := 0
 	for i := 0; i < 6; i++ {
 		fn := string(rune('a' + i)) // distinct functions
-		n.Acquire(fn, func(c *Container, cold bool) { acquired++ })
+		acquire(n, fn, func(c *Container, cold bool) { acquired++ })
 	}
 	env.Run()
 	if acquired != 4 {
 		t.Fatalf("acquired = %d, want 4 (DRAM limit)", acquired)
 	}
-	if n.Capacity() != 0 {
-		t.Fatalf("Capacity = %d, want 0", n.Capacity())
+	if free := n.cfg.DRAM - n.memUsed - n.reclaimed; free >= n.cfg.ContainerMem {
+		t.Fatalf("%d bytes free, room for another container", free)
 	}
 }
 
 func TestKeepAliveEviction(t *testing.T) {
 	env := sim.NewEnv()
 	n := NewNode(env, "w1", smallConfig())
-	n.Acquire("f", func(c *Container, cold bool) { n.Release(c) })
+	acquire(n, "f", func(c *Container, cold bool) { n.Release(c) })
 	env.Run()
 	if n.Containers() != 0 {
 		t.Fatalf("containers = %d after keep-alive, want 0", n.Containers())
@@ -150,19 +157,19 @@ func TestKeepAliveEviction(t *testing.T) {
 	if n.Stats().Evictions != 1 {
 		t.Fatalf("evictions = %d", n.Stats().Evictions)
 	}
-	if n.MemUsed() != 0 {
-		t.Fatalf("memUsed = %d after eviction", n.MemUsed())
+	if n.memUsed != 0 {
+		t.Fatalf("memUsed = %d after eviction", n.memUsed)
 	}
 }
 
 func TestReacquireBeforeExpiryCancelsEviction(t *testing.T) {
 	env := sim.NewEnv()
 	n := NewNode(env, "w1", smallConfig())
-	n.Acquire("f", func(c *Container, cold bool) {
+	acquire(n, "f", func(c *Container, cold bool) {
 		n.Release(c)
 		// Re-acquire at 5s, hold past the original 10s expiry.
 		env.Schedule(5*time.Second, func() {
-			n.Acquire("f", func(c2 *Container, cold2 bool) {
+			acquire(n, "f", func(c2 *Container, cold2 bool) {
 				env.Schedule(20*time.Second, func() { n.Release(c2) })
 			})
 		})
@@ -178,19 +185,23 @@ func TestReacquireBeforeExpiryCancelsEviction(t *testing.T) {
 }
 
 func TestDestroyWarmContainer(t *testing.T) {
+	// A node failure destroys a warm container: nothing is left behind and
+	// its canceled keep-alive expiry must not fire on freed state.
 	env := sim.NewEnv()
 	n := NewNode(env, "w1", smallConfig())
-	var held *Container
-	n.Acquire("f", func(c *Container, cold bool) {
-		n.Release(c)
-		held = c
-	})
+	acquire(n, "f", func(c *Container, cold bool) { n.Release(c) })
 	env.RunUntil(sim.Time(time.Second))
-	n.Destroy(held)
+	if n.WarmContainers("f") != 1 {
+		t.Fatalf("warm = %d, want 1", n.WarmContainers("f"))
+	}
+	n.Fail()
 	if n.Containers() != 0 || n.WarmContainers("f") != 0 {
 		t.Fatal("destroy left container behind")
 	}
-	env.Run() // the canceled expiry event must not fire on freed state
+	env.Run()
+	if n.Stats().Evictions != 0 {
+		t.Fatal("destroyed container's expiry fired")
+	}
 }
 
 func TestExecSingleTask(t *testing.T) {
@@ -285,8 +296,8 @@ func TestReclaim(t *testing.T) {
 		t.Fatalf("Reclaimed = %d", n.reclaimed)
 	}
 	// Capacity shrinks: (1GB - 512MB)/256MB = 2.
-	if n.Capacity() != 2 {
-		t.Fatalf("Capacity = %d, want 2", n.Capacity())
+	if room := (n.cfg.DRAM - n.memUsed - n.reclaimed) / n.cfg.ContainerMem; room != 2 {
+		t.Fatalf("room for %d containers, want 2", room)
 	}
 	if err := n.Reclaim(600 << 20); err == nil {
 		t.Fatal("over-reclaim accepted")
@@ -303,11 +314,11 @@ func TestReclaimBlocksContainerCreation(t *testing.T) {
 	env := sim.NewEnv()
 	n := NewNode(env, "w1", smallConfig())
 	cfgMem := smallConfig().ContainerMem
-	if err := n.Reclaim(n.Config().DRAM - cfgMem + 1); err != nil {
+	if err := n.Reclaim(n.cfg.DRAM - cfgMem + 1); err != nil {
 		t.Fatal(err)
 	}
 	acquired := 0
-	n.Acquire("f", func(c *Container, cold bool) { acquired++ })
+	acquire(n, "f", func(c *Container, cold bool) { acquired++ })
 	env.Run()
 	if acquired != 0 {
 		t.Fatal("container created despite reclaimed memory")
@@ -319,7 +330,7 @@ func TestScaleOfTracksPeak(t *testing.T) {
 	n := NewNode(env, "w1", smallConfig())
 	var held []*Container
 	for i := 0; i < 3; i++ {
-		n.Acquire("f", func(c *Container, cold bool) { held = append(held, c) })
+		acquire(n, "f", func(c *Container, cold bool) { held = append(held, c) })
 	}
 	env.Run()
 	cur, peak := n.ScaleOf("f")
@@ -341,7 +352,7 @@ func TestReleaseWrongNodePanics(t *testing.T) {
 	n1 := NewNode(env, "w1", smallConfig())
 	n2 := NewNode(env, "w2", smallConfig())
 	var c *Container
-	n1.Acquire("f", func(cc *Container, cold bool) { c = cc })
+	acquire(n1, "f", func(cc *Container, cold bool) { c = cc })
 	env.Run()
 	defer func() {
 		if recover() == nil {
@@ -391,7 +402,7 @@ func TestContainerAccountingProperty(t *testing.T) {
 		for i := 0; i < 60; i++ {
 			if rng.Float64() < 0.6 {
 				fn := fns[rng.Intn(len(fns))]
-				n.Acquire(fn, func(c *Container, cold bool) { live = append(live, c) })
+				acquire(n, fn, func(c *Container, cold bool) { live = append(live, c) })
 			} else if len(live) > 0 {
 				i := rng.Intn(len(live))
 				c := live[i]
@@ -399,10 +410,10 @@ func TestContainerAccountingProperty(t *testing.T) {
 				n.Release(c)
 			}
 			env.RunUntil(env.Now() + sim.Time(200*time.Millisecond))
-			if int64(n.Containers())*cfg.ContainerMem != n.MemUsed() {
+			if int64(n.Containers())*cfg.ContainerMem != n.memUsed {
 				ok = false
 			}
-			if n.MemUsed() > cfg.DRAM {
+			if n.memUsed > cfg.DRAM {
 				ok = false
 			}
 			for _, fn := range fns {
@@ -423,7 +434,7 @@ func BenchmarkAcquireReleaseWarm(b *testing.B) {
 	n := NewNode(env, "w1", DefaultConfig())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		n.Acquire("f", func(c *Container, cold bool) { n.Release(c) })
+		acquire(n, "f", func(c *Container, cold bool) { n.Release(c) })
 		env.RunUntil(env.Now() + sim.Time(time.Millisecond))
 	}
 }
@@ -440,20 +451,32 @@ func BenchmarkExecContention(b *testing.B) {
 	}
 }
 
+// warm asks for count containers of fn at once and releases each as it
+// arrives, the way the engine's DAG-lookahead pre-warm fills a pool
+// ahead of a step; it reports how many were granted by the end of the
+// window.
+func warm(env *sim.Env, n *Node, fn string, count int, window sim.Time) int {
+	granted := 0
+	for i := 0; i < count; i++ {
+		acquire(n, fn, func(c *Container, cold bool) {
+			granted++
+			n.Release(c)
+		})
+	}
+	env.RunUntil(window)
+	return granted
+}
+
 func TestPrewarm(t *testing.T) {
 	env := sim.NewEnv()
 	n := NewNode(env, "w1", smallConfig()) // limit 3/fn
-	created := n.Prewarm("f", 5)
-	if created != 3 {
-		t.Fatalf("Prewarm created %d, want 3 (per-function limit)", created)
-	}
-	env.RunUntil(sim.Time(time.Second))
+	warm(env, n, "f", 3, sim.Time(time.Second))
 	if n.WarmContainers("f") != 3 {
 		t.Fatalf("warm = %d after prewarm", n.WarmContainers("f"))
 	}
 	// The next acquisition must be a warm reuse, not a cold start.
 	cold := true
-	n.Acquire("f", func(c *Container, isCold bool) {
+	acquire(n, "f", func(c *Container, isCold bool) {
 		cold = isCold
 		n.Release(c)
 	})
@@ -468,8 +491,8 @@ func TestPrewarmRespectsMemory(t *testing.T) {
 	cfg := smallConfig()
 	cfg.PerFnLimit = 100 // DRAM is the constraint: 1GB/256MB = 4
 	n := NewNode(env, "w1", cfg)
-	if created := n.Prewarm("f", 10); created != 4 {
-		t.Fatalf("Prewarm created %d, want 4 (DRAM limit)", created)
+	warm(env, n, "f", 10, sim.Time(time.Second))
+	if got := n.Containers(); got != 4 {
+		t.Fatalf("prewarm created %d containers, want 4 (DRAM limit)", got)
 	}
-	env.RunUntil(sim.Time(time.Second))
 }

@@ -23,15 +23,16 @@ func tightConfig() Config {
 
 // TestDestroyWakesMemoryWaiters is the deadlock regression test: a waiter
 // queued on node memory (not the per-function scale limit) must be served
-// when Destroy frees a slot. The pre-fix pool only handed containers over
-// on Release — Destroy freed the memory and returned, leaving the waiter
-// queued forever.
+// when a destroyed container frees its slot — here keep-alive eviction of
+// a released one, which releases memory without a hand-over. A pool that
+// only handed containers over on Release would leave the waiter queued
+// forever.
 func TestDestroyWakesMemoryWaiters(t *testing.T) {
 	env := sim.NewEnv()
 	n := NewNode(env, "w1", tightConfig())
 	var held []*Container
 	for i := 0; i < 4; i++ {
-		n.Acquire("a", func(c *Container, cold bool) { held = append(held, c) })
+		acquire(n, "a", func(c *Container, cold bool) { held = append(held, c) })
 	}
 	env.Run()
 	if len(held) != 4 {
@@ -39,7 +40,7 @@ func TestDestroyWakesMemoryWaiters(t *testing.T) {
 	}
 	// Memory is full: a different function's acquire must queue.
 	servedB := false
-	n.Acquire("b", func(c *Container, cold bool) {
+	acquire(n, "b", func(c *Container, cold bool) {
 		if c == nil {
 			t.Fatal("waiter aborted")
 		}
@@ -49,10 +50,10 @@ func TestDestroyWakesMemoryWaiters(t *testing.T) {
 	if servedB {
 		t.Fatal("acquire of b succeeded despite full memory")
 	}
-	n.Destroy(held[0])
+	n.Release(held[0]) // no waiter for a: it goes warm, then expires
 	env.Run()
 	if !servedB {
-		t.Fatal("deadlock: Destroy freed memory but the queued waiter was never served")
+		t.Fatal("deadlock: eviction freed memory but the queued waiter was never served")
 	}
 }
 
@@ -69,11 +70,11 @@ func TestReclaimReleaseWakesMemoryWaiters(t *testing.T) {
 	}
 	var held []*Container
 	for i := 0; i < 3; i++ {
-		n.Acquire("a", func(c *Container, cold bool) { held = append(held, c) })
+		acquire(n, "a", func(c *Container, cold bool) { held = append(held, c) })
 	}
 	env.Run()
 	served := false
-	n.Acquire("b", func(c *Container, cold bool) { served = true })
+	acquire(n, "b", func(c *Container, cold bool) { served = true })
 	env.Run()
 	if served {
 		t.Fatal("acquire of b succeeded despite exhausted memory")
@@ -96,12 +97,12 @@ func TestAcquireFIFO(t *testing.T) {
 	cfg.PerFnLimit = 1
 	n := NewNode(env, "w1", cfg)
 	var holder *Container
-	n.Acquire("f", func(c *Container, cold bool) { holder = c })
+	acquire(n, "f", func(c *Container, cold bool) { holder = c })
 	env.Run()
 
 	var order []string
 	wait := func(name string) {
-		n.Acquire("f", func(c *Container, cold bool) {
+		acquire(n, "f", func(c *Container, cold bool) {
 			order = append(order, name)
 			n.Release(c)
 		})
@@ -124,25 +125,25 @@ func TestAcquireFIFO(t *testing.T) {
 }
 
 // TestDestroyWakesOtherPools verifies the wakeup crosses function pools:
-// destroying function a's containers must serve waiters queued on node
-// memory under functions b and c.
+// destroying (evicting) function a's containers must serve waiters queued
+// on node memory under functions b and c.
 func TestDestroyWakesOtherPools(t *testing.T) {
 	env := sim.NewEnv()
 	n := NewNode(env, "w1", tightConfig())
 	var held []*Container
 	for i := 0; i < 4; i++ {
-		n.Acquire("a", func(c *Container, cold bool) { held = append(held, c) })
+		acquire(n, "a", func(c *Container, cold bool) { held = append(held, c) })
 	}
 	env.Run()
 	got := map[string]bool{}
-	n.Acquire("b", func(c *Container, cold bool) { got["b"] = c != nil })
-	n.Acquire("c", func(c *Container, cold bool) { got["c"] = c != nil })
+	acquire(n, "b", func(c *Container, cold bool) { got["b"] = c != nil })
+	acquire(n, "c", func(c *Container, cold bool) { got["c"] = c != nil })
 	env.Run()
 	if len(got) != 0 {
 		t.Fatalf("waiters served despite full memory: %v", got)
 	}
-	n.Destroy(held[0])
-	n.Destroy(held[1])
+	n.Release(held[0])
+	n.Release(held[1])
 	env.Run()
 	if !got["b"] || !got["c"] {
 		t.Fatalf("cross-pool wakeup failed: %v", got)
@@ -157,7 +158,7 @@ func TestNodeFailAbortsAndRecovers(t *testing.T) {
 	env := sim.NewEnv()
 	n := NewNode(env, "w1", tightConfig())
 	var held *Container
-	n.Acquire("a", func(c *Container, cold bool) { held = c })
+	acquire(n, "a", func(c *Container, cold bool) { held = c })
 	env.Run()
 
 	execDone := false
@@ -165,9 +166,9 @@ func TestNodeFailAbortsAndRecovers(t *testing.T) {
 
 	aborted := false
 	for i := 0; i < 3; i++ {
-		n.Acquire("a", func(c *Container, cold bool) { _ = c })
+		acquire(n, "a", func(c *Container, cold bool) { _ = c })
 	}
-	n.Acquire("b", func(c *Container, cold bool) {
+	acquire(n, "b", func(c *Container, cold bool) {
 		if c != nil {
 			t.Fatal("queued acquire got a container from a dead node")
 		}
@@ -188,21 +189,20 @@ func TestNodeFailAbortsAndRecovers(t *testing.T) {
 	if st.Failures != 1 {
 		t.Fatalf("Failures = %d, want 1", st.Failures)
 	}
-	if n.Containers() != 0 || n.MemUsed() != 0 {
-		t.Fatalf("dead node still accounts containers=%d mem=%d", n.Containers(), n.MemUsed())
+	if n.Containers() != 0 || n.memUsed != 0 {
+		t.Fatalf("dead node still accounts containers=%d mem=%d", n.Containers(), n.memUsed)
 	}
 
-	// Dead containers are inert: releasing or destroying one must not
-	// disturb the (zeroed) accounting.
+	// Dead containers are inert: releasing one must not disturb the
+	// (zeroed) accounting.
 	n.Release(held)
-	n.Destroy(held)
-	if n.Containers() != 0 || n.MemUsed() != 0 {
-		t.Fatal("dead container release/destroy changed accounting")
+	if n.Containers() != 0 || n.memUsed != 0 {
+		t.Fatal("dead container release changed accounting")
 	}
 
 	// While failed, acquires abort immediately.
 	sawAbort := false
-	n.Acquire("a", func(c *Container, cold bool) { sawAbort = c == nil })
+	acquire(n, "a", func(c *Container, cold bool) { sawAbort = c == nil })
 	env.Run()
 	if !sawAbort {
 		t.Fatal("acquire on failed node did not abort")
@@ -210,7 +210,7 @@ func TestNodeFailAbortsAndRecovers(t *testing.T) {
 
 	n.Recover()
 	var cold2 bool
-	n.Acquire("a", func(c *Container, cold bool) { cold2 = cold })
+	acquire(n, "a", func(c *Container, cold bool) { cold2 = cold })
 	env.Run()
 	if !cold2 {
 		t.Fatal("post-recovery acquire was not a fresh cold start")

@@ -55,33 +55,12 @@ func TestBoundedQueueSheds(t *testing.T) {
 	}
 }
 
-func TestLegacyAcquireIgnoresBound(t *testing.T) {
-	env := sim.NewEnv()
-	cfg := smallConfig()
-	cfg.MaxQueueDepth = 1
-	n := NewNode(env, "w1", cfg)
-	got := 0
-	for i := 0; i < 6; i++ {
-		n.Acquire("f", func(c *Container, cold bool) {
-			got++
-			n.Release(c)
-		})
-	}
-	env.Run()
-	if got != 6 {
-		t.Fatalf("legacy Acquire served %d of 6 (bound must not apply)", got)
-	}
-	if n.Stats().Shed != 0 {
-		t.Fatalf("legacy Acquire shed %d requests", n.Stats().Shed)
-	}
-}
-
 func TestAcquireDeadlineExpiresQueuedWaiter(t *testing.T) {
 	env := sim.NewEnv()
 	n := NewNode(env, "w1", smallConfig()) // limit 3
 	var held []*Container
 	for i := 0; i < 3; i++ {
-		n.Acquire("f", func(c *Container, cold bool) { held = append(held, c) })
+		acquire(n, "f", func(c *Container, cold bool) { held = append(held, c) })
 	}
 	var deadlined bool
 	var deadlinedAt sim.Time
@@ -168,7 +147,7 @@ func TestFailAbortsDeadlineWaiters(t *testing.T) {
 	n := NewNode(env, "w1", smallConfig())
 	var held []*Container
 	for i := 0; i < 3; i++ {
-		n.Acquire("f", func(c *Container, cold bool) { held = append(held, c) })
+		acquire(n, "f", func(c *Container, cold bool) { held = append(held, c) })
 	}
 	var got error
 	n.AcquireOpts("f", AcquireOptions{Deadline: sim.Time(time.Hour)},
@@ -221,7 +200,7 @@ func TestBusyContainersAccessor(t *testing.T) {
 	env := sim.NewEnv()
 	n := NewNode(env, "w1", smallConfig())
 	var c1 *Container
-	n.Acquire("f", func(c *Container, cold bool) { c1 = c })
+	acquire(n, "f", func(c *Container, cold bool) { c1 = c })
 	env.Run()
 	if n.Containers() != 1 || n.WarmContainers("f") != 0 {
 		t.Fatalf("live %d warm %d while held, want 1 and 0", n.Containers(), n.WarmContainers("f"))

@@ -22,7 +22,7 @@ func wfqNode(env *sim.Env, depth int) *Node {
 func holdContainer(t *testing.T, env *sim.Env, n *Node) *Container {
 	t.Helper()
 	var held *Container
-	n.Acquire("f", func(c *Container, cold bool) { held = c })
+	acquire(n, "f", func(c *Container, cold bool) { held = c })
 	env.Run()
 	if held == nil {
 		t.Fatal("holder did not acquire")

@@ -20,9 +20,9 @@ func TestWarmReuseNewestFirstOldestEvicts(t *testing.T) {
 	env := sim.NewEnv()
 	n := NewNode(env, "w1", smallConfig()) // KeepAlive 10s
 	var c1, c2, c3 *Container
-	n.Acquire("f", func(c *Container, cold bool) { c1 = c })
-	n.Acquire("f", func(c *Container, cold bool) { c2 = c })
-	n.Acquire("f", func(c *Container, cold bool) { c3 = c })
+	acquire(n, "f", func(c *Container, cold bool) { c1 = c })
+	acquire(n, "f", func(c *Container, cold bool) { c2 = c })
+	acquire(n, "f", func(c *Container, cold bool) { c3 = c })
 	env.Run()
 	if c1 == nil || c2 == nil || c3 == nil {
 		t.Fatal("not all containers acquired")
@@ -34,7 +34,7 @@ func TestWarmReuseNewestFirstOldestEvicts(t *testing.T) {
 	env.Schedule(3*time.Second, func() { n.Release(c3) })
 	var reused *Container
 	env.Schedule(4*time.Second, func() {
-		n.Acquire("f", func(c *Container, cold bool) {
+		acquire(n, "f", func(c *Container, cold bool) {
 			if cold {
 				t.Error("reuse was cold despite 3 warm containers")
 			}
@@ -68,8 +68,8 @@ func TestWarmReuseNewestFirstOldestEvicts(t *testing.T) {
 	if n.Stats().Evictions != 3 {
 		t.Fatalf("evictions = %d, want 3", n.Stats().Evictions)
 	}
-	if n.MemUsed() != 0 {
-		t.Fatalf("memUsed = %d after full drain", n.MemUsed())
+	if n.memUsed != 0 {
+		t.Fatalf("memUsed = %d after full drain", n.memUsed)
 	}
 }
 
@@ -88,15 +88,15 @@ func TestReclaimAdmissionPressure(t *testing.T) {
 		t.Fatalf("Reclaim: %v", err)
 	}
 	checkBudget := func() {
-		if n.MemUsed()+n.reclaimed > cfg.DRAM {
+		if n.memUsed+n.reclaimed > cfg.DRAM {
 			t.Fatalf("over-commit at %v: memUsed %d + reclaimed %d > DRAM %d",
-				env.Now(), n.MemUsed(), n.reclaimed, cfg.DRAM)
+				env.Now(), n.memUsed, n.reclaimed, cfg.DRAM)
 		}
 	}
 	var held []*Container
 	acquired := 0
 	for i := 0; i < 6; i++ {
-		n.Acquire("f", func(c *Container, cold bool) {
+		acquire(n, "f", func(c *Container, cold bool) {
 			acquired++
 			held = append(held, c)
 			checkBudget()
@@ -136,8 +136,8 @@ func TestReclaimAdmissionPressure(t *testing.T) {
 	if heldContainers(n) != 0 || n.QueuedAcquires() != 0 {
 		t.Fatalf("busy = %d queued = %d after drain", heldContainers(n), n.QueuedAcquires())
 	}
-	if n.MemUsed() != 0 {
-		t.Fatalf("memUsed = %d after keep-alive drain", n.MemUsed())
+	if n.memUsed != 0 {
+		t.Fatalf("memUsed = %d after keep-alive drain", n.memUsed)
 	}
 }
 
@@ -158,10 +158,10 @@ func TestReclaimSustainedChurn(t *testing.T) {
 	for i := 0; i < want; i++ {
 		i := i
 		env.Schedule(time.Duration(i)*50*time.Millisecond, func() {
-			n.Acquire("f", func(c *Container, cold bool) {
-				if n.MemUsed()+n.reclaimed > cfg.DRAM {
+			acquire(n, "f", func(c *Container, cold bool) {
+				if n.memUsed+n.reclaimed > cfg.DRAM {
 					t.Errorf("over-commit: memUsed %d + reclaimed %d > DRAM %d",
-						n.MemUsed(), n.reclaimed, cfg.DRAM)
+						n.memUsed, n.reclaimed, cfg.DRAM)
 				}
 				served++
 				env.Schedule(120*time.Millisecond, func() { n.Release(c) })
@@ -186,7 +186,7 @@ func TestReclaimSustainedChurn(t *testing.T) {
 	if heldContainers(n) != 0 || n.QueuedAcquires() != 0 {
 		t.Fatalf("busy = %d queued = %d after churn", heldContainers(n), n.QueuedAcquires())
 	}
-	if n.MemUsed() != 0 {
-		t.Fatalf("memUsed = %d after evictions", n.MemUsed())
+	if n.memUsed != 0 {
+		t.Fatalf("memUsed = %d after evictions", n.memUsed)
 	}
 }

@@ -275,7 +275,7 @@ func (d *Deployment) redispatchStep(inv *invocation, id dag.NodeID, committed ma
 			d.pubStep(inv, id, obs.StepReplayed)
 			pre := d.chainProc(d.replaySeg(comp, replayFrom, s.enq), s)
 			sendAt := d.rt.Env.Now()
-			d.rt.Fabric.SendMsg(d.rt.Master, inv.place[id], d.opts.AssignMsgBytes, func() {
+			d.rt.Fabric.SendMsg(d.rt.Master, inv.place[id], assignMsgBytes, func() {
 				d.wspTrigger(inv, id, from, d.chainTransfer(pre, sendAt, d.rt.Env.Now()))
 			})
 		})

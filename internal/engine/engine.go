@@ -68,6 +68,14 @@ const (
 	DataStore
 )
 
+// Control-message sizes on the fabric.
+const (
+	// stateMsgBytes is the size of a cross-worker state-update message.
+	stateMsgBytes = 256
+	// assignMsgBytes is the size of a MasterSP task-assignment message.
+	assignMsgBytes = 1024
+)
+
 // Options tunes engine cost constants. Zero values take defaults.
 type Options struct {
 	Mode Mode
@@ -77,41 +85,28 @@ type Options struct {
 	MasterProc time.Duration
 	// WorkerProc is a worker engine's per-event processing time.
 	WorkerProc time.Duration
-	// StateMsgBytes is the size of a cross-worker state-update message.
-	StateMsgBytes int64
-	// AssignMsgBytes is the size of a MasterSP task-assignment message.
-	AssignMsgBytes int64
 	// NoJitter disables the ±15% per-task execution-time variation. The
 	// scheduling-overhead experiments (§5.2) use it: they compare
 	// end-to-end latency against the critical path's nominal execution
 	// time, so run-to-run compute variance would read as overhead.
 	NoJitter bool
-	// FailureRate injects container crashes: each executor attempt fails
-	// with this probability (deterministically, per attempt). Crashed
-	// containers are destroyed and the attempt retried up to MaxAttempts.
-	FailureRate float64
-	// MaxAttempts bounds executor attempts when FailureRate > 0
-	// (default 3, capped at 256). An executor that exhausts its attempts
-	// marks the invocation failed; the failure propagates like a skip so
-	// the workflow drains instead of hanging.
-	MaxAttempts int
 	// TaskTimeout bounds one executor attempt (container acquire through
 	// output store). When > 0, an attempt that has not completed within
 	// the window is abandoned and re-issued — the recovery path for tasks
 	// stranded on a node that died mid-flight. It must exceed the longest
 	// healthy task's end-to-end time or healthy work gets re-issued.
 	TaskTimeout time.Duration
-	// BackoffBase is the first retry/re-issue backoff delay; it doubles
-	// with each subsequent failure of the same executor, capped at
-	// BackoffMax. Zero (the default) disables backoff, preserving the
-	// immediate-retry behaviour of plain crash injection.
+	// BackoffBase is the first re-issue backoff delay; it doubles with
+	// each subsequent failure of the same executor, capped at BackoffMax.
+	// Zero (the default) re-issues immediately.
 	BackoffBase time.Duration
 	// BackoffMax caps exponential backoff (default 30s when BackoffBase is
 	// set).
 	BackoffMax time.Duration
 	// MaxReissues bounds fault-driven re-issues (timeouts, node deaths)
-	// per executor, separately from the crash-attempt budget (default 8).
-	// An executor that exhausts its re-issues marks the invocation failed.
+	// per executor (default 8). An executor that exhausts its re-issues
+	// marks the invocation failed; the failure propagates like a skip so
+	// the workflow drains instead of hanging.
 	MaxReissues int
 	// ExecScale, when non-nil, multiplies each task's execution time by
 	// the returned per-function factor at dispatch. Counterfactual
@@ -137,21 +132,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.WorkerProc == 0 {
 		o.WorkerProc = 1500 * time.Microsecond
-	}
-	if o.StateMsgBytes == 0 {
-		o.StateMsgBytes = 256
-	}
-	if o.AssignMsgBytes == 0 {
-		o.AssignMsgBytes = 1024
-	}
-	if o.FailureRate > 0 && o.MaxAttempts == 0 {
-		o.MaxAttempts = 3
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 1
-	}
-	if o.MaxAttempts > 256 {
-		o.MaxAttempts = 256
 	}
 	if o.MaxReissues <= 0 {
 		o.MaxReissues = 8
@@ -273,8 +253,6 @@ type Deployment struct {
 	// condition (not in this map) is the default branch.
 	conds         map[int]*expr.Expr
 	switchNode    map[dag.NodeID]bool
-	crashCount    int64
-	retryCount    int64
 	timeoutCount  int64
 	reissueCount  int64
 	replaceCount  int64
@@ -507,9 +485,6 @@ func (d *Deployment) Redeploy(place map[dag.NodeID]string) error {
 	d.version++
 	return nil
 }
-
-// Version reports the current red-black deployment version.
-func (d *Deployment) Version() int { return d.version }
 
 // Result describes one completed invocation.
 type Result struct {
@@ -829,13 +804,13 @@ func (d *Deployment) runTask(inv *invocation, id dag.NodeID, onDone func(failed 
 		}
 	}
 	if node.Width == 1 {
-		d.startAttempt(inv, id, 0, 1, 0, &execState{}, complete)
+		d.startAttempt(inv, id, 0, 0, &execState{}, complete)
 		return
 	}
 	j := &join{pending: node.Width, complete: complete}
 	done := j.done
 	for replica := 0; replica < node.Width; replica++ {
-		d.startAttempt(inv, id, replica, 1, 0, &execState{}, done)
+		d.startAttempt(inv, id, replica, 0, &execState{}, done)
 	}
 }
 
@@ -853,19 +828,6 @@ func (j *join) done(failed bool) {
 	if j.pending == 0 {
 		j.complete(j.failed)
 	}
-}
-
-// crashes decides deterministically whether this attempt fails. The seed
-// mixes the full (invocation, node, replica, attempt) tuple through
-// splitmix rounds so nearby tuples — high attempt counts, wide foreach
-// fan-outs — never collide or correlate.
-func (d *Deployment) crashes(inv *invocation, id dag.NodeID, replica, attemptN int) bool {
-	if d.opts.FailureRate <= 0 {
-		return false
-	}
-	seed := sim.Mix(uint64(inv.id), uint64(id), uint64(replica), uint64(attemptN), 0xdeadbeef)
-	r := sim.NewRand(seed)
-	return r.Float64() < d.opts.FailureRate
 }
 
 // ErrReissuesExhausted reports an executor that burned its entire fault
@@ -886,8 +848,6 @@ func (e *ErrReissuesExhausted) Error() string {
 
 // FailureStats aggregates the deployment's failure and recovery counters.
 type FailureStats struct {
-	Crashes           int64 // injected container crashes
-	Retries           int64 // crash-budget retries
 	Timeouts          int64 // executor attempts abandoned by the task timeout
 	Reissues          int64 // fault-driven re-issues (timeouts + node deaths)
 	Replacements      int64 // tasks re-placed off dead nodes
@@ -906,8 +866,6 @@ func (d *Deployment) FailureStatsSnapshot() FailureStats {
 	exhausted := make([]ErrReissuesExhausted, len(d.exhausted))
 	copy(exhausted, d.exhausted)
 	return FailureStats{
-		Crashes:           d.crashCount,
-		Retries:           d.retryCount,
 		Timeouts:          d.timeoutCount,
 		Reissues:          d.reissueCount,
 		Replacements:      d.replaceCount,
@@ -1041,11 +999,13 @@ func (c *cursor) advance() {
 // store issues the next output operation, or finishes. A dead deadline (or
 // an engine crash) stops issuing further output puts; downstream consumers
 // drain as skips / are re-dispatched by replay and never depend on the
-// missing keys.
+// missing keys. So does a finished invocation (no sinks left): a stale
+// attempt still storing when its step failed must not write keys after
+// the invocation released them.
 func (c *cursor) store() {
 	d, inv := c.d, c.inv
 	outs := d.outputs[c.id]
-	if c.i == len(outs) || d.deadlineExceeded(inv) || inv.abandoned {
+	if c.i == len(outs) || d.deadlineExceeded(inv) || inv.abandoned || inv.sinksLeft == 0 {
 		c.finish()
 		return
 	}

@@ -2,12 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dag"
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/workloads"
@@ -22,7 +24,7 @@ func rig(nWorkers int, storageBW network.Bandwidth) *Runtime {
 // rigMems is rig that also hands back each worker's in-memory store.
 func rigMems(nWorkers int, storageBW network.Bandwidth) (*Runtime, map[string]*store.MemKV) {
 	env := sim.NewEnv()
-	fab := network.New(env, network.DefaultConfig())
+	fab := network.New(env)
 	fab.AddNode("master", storageBW, storageBW)
 	nodes := map[string]*cluster.Node{}
 	mems := map[string]*store.MemKV{}
@@ -40,6 +42,33 @@ func rigMems(nWorkers int, storageBW network.Bandwidth) (*Runtime, map[string]*s
 		Store:  store.NewHybrid(remote, mems, false),
 		Master: "master",
 	}, mems
+}
+
+// watchRemote records every key the run reads or writes in the remote
+// store. The returned function, called after the run, probes each with a
+// Get and returns those the store still holds.
+func watchRemote(rt *Runtime) func() []string {
+	keys := map[string]bool{}
+	bus := obs.NewBus()
+	bus.Subscribe(func(ev obs.Event) {
+		if se, ok := ev.(obs.StoreEvent); ok && se.Tier == obs.TierRemote {
+			keys[se.Key] = true
+		}
+	})
+	rt.Store.SetBus(bus)
+	return func() []string {
+		var held []string
+		for key := range keys {
+			rt.Store.Remote().Get("w0", key, func(_ int64, ok bool) {
+				if ok {
+					held = append(held, key)
+				}
+			})
+		}
+		rt.Env.Run()
+		sort.Strings(held)
+		return held
+	}
 }
 
 // miniBench is a 4-node diamond: a -> {b, c} -> d with 1 MB payloads.
@@ -178,9 +207,10 @@ func TestDataGCAfterInvocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	leaked := watchRemote(rt)
 	run(t, rt, d)
-	if n := rt.Store.Remote().Len(); n != 0 {
-		t.Fatalf("%d keys leaked in remote store", n)
+	if keys := leaked(); len(keys) != 0 {
+		t.Fatalf("%d keys leaked in remote store: %v", len(keys), keys)
 	}
 	for _, w := range []string{"w0", "w1"} {
 		if used := mems[w].Used(); used != 0 {
@@ -275,12 +305,13 @@ func TestVirtualNodesResolveDataflow(t *testing.T) {
 	if len(d.outputs[aID]) != 1 || len(d.outputs[aID][0].consumers) != 2 {
 		t.Fatalf("a outputs = %+v, want 1 edge with 2 consumers", d.outputs[aID])
 	}
+	leaked := watchRemote(rt)
 	res := run(t, rt, d)
 	if res.Latency() <= 0 {
 		t.Fatal("virtual-marker workflow did not complete")
 	}
-	if rt.Store.Remote().Len() != 0 {
-		t.Fatal("keys leaked")
+	if keys := leaked(); len(keys) != 0 {
+		t.Fatalf("keys leaked: %v", keys)
 	}
 }
 
@@ -306,6 +337,7 @@ func TestConcurrentInvocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	leaked := watchRemote(rt)
 	const n = 20
 	completed := 0
 	ids := map[int64]bool{}
@@ -325,8 +357,8 @@ func TestConcurrentInvocations(t *testing.T) {
 	if completed != n {
 		t.Fatalf("completed = %d, want %d", completed, n)
 	}
-	if rt.Store.Remote().Len() != 0 {
-		t.Fatal("keys leaked across concurrent invocations")
+	if keys := leaked(); len(keys) != 0 {
+		t.Fatalf("keys leaked across concurrent invocations: %v", keys)
 	}
 }
 
@@ -368,8 +400,8 @@ func TestRedeployVersioning(t *testing.T) {
 	if v0 != 0 || v1 != 1 {
 		t.Fatalf("versions = %d/%d, want 0/1", v0, v1)
 	}
-	if d.Version() != 1 {
-		t.Fatalf("Version = %d", d.Version())
+	if d.version != 1 {
+		t.Fatalf("Version = %d", d.version)
 	}
 	if d.liveNow != 0 {
 		t.Fatalf("%d invocations still live after the drain", d.liveNow)

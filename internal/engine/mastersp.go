@@ -142,7 +142,7 @@ func (a *assignment) marshal() {
 	}
 	a.segs = d.chainProc(a.segs, a.slot)
 	a.sentAt = d.rt.Env.Now()
-	d.rt.Fabric.SendMsg(d.rt.Master, a.worker, d.opts.AssignMsgBytes, a.arriveFn)
+	d.rt.Fabric.SendMsg(d.rt.Master, a.worker, assignMsgBytes, a.arriveFn)
 }
 
 // arrive queues the worker-side executor proxy's accept slot.
@@ -171,7 +171,7 @@ func (a *assignment) taskDone(failed bool) {
 	d := a.d
 	a.failed = failed
 	a.sentAt = d.rt.Env.Now()
-	d.rt.Fabric.SendMsg(a.worker, d.rt.Master, d.opts.StateMsgBytes, a.backFn)
+	d.rt.Fabric.SendMsg(a.worker, d.rt.Master, stateMsgBytes, a.backFn)
 }
 
 // back queues the master's completion slot.

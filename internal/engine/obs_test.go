@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/network"
 	"repro/internal/obs"
 )
@@ -12,6 +13,14 @@ import (
 // observe runs one invocation of bench under mode with a bus + trace log
 // attached and returns the log.
 func observe(t *testing.T, mode Mode, opts Options) (*obs.TraceLog, Result) {
+	t.Helper()
+	log, res, _ := observeFaults(t, mode, opts, nil)
+	return log, res
+}
+
+// observeFaults is observe with a fault schedule installed at time zero;
+// it also returns the deployment.
+func observeFaults(t *testing.T, mode Mode, opts Options, sched faults.Schedule) (*obs.TraceLog, Result, *Deployment) {
 	t.Helper()
 	rt := rig(2, network.MBps(50))
 	b := miniBench()
@@ -29,8 +38,11 @@ func observe(t *testing.T, mode Mode, opts Options) (*obs.TraceLog, Result) {
 	}
 	rt.Store.SetBus(bus)
 	d.SetObserver(bus)
+	if err := faults.NewInjector(rt.Env, rt.Nodes, rt.Fabric, rt.Store, bus).Install(sched); err != nil {
+		t.Fatal(err)
+	}
 	res := run(t, rt, d)
-	return log, res
+	return log, res, d
 }
 
 func analyze(t *testing.T, log *obs.TraceLog) *obs.Breakdown {
@@ -41,10 +53,7 @@ func analyze(t *testing.T, log *obs.TraceLog) *obs.Breakdown {
 // analyzeInv attributes invocation inv's latency through obs.AnalyzeAll.
 func analyzeInv(t *testing.T, log *obs.TraceLog, inv int64) *obs.Breakdown {
 	t.Helper()
-	bds, err := obs.AnalyzeAll(log)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bds := obs.AnalyzeAll(log)
 	for _, bd := range bds {
 		if bd.Inv == inv {
 			return bd
@@ -62,8 +71,12 @@ func checkExact(t *testing.T, bd *obs.Breakdown, res Result) {
 	if bd.Total != res.Latency() {
 		t.Fatalf("breakdown total %v != invocation latency %v", bd.Total, res.Latency())
 	}
-	if bd.Sum() != bd.Total {
-		t.Fatalf("component sum %v != total %v (by component: %v)", bd.Sum(), bd.Total, bd.ByComponent)
+	var sum time.Duration
+	for _, d := range bd.ByComponent {
+		sum += d
+	}
+	if sum != bd.Total {
+		t.Fatalf("component sum %v != total %v (by component: %v)", sum, bd.Total, bd.ByComponent)
 	}
 	if bd.Unattributed != 0 {
 		t.Fatalf("unattributed time %v; want 0 (by component: %v)", bd.Unattributed, bd.ByComponent)
@@ -77,8 +90,8 @@ func TestCritPathExactWorkerSP(t *testing.T) {
 	if bd.Mode != "WorkerSP" {
 		t.Fatalf("mode = %q", bd.Mode)
 	}
-	if bd.Component(obs.CompExec) < 200*time.Millisecond {
-		t.Fatalf("exec on critical path = %v; want >= 2 steps of 85ms+", bd.Component(obs.CompExec))
+	if bd.ByComponent[obs.CompExec] < 200*time.Millisecond {
+		t.Fatalf("exec on critical path = %v; want >= 2 steps of 85ms+", bd.ByComponent[obs.CompExec])
 	}
 	if len(bd.Path) == 0 || bd.Path[0] != "a" {
 		t.Fatalf("critical path %v; want to start at source a", bd.Path)
@@ -98,14 +111,14 @@ func TestCritPathMasterSPHasHigherControlOverhead(t *testing.T) {
 	wlog, _ := observe(t, ModeWorkerSP, Options{Data: DataNone, NoJitter: true})
 	mlog, _ := observe(t, ModeMasterSP, Options{Data: DataNone, NoJitter: true})
 	w, m := analyze(t, wlog), analyze(t, mlog)
-	wCtl := w.Component(obs.CompSchedule) + w.Component(obs.CompTransfer)
-	mCtl := m.Component(obs.CompSchedule) + m.Component(obs.CompTransfer)
+	wCtl := w.ByComponent[obs.CompSchedule] + w.ByComponent[obs.CompTransfer]
+	mCtl := m.ByComponent[obs.CompSchedule] + m.ByComponent[obs.CompTransfer]
 	if mCtl <= wCtl {
 		t.Fatalf("MasterSP control time %v <= WorkerSP %v", mCtl, wCtl)
 	}
-	if m.Component(obs.CompSchedule) <= w.Component(obs.CompSchedule) {
+	if m.ByComponent[obs.CompSchedule] <= w.ByComponent[obs.CompSchedule] {
 		t.Fatalf("MasterSP schedule %v <= WorkerSP %v",
-			m.Component(obs.CompSchedule), w.Component(obs.CompSchedule))
+			m.ByComponent[obs.CompSchedule], w.ByComponent[obs.CompSchedule])
 	}
 	if m.Total <= w.Total {
 		t.Fatalf("MasterSP total %v <= WorkerSP total %v", m.Total, w.Total)
@@ -131,13 +144,24 @@ func TestCritPathExactWithVirtualNodes(t *testing.T) {
 }
 
 func TestCritPathExactWithRetries(t *testing.T) {
-	// Crashed attempts re-run acquire/fetch/exec back-to-back; the walk
-	// must absorb them without leaving gaps.
-	log, res := observe(t, ModeWorkerSP, Options{Data: DataStore, FailureRate: 0.4, MaxAttempts: 5})
-	if res.Failed {
-		t.Skip("all retries exhausted under this seed; nothing to attribute")
+	// w1 dies for good while b runs on it: b is stranded, times out and
+	// is re-issued on w0, and d is re-placed there too. The recovery span
+	// must close the gap the abandoned attempt left on the critical path.
+	for _, mode := range []Mode{ModeWorkerSP, ModeMasterSP} {
+		log, res, d := observeFaults(t, mode, Options{Data: DataStore, TaskTimeout: time.Second},
+			faults.Schedule{{Kind: faults.NodeDown, Node: "w1", At: 1030 * time.Millisecond}})
+		if res.Failed {
+			t.Fatalf("%v: invocation failed; want recovery", mode)
+		}
+		if fs := d.FailureStatsSnapshot(); fs.Reissues == 0 {
+			t.Fatalf("%v: no re-issues: %+v", mode, fs)
+		}
+		bd := analyze(t, log)
+		checkExact(t, bd, res)
+		if bd.ByComponent[obs.CompRecovery] == 0 {
+			t.Fatalf("%v: no recovery time on the critical path: %v", mode, bd.ByComponent)
+		}
 	}
-	checkExact(t, analyze(t, log), res)
 }
 
 func TestCritPathExactUnderConcurrency(t *testing.T) {
@@ -159,13 +183,11 @@ func TestCritPathExactUnderConcurrency(t *testing.T) {
 		d.Invoke(func(r Result) { results[r.ID] = r })
 	}
 	rt.Env.Run()
-	invs := log.Invocations()
-	if len(invs) != 3 {
-		t.Fatalf("completed invocations = %v; want 3", invs)
+	if len(results) != 3 {
+		t.Fatalf("completed invocations = %d; want 3", len(results))
 	}
-	for _, inv := range invs {
-		bd := analyzeInv(t, log, inv)
-		checkExact(t, bd, results[inv])
+	for inv, res := range results {
+		checkExact(t, analyzeInv(t, log, inv), res)
 	}
 }
 

@@ -63,6 +63,7 @@ func TestEveryTaskRunsExactlyOnceProperty(t *testing.T) {
 			return false
 		}
 		evs := recordPhases(d)
+		leaked := watchRemote(rt)
 		completed := false
 		d.Invoke(func(Result) { completed = true })
 		rt.Env.Run()
@@ -78,7 +79,7 @@ func TestEveryTaskRunsExactlyOnceProperty(t *testing.T) {
 				return false
 			}
 		}
-		return rt.Store.Remote().Len() == 0
+		return len(leaked()) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

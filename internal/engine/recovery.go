@@ -20,25 +20,24 @@ import (
 // master when every predecessor's worker is dead too.
 
 // execState tracks one executor slot — (invocation, node, replica) — across
-// crash retries and fault re-issues. seq invalidates stale attempts: every
-// phase callback of an attempt re-checks that it is still the newest one,
-// so an attempt abandoned by a timeout can never complete the step twice.
+// fault re-issues. seq invalidates stale attempts: every phase callback of
+// an attempt re-checks that it is still the newest one, so an attempt
+// abandoned by a timeout can never complete the step twice.
 type execState struct {
 	seq      int
 	finished bool
 }
 
 // attempt is one executor attempt: container acquire → input fetch →
-// execute → (crash?) → output store → release, guarded by the task
-// timeout. Its methods are the phase callbacks — acquired, fetched,
-// executed, stored, and timedOut for the timeout — so the whole attempt
-// is one object rather than a chain of closures.
+// execute → output store → release, guarded by the task timeout. Its
+// methods are the phase callbacks — acquired, fetched, executed, stored,
+// and timedOut for the timeout — so the whole attempt is one object rather
+// than a chain of closures.
 type attempt struct {
 	d        *Deployment
 	inv      *invocation
 	id       dag.NodeID
 	replica  int
-	n        int // 1-based crash-budget counter
 	reissue  int
 	st       *execState
 	seq      int // st.seq at the start; a newer attempt makes this one stale
@@ -57,10 +56,8 @@ type attempt struct {
 }
 
 // startAttempt runs one executor attempt, guarded by the task timeout.
-// attemptN is the 1-based crash-budget counter; reissue counts fault-driven
-// re-issues (its budget is separate — a long-lived executor surviving a
-// node death should not burn its crash retries).
-func (d *Deployment) startAttempt(inv *invocation, id dag.NodeID, replica, attemptN, reissue int, st *execState, onDone func(failed bool)) {
+// reissue counts the executor's fault-driven re-issues so far.
+func (d *Deployment) startAttempt(inv *invocation, id dag.NodeID, replica, reissue int, st *execState, onDone func(failed bool)) {
 	if inv.abandoned {
 		return // orphaned by an engine crash; replay owns the step now
 	}
@@ -75,7 +72,7 @@ func (d *Deployment) startAttempt(inv *invocation, id dag.NodeID, replica, attem
 
 	if d.deadlineExceeded(inv) {
 		// The invocation's deadline died before this attempt started (e.g.
-		// a crash-retry backoff outlived it): abandon without dispatching.
+		// a re-issue backoff outlived it): abandon without dispatching.
 		st.finished = true
 		d.failDeadline(inv, id, "dispatch")
 		d.pubStep(inv, id, obs.StepFailed)
@@ -86,12 +83,12 @@ func (d *Deployment) startAttempt(inv *invocation, id dag.NodeID, replica, attem
 	if w.Failed() {
 		// The target died between the trigger and this attempt; recover
 		// immediately rather than waiting out the timeout.
-		d.recoverExecutor(inv, id, replica, attemptN, reissue, st, attemptStart, "node-down", onDone)
+		d.recoverExecutor(inv, id, replica, reissue, st, attemptStart, "node-down", onDone)
 		return
 	}
 
 	a := &attempt{
-		d: d, inv: inv, id: id, replica: replica, n: attemptN, reissue: reissue,
+		d: d, inv: inv, id: id, replica: replica, reissue: reissue,
 		st: st, seq: st.seq, onDone: onDone, workerID: workerID, w: w,
 		start: attemptStart, phase: "acquire",
 	}
@@ -185,7 +182,7 @@ func (a *attempt) timedOut() {
 	d := a.d
 	d.timeoutCount++
 	d.pubStep(a.inv, a.id, obs.StepTimedOut)
-	d.recoverExecutor(a.inv, a.id, a.replica, a.n, a.reissue, a.st, a.start, "timeout", a.onDone)
+	d.recoverExecutor(a.inv, a.id, a.replica, a.reissue, a.st, a.start, "timeout", a.onDone)
 }
 
 // acquired receives the container (or the reason there is none).
@@ -223,7 +220,7 @@ func (a *attempt) acquired(c *cluster.Container, _ bool, err error) {
 	case err != nil:
 		// The node failed while this request sat in the acquire queue.
 		a.cancelTimeout()
-		d.recoverExecutor(inv, id, a.replica, a.n, a.reissue, a.st, a.start, "node-down", a.onDone)
+		d.recoverExecutor(inv, id, a.replica, a.reissue, a.st, a.start, "node-down", a.onDone)
 		return
 	}
 	a.c = c
@@ -257,8 +254,7 @@ func (a *attempt) fetched() {
 	a.w.Exec(a.exec, a.executed)
 }
 
-// executed runs when the function body finished: crash injection, then
-// the output store.
+// executed runs when the function body finished: store the outputs.
 func (a *attempt) executed() {
 	d, inv, id := a.d, a.inv, a.id
 	if a.stale() {
@@ -272,22 +268,6 @@ func (a *attempt) executed() {
 	d.span(inv, id, a.replica, "exec", a.phaseAt)
 	if d.fenceCheck(inv, id, "store") {
 		a.standDown()
-		return
-	}
-	if d.crashes(inv, id, a.replica, a.n) {
-		a.cancelTimeout()
-		a.w.Destroy(a.c)
-		d.crashCount++
-		if a.n < d.opts.MaxAttempts {
-			d.retryCount++
-			d.pubStep(inv, id, obs.StepRetried)
-			d.crashRetry(inv, id, a.replica, a.n+1, a.reissue, a.st, a.onDone)
-			return
-		}
-		inv.failed = true
-		d.pubStep(inv, id, obs.StepFailed)
-		a.st.finished = true
-		a.onDone(true)
 		return
 	}
 	a.phaseAt = d.rt.Env.Now()
@@ -316,33 +296,11 @@ func (a *attempt) stored() {
 	a.onDone(false)
 }
 
-// crashRetry re-runs an executor after an injected container crash. The
-// crashed container was local, so the retry stays on the same worker and —
-// without backoff — starts synchronously, preserving the immediate-retry
-// event order of plain crash injection. With backoff configured, the delay
-// window is published as a recovery span so attribution stays contiguous.
-func (d *Deployment) crashRetry(inv *invocation, id dag.NodeID, replica, attemptN, reissue int, st *execState, onDone func(failed bool)) {
-	backoff := d.backoffDelay((attemptN - 1) + reissue)
-	if backoff == 0 {
-		d.startAttempt(inv, id, replica, attemptN, reissue, st, onDone)
-		return
-	}
-	failAt := d.rt.Env.Now()
-	worker := inv.place[id]
-	d.rt.Env.Schedule(backoff, func() {
-		if st.finished || inv.abandoned {
-			return
-		}
-		d.pubRecovery(inv, id, replica, "crash", worker, worker, reissue, backoff, failAt)
-		d.startAttempt(inv, id, replica, attemptN, reissue, st, onDone)
-	})
-}
-
 // recoverExecutor abandons a stranded attempt (timeout or node death) and
 // re-issues the executor: re-placing the task if its worker is dead, paying
 // the backoff delay, then dispatching the assignment through the
 // mode-appropriate engine loop and a control message to the new worker.
-func (d *Deployment) recoverExecutor(inv *invocation, id dag.NodeID, replica, attemptN, reissue int, st *execState, attemptStart sim.Time, reason string, onDone func(failed bool)) {
+func (d *Deployment) recoverExecutor(inv *invocation, id dag.NodeID, replica, reissue int, st *execState, attemptStart sim.Time, reason string, onDone func(failed bool)) {
 	st.seq++ // invalidate any in-flight phase callbacks of the dead attempt
 	if st.finished || inv.abandoned {
 		return
@@ -369,7 +327,7 @@ func (d *Deployment) recoverExecutor(inv *invocation, id dag.NodeID, replica, at
 	newWorker := inv.place[id]
 	src, p := d.reissueSource(inv, id)
 
-	backoff := d.backoffDelay((attemptN - 1) + reissue + 1)
+	backoff := d.backoffDelay(reissue + 1)
 	dispatch := func() {
 		if st.finished || inv.abandoned {
 			return
@@ -378,12 +336,12 @@ func (d *Deployment) recoverExecutor(inv *invocation, id dag.NodeID, replica, at
 			if st.finished || inv.abandoned {
 				return
 			}
-			d.rt.Fabric.SendMsg(src, newWorker, d.opts.AssignMsgBytes, func() {
+			d.rt.Fabric.SendMsg(src, newWorker, assignMsgBytes, func() {
 				if st.finished || inv.abandoned {
 					return
 				}
 				d.pubRecovery(inv, id, replica, reason, oldWorker, newWorker, reissue+1, backoff, attemptStart)
-				d.startAttempt(inv, id, replica, attemptN, reissue+1, st, onDone)
+				d.startAttempt(inv, id, replica, reissue+1, st, onDone)
 			})
 		})
 	}
@@ -395,10 +353,10 @@ func (d *Deployment) recoverExecutor(inv *invocation, id dag.NodeID, replica, at
 }
 
 // backoffDelay computes the exponential backoff for an executor that has
-// already failed `prior` times: BackoffBase doubled prior-1 times, capped
-// at BackoffMax. Zero BackoffBase disables backoff entirely.
+// already failed `prior` (>= 1) times: BackoffBase doubled prior-1 times,
+// capped at BackoffMax. Zero BackoffBase disables backoff entirely.
 func (d *Deployment) backoffDelay(prior int) time.Duration {
-	if d.opts.BackoffBase <= 0 || prior <= 0 {
+	if d.opts.BackoffBase <= 0 {
 		return 0
 	}
 	delay := d.opts.BackoffBase
@@ -513,10 +471,8 @@ func (d *Deployment) pickReplacementFiltered(inv *invocation, id dag.NodeID, avo
 // pubRecovery publishes a RecoveryEvent and, when the recovery window has
 // width, a CompRecovery phase span covering it — [spanFrom, now] — so the
 // critical-path walk attributes fault-recovery time contiguously instead of
-// leaving an unattributed gap. For crashes spanFrom is the crash instant
-// (the backoff window only; the failed attempt's own phases were real work
-// and stay attributed as such); for timeouts and node deaths it is the
-// abandoned attempt's start, charging the whole wasted attempt to recovery.
+// leaving an unattributed gap. spanFrom is the abandoned attempt's start,
+// charging the whole wasted attempt to recovery.
 func (d *Deployment) pubRecovery(inv *invocation, id dag.NodeID, replica int, reason, oldWorker, newWorker string, reissue int, backoff time.Duration, spanFrom sim.Time) {
 	if !d.obs.Active() {
 		return

@@ -130,10 +130,11 @@ func TestSwitchNoBranchMatchesStillCompletes(t *testing.T) {
 
 func TestSwitchDataGC(t *testing.T) {
 	rt, d := switchRig(t, ModeWorkerSP)
+	leaked := watchRemote(rt)
 	d.InvokeOpts(InvokeOptions{Args: map[string]any{"q": 1080.0}}, nil)
 	rt.Env.Run()
-	if n := rt.Store.Remote().Len(); n != 0 {
-		t.Fatalf("%d keys leaked after switch invocation", n)
+	if keys := leaked(); len(keys) != 0 {
+		t.Fatalf("%d keys leaked after switch invocation: %v", len(keys), keys)
 	}
 }
 

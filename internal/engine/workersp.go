@@ -35,7 +35,7 @@ func (d *Deployment) invokeWorkerSP(inv *invocation) {
 			src := src
 			w := inv.place[src]
 			sendAt := d.rt.Env.Now()
-			d.rt.Fabric.SendMsg(d.rt.Master, w, d.opts.AssignMsgBytes, func() {
+			d.rt.Fabric.SendMsg(d.rt.Master, w, assignMsgBytes, func() {
 				d.wspTrigger(inv, src, -1, d.chainTransfer(pre, sendAt, d.rt.Env.Now()))
 			})
 		}
@@ -91,7 +91,7 @@ func (d *Deployment) wspComplete(inv *invocation, id dag.NodeID, nodeSkipped boo
 			// invocation when all sinks have reported. Skipped sinks count
 			// too — the workflow is done when nothing remains to run.
 			sendAt := d.rt.Env.Now()
-			d.rt.Fabric.SendMsg(w, d.rt.Master, d.opts.StateMsgBytes, func() {
+			d.rt.Fabric.SendMsg(w, d.rt.Master, stateMsgBytes, func() {
 				segs := d.chainTransfer(pre, sendAt, d.rt.Env.Now())
 				s2 := d.master.reserve()
 				d.master.run(s2, func() {
@@ -115,7 +115,7 @@ func (d *Deployment) wspComplete(inv *invocation, id dag.NodeID, nodeSkipped boo
 			// Same worker → inner RPC (loopback); different worker →
 			// cross-node TCP. The fabric models both through SendMsg.
 			sendAt := d.rt.Env.Now()
-			d.rt.Fabric.SendMsg(w, inv.place[succ], d.opts.StateMsgBytes, func() {
+			d.rt.Fabric.SendMsg(w, inv.place[succ], stateMsgBytes, func() {
 				d.wspStateArrive(inv, succ, skip, int(id), d.chainTransfer(pre, sendAt, d.rt.Env.Now()))
 			})
 		}

@@ -72,24 +72,6 @@ func (e *Expr) EvalBool(env Env) (bool, error) {
 	return b, nil
 }
 
-// Eval is a convenience: compile and evaluate in one step.
-func Eval(src string, env Env) (Value, error) {
-	e, err := Compile(src)
-	if err != nil {
-		return nil, err
-	}
-	return e.Eval(env)
-}
-
-// EvalBool is a convenience for boolean conditions.
-func EvalBool(src string, env Env) (bool, error) {
-	e, err := Compile(src)
-	if err != nil {
-		return false, err
-	}
-	return e.EvalBool(env)
-}
-
 // ---------------------------------------------------------------------------
 // Lexer
 

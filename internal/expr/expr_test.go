@@ -6,11 +6,29 @@ import (
 	"testing/quick"
 )
 
+// eval compiles and evaluates src in one step.
+func eval(src string, env Env) (Value, error) {
+	e, err := Compile(src)
+	if err != nil {
+		return nil, err
+	}
+	return e.Eval(env)
+}
+
+// evalBool compiles and evaluates a boolean condition in one step.
+func evalBool(src string, env Env) (bool, error) {
+	e, err := Compile(src)
+	if err != nil {
+		return false, err
+	}
+	return e.EvalBool(env)
+}
+
 func evalOK(t *testing.T, src string, env Env) Value {
 	t.Helper()
-	v, err := Eval(src, env)
+	v, err := eval(src, env)
 	if err != nil {
-		t.Fatalf("Eval(%q): %v", src, err)
+		t.Fatalf("eval(%q): %v", src, err)
 	}
 	return v
 }
@@ -26,7 +44,7 @@ func TestLiterals(t *testing.T) {
 	}
 	for src, want := range cases {
 		if got := evalOK(t, src, nil); got != want {
-			t.Errorf("Eval(%q) = %#v, want %#v", src, got, want)
+			t.Errorf("eval(%q) = %#v, want %#v", src, got, want)
 		}
 	}
 }
@@ -42,7 +60,7 @@ func TestVariables(t *testing.T) {
 	}
 	for src, want := range cases {
 		if got := evalOK(t, src, env); got != want {
-			t.Errorf("Eval(%q) = %#v, want %#v", src, got, want)
+			t.Errorf("eval(%q) = %#v, want %#v", src, got, want)
 		}
 	}
 }
@@ -66,7 +84,7 @@ func TestComparisons(t *testing.T) {
 	}
 	for src, want := range cases {
 		if got := evalOK(t, src, env); got != want {
-			t.Errorf("Eval(%q) = %v, want %v", src, got, want)
+			t.Errorf("eval(%q) = %v, want %v", src, got, want)
 		}
 	}
 }
@@ -83,7 +101,7 @@ func TestArithmetic(t *testing.T) {
 	}
 	for src, want := range cases {
 		if got := evalOK(t, src, nil); got != want {
-			t.Errorf("Eval(%q) = %#v, want %#v", src, got, want)
+			t.Errorf("eval(%q) = %#v, want %#v", src, got, want)
 		}
 	}
 }
@@ -119,21 +137,21 @@ func TestErrors(t *testing.T) {
 		{"1..2", "bad number"},
 	}
 	for _, tc := range cases {
-		_, err := Eval(tc.src, Env{})
+		_, err := eval(tc.src, Env{})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("Eval(%q) err = %v, want containing %q", tc.src, err, tc.want)
+			t.Errorf("eval(%q) err = %v, want containing %q", tc.src, err, tc.want)
 		}
 	}
 }
 
 func TestEvalBool(t *testing.T) {
-	if ok, err := EvalBool("$x > 1", Env{"x": 2.0}); err != nil || !ok {
+	if ok, err := evalBool("$x > 1", Env{"x": 2.0}); err != nil || !ok {
 		t.Fatalf("EvalBool = %v, %v", ok, err)
 	}
-	if _, err := EvalBool("1 + 1", nil); err == nil {
+	if _, err := evalBool("1 + 1", nil); err == nil {
 		t.Fatal("numeric result accepted as bool")
 	}
-	if _, err := EvalBool("1 +", nil); err == nil {
+	if _, err := evalBool("1 +", nil); err == nil {
 		t.Fatal("syntax error not surfaced")
 	}
 }
@@ -158,7 +176,7 @@ func TestCompileReuse(t *testing.T) {
 }
 
 func TestUnsupportedVarType(t *testing.T) {
-	_, err := Eval("$x", Env{"x": []int{1}})
+	_, err := eval("$x", Env{"x": []int{1}})
 	if err == nil || !strings.Contains(err.Error(), "unsupported type") {
 		t.Fatalf("err = %v", err)
 	}
@@ -177,7 +195,7 @@ func TestComparisonProperty(t *testing.T) {
 			"$a != $b": a != b,
 		}
 		for src, want := range checks {
-			got, err := EvalBool(src, env)
+			got, err := evalBool(src, env)
 			if err != nil || got != want {
 				return false
 			}
@@ -193,7 +211,7 @@ func TestComparisonProperty(t *testing.T) {
 func TestArithmeticProperty(t *testing.T) {
 	f := func(a, b int8) bool {
 		env := Env{"a": float64(a), "b": float64(b)}
-		v, err := Eval("$a * $b + $a - $b", env)
+		v, err := eval("$a * $b + $a - $b", env)
 		if err != nil {
 			return false
 		}
@@ -209,8 +227,8 @@ func TestArithmeticProperty(t *testing.T) {
 func TestDeMorganProperty(t *testing.T) {
 	f := func(p, q bool) bool {
 		env := Env{"p": p, "q": q}
-		l, err1 := EvalBool("!($p && $q)", env)
-		r, err2 := EvalBool("!$p || !$q", env)
+		l, err1 := evalBool("!($p && $q)", env)
+		r, err2 := evalBool("!$p || !$q", env)
 		return err1 == nil && err2 == nil && l == r
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -222,7 +240,7 @@ func BenchmarkCompileEval(b *testing.B) {
 	env := Env{"q": 720.0, "fmt": "mp4"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := EvalBool("$q > 480 && $fmt == 'mp4'", env); err != nil {
+		if _, err := evalBool("$q > 480 && $fmt == 'mp4'", env); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -256,6 +274,6 @@ func FuzzEval(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		_, _ = Eval(src, Env{"x": 1.0})
+		_, _ = eval(src, Env{"x": 1.0})
 	})
 }

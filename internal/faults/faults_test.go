@@ -122,7 +122,7 @@ func TestNodeFaultWindow(t *testing.T) {
 // its end while one issued after it does not.
 func TestLinkAndStoreFaults(t *testing.T) {
 	env := sim.NewEnv()
-	fab := network.New(env, network.DefaultConfig())
+	fab := network.New(env)
 	fab.AddNode("master", network.MBps(50), network.MBps(50))
 	fab.AddNode("w0", network.MBps(100), network.MBps(100))
 	fab.AddNode("w1", network.MBps(100), network.MBps(100))
@@ -151,7 +151,7 @@ func TestLinkAndStoreFaults(t *testing.T) {
 	env.Run()
 	// Healed at 2 s: latency plus serialization at the master's full
 	// 50 MB/s ingress, not at a degraded factor.
-	want := sim.Time(2*time.Second + network.DefaultConfig().MsgLatency + msgBytes*time.Second/50_000_000)
+	want := sim.Time(2*time.Second + network.MsgLatency + msgBytes*time.Second/50_000_000)
 	if msgAt != want {
 		t.Fatalf("held message delivered at %v, want %v", msgAt, want)
 	}
@@ -179,7 +179,7 @@ func storeProbe(env *sim.Env, remote *store.RemoteKV, worker string) *sim.Time {
 // partition are not lost: they deliver, in order, once the link heals.
 func TestPartitionQueuesAndDrains(t *testing.T) {
 	env := sim.NewEnv()
-	fab := network.New(env, network.DefaultConfig())
+	fab := network.New(env)
 	fab.AddNode("a", network.MBps(100), network.MBps(100))
 	fab.AddNode("b", network.MBps(100), network.MBps(100))
 	fab.SetLinkFactor("b", 0)
@@ -203,7 +203,7 @@ func TestPartitionQueuesAndDrains(t *testing.T) {
 // outage complete after recovery instead of failing or vanishing.
 func TestStoreOutageQueuesOps(t *testing.T) {
 	env := sim.NewEnv()
-	fab := network.New(env, network.DefaultConfig())
+	fab := network.New(env)
 	fab.AddNode("master", network.MBps(50), network.MBps(50))
 	fab.AddNode("w0", network.MBps(100), network.MBps(100))
 	remote := store.NewRemoteKV(env, fab, "master", time.Millisecond)
@@ -256,7 +256,7 @@ func TestRandomNodeKillsDeterministic(t *testing.T) {
 // either fault past its own window.
 func TestOverlappingWindowsRecoverExactly(t *testing.T) {
 	env := sim.NewEnv()
-	fab := network.New(env, network.DefaultConfig())
+	fab := network.New(env)
 	fab.AddNode("master", network.MBps(50), network.MBps(50))
 	fab.AddNode("w0", network.MBps(100), network.MBps(100))
 	n := testNode(env, "w0")

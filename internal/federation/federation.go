@@ -568,11 +568,6 @@ func (f *Federation) Stop() {
 	}
 }
 
-// Owner reports the member that currently owns an invocation ID's shard.
-func (f *Federation) Owner(inv int64) string {
-	return f.members[f.shardOwner[f.shardOf(inv)]].id
-}
-
 // MemberIDs lists the members, sorted.
 func (f *Federation) MemberIDs() []string {
 	ids := make([]string, len(f.members))

@@ -60,7 +60,7 @@ type fedRig struct {
 func newFedRig(t *testing.T, nMembers, nWorkers int, cfg Config) *fedRig {
 	t.Helper()
 	env := sim.NewEnv()
-	fab := network.New(env, network.DefaultConfig())
+	fab := network.New(env)
 	fab.AddNode("master", network.MBps(50), network.MBps(50))
 	nodes := map[string]*cluster.Node{}
 	mems := map[string]*store.MemKV{}
@@ -135,7 +135,7 @@ func TestRoutingSpreadsShardsAcrossMembers(t *testing.T) {
 	r := newFedRig(t, 3, 3, fastCfg())
 	owners := map[string]int{}
 	for i := int64(0); i < 64; i++ {
-		owners[r.fed.Owner(i)]++
+		owners[r.fed.members[r.fed.shardOwner[r.fed.shardOf(i)]].id]++
 	}
 	if len(owners) != 3 {
 		t.Fatalf("64 invocation IDs routed to %d of 3 members: %v", len(owners), owners)
@@ -273,7 +273,7 @@ func TestHandoffWindowRejectsThenAdmits(t *testing.T) {
 	r := newFedRig(t, 2, 2, fastCfg())
 	// Kill the member that owns the NEXT invocation ID's shard, so the
 	// claim window covers the shard the next Invoke will hash to.
-	victim := r.fed.Owner(r.fed.nextInv)
+	victim := r.fed.members[r.fed.shardOwner[r.fed.shardOf(r.fed.nextInv)]].id
 	r.fed.KillEngine(victim)
 	var at sim.Time
 	for r.fed.claims == 0 {

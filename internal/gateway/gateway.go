@@ -514,13 +514,8 @@ func (s *Server) handleWorkflow(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, ex)
 	case action == "bottlenecks" && r.Method == http.MethodGet:
-		all, err := s.obs.Bottlenecks()
-		if err != nil {
-			fail(w, &httpError{http.StatusInternalServerError, err.Error()})
-			return
-		}
 		var out []faasflow.BottleneckSummary
-		for _, b := range all {
+		for _, b := range s.obs.Bottlenecks() {
 			if b.Workflow == name {
 				out = append(out, b)
 			}
@@ -626,8 +621,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	sort.Strings(names)
 	for _, name := range names {
 		st := s.apps[name].FailureStats()
-		fs.Crashes += st.Crashes
-		fs.Retries += st.Retries
 		fs.Timeouts += st.Timeouts
 		fs.Reissues += st.Reissues
 		fs.Replacements += st.Replacements
@@ -652,8 +645,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		// tenant's requests fared at every node's weighted-fair queue.
 		"tenants": tenantQueues,
 		"failures": map[string]int64{
-			"crashes":           fs.Crashes,
-			"retries":           fs.Retries,
 			"timeouts":          fs.Timeouts,
 			"reissues":          fs.Reissues,
 			"replacements":      fs.Replacements,

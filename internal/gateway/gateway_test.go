@@ -142,7 +142,7 @@ func TestClusterStats(t *testing.T) {
 	if !ok {
 		t.Fatalf("cluster stats missing failure counters: %v", u)
 	}
-	for _, key := range []string{"crashes", "retries", "timeouts", "reissues", "replacements", "failedInvocations"} {
+	for _, key := range []string{"timeouts", "reissues", "replacements", "failedInvocations"} {
 		if _, ok := failures[key]; !ok {
 			t.Errorf("failure counters missing %q: %v", key, failures)
 		}

@@ -456,10 +456,13 @@ func TestFeedbackLoopRedeploys(t *testing.T) {
 	if p2 == nil {
 		t.Fatal("nil refreshed placement")
 	}
-	if d.Engine.Version() != 1 {
-		t.Fatalf("version = %d after feedback redeploy, want 1", d.Engine.Version())
+	// The redeployed workflow must still run, on the new version.
+	var res engine.Result
+	d.Engine.Invoke(func(r engine.Result) { res = r })
+	tb.Env.Run()
+	if res.Version != 1 {
+		t.Fatalf("version = %d after feedback redeploy, want 1", res.Version)
 	}
-	// The redeployed workflow must still run.
 	rec := tb.Drive(Client{Target: d.Invoke, N: 2})[0].Rec
 	if rec.Count() != 2 {
 		t.Fatal("post-redeploy invocations failed")

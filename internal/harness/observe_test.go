@@ -53,7 +53,7 @@ func TestUtilizationInvariants(t *testing.T) {
 		if s.Kind != obs.KindLink {
 			continue
 		}
-		r := u.Resource(s.Name)
+		r := u.Resources[s.Name]
 		got := r.Series.Integral(u.Start, u.End)
 		if want := float64(r.FlowBytes); math.Abs(got-want) > 1e-6*math.Max(want, 1) {
 			t.Errorf("%s integral %v != flow bytes %d", s.Name, got, r.FlowBytes)
@@ -68,7 +68,7 @@ func TestUtilizationInvariants(t *testing.T) {
 	// Per-node core/mem/container resources must exist for every worker.
 	for _, w := range tb.Workers {
 		for _, kind := range []string{"cpu", "mem", "containers"} {
-			if u.Resource("node:"+w+":"+kind) == nil {
+			if u.Resources["node:"+w+":"+kind] == nil {
 				t.Errorf("missing resource node:%s:%s", w, kind)
 			}
 		}
@@ -83,10 +83,7 @@ func TestUtilizationInvariants(t *testing.T) {
 func TestBottleneckStorageThrottle(t *testing.T) {
 	dominant := func(sys System) obs.Hotspot {
 		log, _ := tracedRun(t, sys, "Vid", 3, network.MBps(5))
-		ibs, err := obs.AttributeBottlenecks(log, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ibs := obs.AttributeBottlenecks(log)
 		sums := obs.SummarizeBottlenecks(ibs)
 		if len(sums) != 1 || len(sums[0].Hotspots) == 0 {
 			t.Fatalf("%s: %d bottleneck groups; want 1 with hotspots", sys, len(sums))

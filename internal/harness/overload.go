@@ -58,10 +58,6 @@ type OverloadRow struct {
 	Snapshot *obs.Snapshot
 }
 
-// Saturation reports the probe's measured capacity, attached to the first
-// row of each mode for rendering.
-func (r OverloadRow) SatRate() float64 { return r.Rate / r.Multiplier }
-
 func overloadTestbed() *Testbed {
 	cfg := cluster.DefaultConfig()
 	cfg.MaxQueueDepth = overloadQueueDepth

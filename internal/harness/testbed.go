@@ -25,7 +25,6 @@ import (
 // ClusterSpec configures a testbed. Zero values take the paper's defaults.
 type ClusterSpec struct {
 	Workers   int               // worker node count (paper: 7)
-	WorkerBW  network.Bandwidth // worker link bandwidth (100 MB/s)
 	StorageBW network.Bandwidth // storage/master link bandwidth (wondershaper target)
 	Cluster   cluster.Config    // per-worker hardware (paper Table 3)
 	// ScaleLimit caps scheduler container demand per worker (the
@@ -34,19 +33,22 @@ type ClusterSpec struct {
 	// FaaStore enables worker-local in-memory storage; off reproduces the
 	// HyperFlow-serverless data path where everything goes to the DB.
 	FaaStore bool
-	// DBLatency is the remote store's per-request overhead.
-	DBLatency time.Duration
-	// ReclaimMu is the safety margin μ of the quota equation.
-	ReclaimMu int64
-	Seed      uint64
+	Seed     uint64
 }
+
+// Testbed constants the paper fixes.
+const (
+	// workerBW is every worker's link bandwidth.
+	workerBW = 100e6 // 100 MB/s
+	// dbLatency is the remote store's per-request overhead.
+	dbLatency = time.Millisecond
+	// reclaimMu is the safety margin μ of the quota equation.
+	reclaimMu = 16 << 20
+)
 
 func (s ClusterSpec) withDefaults() ClusterSpec {
 	if s.Workers == 0 {
 		s.Workers = 7
-	}
-	if s.WorkerBW == 0 {
-		s.WorkerBW = network.MBps(100)
 	}
 	if s.StorageBW == 0 {
 		s.StorageBW = network.MBps(50)
@@ -56,12 +58,6 @@ func (s ClusterSpec) withDefaults() ClusterSpec {
 	}
 	if s.ScaleLimit == 0 {
 		s.ScaleLimit = 64
-	}
-	if s.DBLatency == 0 {
-		s.DBLatency = time.Millisecond
-	}
-	if s.ReclaimMu == 0 {
-		s.ReclaimMu = 16 << 20
 	}
 	return s
 }
@@ -164,7 +160,7 @@ func (tb *Testbed) Engines() []*engine.Deployment {
 func NewTestbed(spec ClusterSpec) *Testbed {
 	spec = spec.withDefaults()
 	env := sim.NewEnv()
-	fab := network.New(env, network.DefaultConfig())
+	fab := network.New(env)
 	fab.AddNode(MasterNode, spec.StorageBW, spec.StorageBW)
 	nodes := map[string]*cluster.Node{}
 	mems := map[string]*store.MemKV{}
@@ -173,12 +169,12 @@ func NewTestbed(spec ClusterSpec) *Testbed {
 	for i := 0; i < spec.Workers; i++ {
 		id := fmt.Sprintf("w%d", i)
 		workers[i] = id
-		fab.AddNode(id, spec.WorkerBW, spec.WorkerBW)
+		fab.AddNode(id, workerBW, workerBW)
 		nodes[id] = cluster.NewNode(env, id, spec.Cluster)
 		mems[id] = store.NewMemKV(env, id, 0) // quota granted per deployment
 		capLeft[id] = spec.ScaleLimit
 	}
-	remote := store.NewRemoteKV(env, fab, MasterNode, spec.DBLatency)
+	remote := store.NewRemoteKV(env, fab, MasterNode, dbLatency)
 	hybrid := store.NewHybrid(remote, mems, !spec.FaaStore)
 	return &Testbed{
 		Spec:   spec,
@@ -235,7 +231,7 @@ func (tb *Testbed) schedInput(bench *workloads.Benchmark) scheduler.Input {
 	for w, c := range tb.capLeft {
 		capCopy[w] = c
 	}
-	quota := store.QuotaOf(bench.MemProfiles(tb.Spec.Cluster.ContainerMem), tb.Spec.ReclaimMu)
+	quota := store.QuotaOf(bench.MemProfiles(tb.Spec.Cluster.ContainerMem), reclaimMu)
 	var scale map[dag.NodeID]float64
 	if tb.ScaleHint > 0 {
 		scale = map[dag.NodeID]float64{}
@@ -326,15 +322,11 @@ func (tb *Testbed) grantQuota(bench *workloads.Benchmark, place *scheduler.Place
 			continue
 		}
 		spec := bench.Functions[n.Function]
-		prov := spec.MemProvision
-		if prov == 0 {
-			prov = tb.Spec.Cluster.ContainerMem
-		}
 		o := store.Overprovision(store.FunctionMem{
-			Provisioned: prov,
+			Provisioned: tb.Spec.Cluster.ContainerMem,
 			PeakUsage:   spec.MemPeak,
 			Map:         float64(n.Width),
-		}, tb.Spec.ReclaimMu)
+		}, reclaimMu)
 		perWorker[place.Worker[n.ID]] += o
 	}
 	for w, q := range perWorker {

@@ -13,7 +13,6 @@
 package journal
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/sim"
@@ -263,11 +262,6 @@ func (w *WAL) Crash() {
 	w.pending = nil
 }
 
-// Committed reports whether (inv, step) has a durable record.
-func (w *WAL) Committed(inv int64, step int) bool {
-	return w.durable[stepKey{inv, step}]
-}
-
 // CommittedSteps returns the durable records for one invocation, keyed by
 // step. The map is a copy; iterate it in sorted step order for
 // deterministic replay.
@@ -284,17 +278,6 @@ func (w *WAL) Entries() []Entry {
 	out := make([]Entry, len(w.entries))
 	copy(out, w.entries)
 	return out
-}
-
-// InvocationIDs returns the invocations with at least one durable record,
-// ascending.
-func (w *WAL) InvocationIDs() []int64 {
-	ids := make([]int64, 0, len(w.byInv))
-	for id := range w.byInv {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // Stats returns the cumulative counters.

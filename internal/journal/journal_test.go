@@ -35,7 +35,7 @@ func TestGroupCommitBatchesAndDurableInstant(t *testing.T) {
 	if st.Syncs != 1 || st.Committed != 2 {
 		t.Fatalf("stats = %+v; want 1 sync, 2 committed", st)
 	}
-	if !w.Committed(1, 0) || !w.Committed(1, 1) {
+	if !w.durable[stepKey{1, 0}] || !w.durable[stepKey{1, 1}] {
 		t.Fatalf("records not marked committed")
 	}
 }
@@ -118,13 +118,13 @@ func TestCrashDropsOpenBatch(t *testing.T) {
 	if st.CrashDropped != 1 || st.Committed != 0 {
 		t.Fatalf("stats = %+v; want 1 crash-dropped, 0 committed", st)
 	}
-	if w.Committed(1, 0) {
+	if w.durable[stepKey{1, 0}] {
 		t.Fatalf("record committed despite crash before sync")
 	}
 	// The key is free again after the crash: a re-append commits.
 	w.Append(rec(1, 0), nil)
 	env.Run()
-	if !w.Committed(1, 0) {
+	if !w.durable[stepKey{1, 0}] {
 		t.Fatalf("re-append after crash did not commit")
 	}
 }
@@ -143,7 +143,7 @@ func TestCrashTearsSyncingBatchDeterministically(t *testing.T) {
 		env.Schedule(1500*time.Microsecond, w.Crash)
 		env.Run()
 		for step := 0; step < 4; step++ {
-			if w.Committed(1, step) {
+			if w.durable[stepKey{1, step}] {
 				committed = append(committed, step)
 			}
 		}
@@ -199,8 +199,8 @@ func TestCommittedStepsAndEntries(t *testing.T) {
 	if e.AttemptSeq != 2 || len(e.Outputs) != 1 || e.At == 0 {
 		t.Fatalf("entry = %+v; want attemptSeq 2, one output, nonzero At", e)
 	}
-	if ids := w.InvocationIDs(); len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
-		t.Fatalf("InvocationIDs = %v; want [1 2]", ids)
+	if len(w.byInv) != 2 || w.byInv[1] == nil || w.byInv[2] == nil {
+		t.Fatalf("invocations with durable records = %v; want 1 and 2", w.byInv)
 	}
 	if got := w.Entries(); len(got) != 2 || got[0].Inv != 1 || got[1].Inv != 2 {
 		t.Fatalf("Entries = %v; want commit order [inv1 inv2]", got)
@@ -236,7 +236,7 @@ func TestCrashInsideOpenBatchWindowTruncatesToLastFsync(t *testing.T) {
 	if st.TornTail != 0 {
 		t.Fatalf("tornTail = %d; want 0 (no fsync was in flight)", st.TornTail)
 	}
-	if w.Committed(1, 2) || w.Committed(1, 3) {
+	if w.durable[stepKey{1, 2}] || w.durable[stepKey{1, 3}] {
 		t.Fatal("open-batch records must not be durable after crash")
 	}
 	// The truncated steps are re-appendable: a successor replaying this log
@@ -249,7 +249,7 @@ func TestCrashInsideOpenBatchWindowTruncatesToLastFsync(t *testing.T) {
 	if st.DupDrops != before {
 		t.Fatalf("re-append of truncated steps dup-dropped (dupDrops %d -> %d)", before, st.DupDrops)
 	}
-	if !w.Committed(1, 2) || !w.Committed(1, 3) {
+	if !w.durable[stepKey{1, 2}] || !w.durable[stepKey{1, 3}] {
 		t.Fatal("re-appended truncated steps must commit")
 	}
 }
@@ -271,7 +271,7 @@ func TestFenceRejectsAtAppend(t *testing.T) {
 	if st.Fenced != 1 || st.Committed != 1 {
 		t.Fatalf("stats = %+v; want 1 fenced, 1 committed", st)
 	}
-	if w.Committed(1, 1) {
+	if w.durable[stepKey{1, 1}] {
 		t.Fatal("fenced record must not be durable")
 	}
 }
@@ -299,7 +299,7 @@ func TestFenceRejectsAtSyncCompletion(t *testing.T) {
 	allow = true
 	w.Append(rec(1, 0), nil)
 	env.Run()
-	if !w.Committed(1, 0) {
+	if !w.durable[stepKey{1, 0}] {
 		t.Fatal("new owner's re-append must commit")
 	}
 	if w.Stats().DupDrops != 0 {
@@ -323,20 +323,16 @@ func TestViewUnionsLogsForHandoff(t *testing.T) {
 	})
 	env.Run()
 	v := NewView(a, b)
-	for _, step := range []int{0, 1, 2} {
-		if !v.Committed(7, step) {
-			t.Fatalf("view missing (7,%d)", step)
-		}
-	}
 	steps := v.CommittedSteps(7)
 	if len(steps) != 3 {
 		t.Fatalf("CommittedSteps(7) = %d entries; want 3", len(steps))
 	}
-	ids := v.InvocationIDs()
-	if len(ids) != 2 || ids[0] != 7 || ids[1] != 8 {
-		t.Fatalf("InvocationIDs = %v; want [7 8]", ids)
+	for _, step := range []int{0, 1, 2} {
+		if _, ok := steps[step]; !ok {
+			t.Fatalf("view missing (7,%d)", step)
+		}
 	}
-	if got := v.Stats().Committed; got != 4 {
-		t.Fatalf("view committed = %d; want 4", got)
+	if steps := v.CommittedSteps(8); len(steps) != 1 {
+		t.Fatalf("CommittedSteps(8) = %d entries; want 1", len(steps))
 	}
 }

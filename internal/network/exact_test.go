@@ -19,14 +19,14 @@ import (
 // started flow's rate at that instant.
 func fanInFinishes() []string {
 	env := sim.NewEnv()
-	f := New(env, DefaultConfig())
+	f := New(env)
 	f.AddNode("sink", MBps(97.3), MBps(97.3))
 	var out []string
 	var flows []*Flow
 	rates := func() uint64 {
 		h := fnv.New64a()
 		for _, fl := range flows {
-			fmt.Fprintf(h, "%x,", math.Float64bits(fl.Rate()))
+			fmt.Fprintf(h, "%x,", math.Float64bits(fl.rate))
 		}
 		return h.Sum64()
 	}

@@ -33,26 +33,15 @@ type Bandwidth float64
 // uses, e.g. the 25–100 MB/s wondershaper sweeps).
 func MBps(v float64) Bandwidth { return Bandwidth(v * 1e6) }
 
-// MBps reports the bandwidth in megabytes per second.
-func (b Bandwidth) MBps() float64 { return float64(b) / 1e6 }
-
-// Config holds fabric-wide constants.
-type Config struct {
+// Fabric-wide latencies, representative of a single-datacenter cluster
+// (sub-millisecond RTT) like the paper's ECS testbed.
+const (
 	// MsgLatency is the one-way propagation plus protocol overhead paid by
 	// every message and by every flow before its first byte arrives.
-	MsgLatency time.Duration
-	// LocalLatency is the cost of a same-node RPC (loopback, no fabric).
-	LocalLatency time.Duration
-}
-
-// DefaultConfig returns latencies representative of a single-datacenter
-// cluster (sub-millisecond RTT) like the paper's ECS testbed.
-func DefaultConfig() Config {
-	return Config{
-		MsgLatency:   300 * time.Microsecond,
-		LocalLatency: 30 * time.Microsecond,
-	}
-}
+	MsgLatency = 300 * time.Microsecond
+	// localLatency is the cost of a same-node RPC (loopback, no fabric).
+	localLatency = 30 * time.Microsecond
+)
 
 // link is one direction of a node's access link.
 type link struct {
@@ -95,22 +84,9 @@ type Flow struct {
 	startAt sim.Time
 }
 
-// From reports the sending node.
-func (f *Flow) From() string { return f.from }
-
-// To reports the receiving node.
-func (f *Flow) To() string { return f.to }
-
-// Size reports the total transfer size in bytes.
-func (f *Flow) Size() int64 { return f.size }
-
-// Rate reports the current fair-share rate in bytes/sec.
-func (f *Flow) Rate() float64 { return f.rate }
-
 // Fabric is the cluster network.
 type Fabric struct {
 	env   *sim.Env
-	cfg   Config
 	nodes map[string]*node
 	order []string // deterministic iteration order
 	// active holds the flows that have joined and not completed, in
@@ -174,10 +150,9 @@ func (f *Fabric) pubCapacity(n *node) {
 }
 
 // New creates an empty fabric on env.
-func New(env *sim.Env, cfg Config) *Fabric {
+func New(env *sim.Env) *Fabric {
 	return &Fabric{
 		env:      env,
-		cfg:      cfg,
 		latScale: 1,
 		nodes:    make(map[string]*node),
 	}
@@ -186,13 +161,13 @@ func New(env *sim.Env, cfg Config) *Fabric {
 // msgLat is the effective per-message propagation latency under the current
 // counterfactual scale.
 func (f *Fabric) msgLat() time.Duration {
-	return time.Duration(float64(f.cfg.MsgLatency) * f.latScale)
+	return time.Duration(float64(MsgLatency) * f.latScale)
 }
 
 // localLat is the effective same-node RPC latency under the current
 // counterfactual scale.
 func (f *Fabric) localLat() time.Duration {
-	return time.Duration(float64(f.cfg.LocalLatency) * f.latScale)
+	return time.Duration(float64(localLatency) * f.latScale)
 }
 
 // SetLatencyScale multiplies every message and same-node RPC latency by s
@@ -591,11 +566,4 @@ type Stats struct {
 // Stats returns cumulative fabric counters.
 func (f *Fabric) Stats() Stats {
 	return Stats{TotalBytes: f.totalBytes, TotalFlows: f.totalFlows, TotalMsgs: f.totalMsgs}
-}
-
-// Nodes returns the registered node IDs in sorted order.
-func (f *Fabric) Nodes() []string {
-	out := make([]string, len(f.order))
-	copy(out, f.order)
-	return out
 }

@@ -13,7 +13,7 @@ import (
 func newTestFabric(t *testing.T) (*sim.Env, *Fabric) {
 	t.Helper()
 	env := sim.NewEnv()
-	f := New(env, DefaultConfig())
+	f := New(env)
 	return env, f
 }
 
@@ -55,7 +55,7 @@ func TestSingleFlowTime(t *testing.T) {
 	var doneAt sim.Time
 	f.Send("a", "b", 100_000_000, func() { doneAt = env.Now() }) // 100 MB at 100 MB/s => 1s
 	env.Run()
-	want := 1.0 + DefaultConfig().MsgLatency.Seconds()
+	want := 1.0 + MsgLatency.Seconds()
 	if math.Abs(doneAt.Seconds()-want) > 0.001 {
 		t.Fatalf("transfer finished at %vs, want ~%vs", doneAt.Seconds(), want)
 	}
@@ -107,11 +107,11 @@ func TestMaxMinFairnessUnevenFlows(t *testing.T) {
 	fl2 := f.Send("s2", "sink", 1_000_000_000, nil)
 	fl3 := f.Send("slow", "sink", 1_000_000_000, nil)
 	env.RunUntil(sim.Time(10 * time.Millisecond))
-	if math.Abs(fl3.Rate()-5e6) > 1 {
-		t.Fatalf("slow flow rate = %v, want 5e6", fl3.Rate())
+	if math.Abs(fl3.rate-5e6) > 1 {
+		t.Fatalf("slow flow rate = %v, want 5e6", fl3.rate)
 	}
-	if math.Abs(fl1.Rate()-12.5e6) > 1 || math.Abs(fl2.Rate()-12.5e6) > 1 {
-		t.Fatalf("fast flows rates = %v, %v, want 12.5e6 each", fl1.Rate(), fl2.Rate())
+	if math.Abs(fl1.rate-12.5e6) > 1 || math.Abs(fl2.rate-12.5e6) > 1 {
+		t.Fatalf("fast flows rates = %v, %v, want 12.5e6 each", fl1.rate, fl2.rate)
 	}
 }
 
@@ -159,8 +159,8 @@ func TestLocalTransferBypassesFabric(t *testing.T) {
 		t.Fatal("local transfer returned a fabric flow")
 	}
 	env.Run()
-	if doneAt != sim.Time(DefaultConfig().LocalLatency) {
-		t.Fatalf("local transfer took %v, want %v", doneAt, DefaultConfig().LocalLatency)
+	if doneAt != sim.Time(localLatency) {
+		t.Fatalf("local transfer took %v, want %v", doneAt, localLatency)
 	}
 	if st := f.Stats(); st.TotalBytes != 0 {
 		t.Fatalf("local transfer counted %d fabric bytes", st.TotalBytes)
@@ -186,7 +186,7 @@ func TestSendMsgLatency(t *testing.T) {
 	var doneAt sim.Time
 	f.SendMsg("a", "b", 1000, func() { doneAt = env.Now() })
 	env.Run()
-	want := DefaultConfig().MsgLatency + time.Duration(1000.0/100e6*1e9)
+	want := MsgLatency + time.Duration(1000.0/100e6*1e9)
 	if doneAt != sim.Time(want) {
 		t.Fatalf("msg delivered at %v, want %v", doneAt, want)
 	}
@@ -238,9 +238,9 @@ func TestNodesSorted(t *testing.T) {
 	_, f := newTestFabric(t)
 	f.AddNode("zeta", MBps(1), MBps(1))
 	f.AddNode("alpha", MBps(1), MBps(1))
-	got := f.Nodes()
+	got := f.order
 	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
-		t.Fatalf("Nodes() = %v", got)
+		t.Fatalf("node order = %v", got)
 	}
 }
 
@@ -251,7 +251,7 @@ func TestEqualSharePropertyNFlows(t *testing.T) {
 	f := func(nRaw uint8) bool {
 		n := int(nRaw%7) + 2 // 2..8 senders
 		env := sim.NewEnv()
-		fab := New(env, DefaultConfig())
+		fab := New(env)
 		fab.AddNode("sink", MBps(50), MBps(50))
 		const size = 10_000_000
 		var finishes []float64
@@ -285,7 +285,7 @@ func TestConservationProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := sim.NewRand(seed)
 		env := sim.NewEnv()
-		fab := New(env, DefaultConfig())
+		fab := New(env)
 		ids := []string{"n0", "n1", "n2", "n3"}
 		for _, id := range ids {
 			fab.AddNode(id, MBps(float64(10+rng.Intn(90))), MBps(float64(10+rng.Intn(90))))
@@ -329,7 +329,7 @@ func TestWorkConservationProperty(t *testing.T) {
 			return true
 		}
 		env := sim.NewEnv()
-		fab := New(env, DefaultConfig())
+		fab := New(env)
 		fab.AddNode("sink", MBps(40), MBps(40))
 		var total float64
 		var last float64
@@ -354,8 +354,8 @@ func TestWorkConservationProperty(t *testing.T) {
 }
 
 func TestMBpsRoundTrip(t *testing.T) {
-	if got := MBps(50).MBps(); got != 50 {
-		t.Fatalf("MBps round trip = %v", got)
+	if got := MBps(50); got != 50e6 {
+		t.Fatalf("MBps(50) = %v bytes/s, want 5e7", got)
 	}
 }
 
@@ -363,7 +363,7 @@ func BenchmarkFabric100Flows(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		env := sim.NewEnv()
-		fab := New(env, DefaultConfig())
+		fab := New(env)
 		fab.AddNode("sink", MBps(100), MBps(100))
 		for j := 0; j < 10; j++ {
 			fab.AddNode(string(rune('a'+j)), MBps(100), MBps(100))

@@ -57,18 +57,6 @@ type Breakdown struct {
 	Unattributed time.Duration
 }
 
-// Component reports one bucket's attributed time.
-func (b *Breakdown) Component(c Component) time.Duration { return b.ByComponent[c] }
-
-// Sum re-adds the per-component attribution (== Total by construction).
-func (b *Breakdown) Sum() time.Duration {
-	var s time.Duration
-	for _, d := range b.ByComponent {
-		s += d
-	}
-	return s
-}
-
 // invTrace is the per-invocation event index the analyzer works from.
 type invTrace struct {
 	workflow   string
@@ -121,12 +109,9 @@ func indexEvents(events []Event) map[int64]*invTrace {
 	return traces
 }
 
-// analyzeTrace walks one completed invocation's event graph and
-// attributes its latency.
-func analyzeTrace(t *invTrace, inv int64) (*Breakdown, error) {
-	if t == nil || !t.hasEnd {
-		return nil, fmt.Errorf("obs: invocation %d has no recorded completion", inv)
-	}
+// analyzeTrace walks one completed invocation's event graph (t.hasEnd)
+// and attributes its latency.
+func analyzeTrace(t *invTrace, inv int64) *Breakdown {
 	b := &Breakdown{
 		Workflow:    t.workflow,
 		Inv:         inv,
@@ -247,12 +232,12 @@ func analyzeTrace(t *invTrace, inv int64) (*Breakdown, error) {
 	}
 	b.Path = path
 	sort.SliceStable(b.Segments, func(i, j int) bool { return b.Segments[i].Start < b.Segments[j].Start })
-	return b, nil
+	return b
 }
 
 // AnalyzeAll attributes every completed invocation in the log, indexing
 // the log once.
-func AnalyzeAll(l *TraceLog) ([]*Breakdown, error) {
+func AnalyzeAll(l *TraceLog) []*Breakdown {
 	traces := indexEvents(l.Events())
 	invs := make([]int64, 0, len(traces))
 	for inv, t := range traces {
@@ -263,13 +248,9 @@ func AnalyzeAll(l *TraceLog) ([]*Breakdown, error) {
 	sort.Slice(invs, func(i, j int) bool { return invs[i] < invs[j] })
 	out := make([]*Breakdown, 0, len(invs))
 	for _, inv := range invs {
-		b, err := analyzeTrace(traces[inv], inv)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b)
+		out = append(out, analyzeTrace(traces[inv], inv))
 	}
-	return out, nil
+	return out
 }
 
 // Summary aggregates breakdowns into per-component means.

@@ -76,15 +76,9 @@ func TestForWorkflowUnknownName(t *testing.T) {
 	if wfs := sub.Workflows(); len(wfs) != 0 {
 		t.Fatalf("unknown workflow lists workflows %v", wfs)
 	}
-	if invs := sub.Invocations(); len(invs) != 0 {
-		t.Fatalf("unknown workflow lists invocations %v", invs)
-	}
 	// Analysis over the empty sub-log must yield zero breakdowns, and the
 	// zero-invocation summary must render safely.
-	bds, err := AnalyzeAll(sub)
-	if err != nil {
-		t.Fatalf("AnalyzeAll over empty log: %v", err)
-	}
+	bds := AnalyzeAll(sub)
 	if len(bds) != 0 {
 		t.Fatalf("empty log produced %d breakdowns", len(bds))
 	}

@@ -52,21 +52,6 @@ func (l *TraceLog) Events() []Event {
 	return out
 }
 
-// Invocations lists the distinct invocation IDs with a recorded end event,
-// ascending — the invocations the analyzer can attribute.
-func (l *TraceLog) Invocations() []int64 {
-	seen := map[int64]bool{}
-	var out []int64
-	for _, ev := range l.Events() {
-		if ie, ok := ev.(InvocationEvent); ok && ie.End && !seen[ie.Inv] {
-			seen[ie.Inv] = true
-			out = append(out, ie.Inv)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // ForWorkflow returns a new log holding only the events scoped to the
 // named workflow — steps, phases, trigger chains, invocations, and
 // placements. Substrate events (containers, flows, messages, store ops)

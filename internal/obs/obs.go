@@ -162,10 +162,12 @@ const (
 	// StepSkipped fires when a switch resolution (or upstream failure)
 	// drains the step without running it.
 	StepSkipped
-	// StepFailed fires when an executor exhausts its retry budget.
+	// StepFailed fires when an executor exhausts its re-issue budget.
 	StepFailed
-	// StepRetried fires on each executor retry after a container crash.
-	StepRetried
+	// The slot after StepFailed is reserved: it was a retired container-crash
+	// retry state. StepEvent.State is serialised as a number, so every later
+	// state keeps its value.
+	_
 	// StepTimedOut fires when an executor attempt exceeds the task timeout
 	// (typically because its node died mid-flight).
 	StepTimedOut
@@ -190,8 +192,6 @@ func (s StepState) String() string {
 		return "skipped"
 	case StepFailed:
 		return "failed"
-	case StepRetried:
-		return "retried"
 	case StepTimedOut:
 		return "timed_out"
 	case StepReplaced:
@@ -285,7 +285,7 @@ const (
 	ContainerQueued
 	// ContainerEvicted is a warm container aging out of the keep-alive.
 	ContainerEvicted
-	// ContainerDestroyed is an explicit destroy (crash or red-black drain).
+	// ContainerDestroyed is a container lost with its failed node.
 	ContainerDestroyed
 	// ContainerReleased is a container going idle-warm after an invocation
 	// (no waiter took it over).

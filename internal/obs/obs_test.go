@@ -8,6 +8,15 @@ import (
 	"repro/internal/sim"
 )
 
+// componentSum adds up a breakdown's per-component times.
+func componentSum(bd *Breakdown) time.Duration {
+	var s time.Duration
+	for _, d := range bd.ByComponent {
+		s += d
+	}
+	return s
+}
+
 func TestNilBusIsInert(t *testing.T) {
 	var b *Bus
 	if b.Active() {
@@ -70,10 +79,6 @@ func TestTraceLogInvocationsAndWorkflows(t *testing.T) {
 	l.Record(InvocationEvent{Workflow: "a", Inv: 0, At: 0})
 	l.Record(InvocationEvent{Workflow: "a", Inv: 0, End: true, At: 20})
 	l.Record(InvocationEvent{Workflow: "c", Inv: 2, At: 5}) // never ends
-	invs := l.Invocations()
-	if len(invs) != 2 || invs[0] != 0 || invs[1] != 1 {
-		t.Fatalf("invocations = %v; want [0 1]", invs)
-	}
 	wfs := l.Workflows()
 	if len(wfs) != 3 || wfs[0] != "a" || wfs[2] != "c" {
 		t.Fatalf("workflows = %v", wfs)
@@ -110,10 +115,7 @@ func synthLog() *TraceLog {
 // analyzeOnly attributes the log's one completed invocation.
 func analyzeOnly(t *testing.T, l *TraceLog) *Breakdown {
 	t.Helper()
-	bds, err := AnalyzeAll(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bds := AnalyzeAll(l)
 	if len(bds) != 1 {
 		t.Fatalf("%d breakdowns, want 1", len(bds))
 	}
@@ -125,16 +127,16 @@ func TestAnalyzeSyntheticExact(t *testing.T) {
 	if bd.Total != 110*time.Nanosecond {
 		t.Fatalf("total = %v", bd.Total)
 	}
-	if bd.Sum() != bd.Total || bd.Unattributed != 0 {
-		t.Fatalf("sum %v / unattributed %v; want exact partition of %v", bd.Sum(), bd.Unattributed, bd.Total)
+	if componentSum(bd) != bd.Total || bd.Unattributed != 0 {
+		t.Fatalf("sum %v / unattributed %v; want exact partition of %v", componentSum(bd), bd.Unattributed, bd.Total)
 	}
-	if got := bd.Component(CompExec); got != 60*time.Nanosecond {
+	if got := bd.ByComponent[CompExec]; got != 60*time.Nanosecond {
 		t.Fatalf("exec = %v; want 60ns", got)
 	}
-	if got := bd.Component(CompSchedule); got != 30*time.Nanosecond {
+	if got := bd.ByComponent[CompSchedule]; got != 30*time.Nanosecond {
 		t.Fatalf("schedule = %v; want 30ns", got)
 	}
-	if got := bd.Component(CompTransfer); got != 20*time.Nanosecond {
+	if got := bd.ByComponent[CompTransfer]; got != 20*time.Nanosecond {
 		t.Fatalf("transfer = %v; want 20ns", got)
 	}
 	if len(bd.Path) != 2 || bd.Path[0] != "first" || bd.Path[1] != "second" {
@@ -153,14 +155,14 @@ func TestAnalyzeGapFallsToQueue(t *testing.T) {
 	}})
 	l.Record(InvocationEvent{Inv: 0, End: true, At: 110})
 	bd := analyzeOnly(t, l)
-	if bd.Sum() != bd.Total {
-		t.Fatalf("sum %v != total %v", bd.Sum(), bd.Total)
+	if componentSum(bd) != bd.Total {
+		t.Fatalf("sum %v != total %v", componentSum(bd), bd.Total)
 	}
 	if bd.Unattributed != 70*time.Nanosecond {
 		t.Fatalf("unattributed = %v; want 70ns", bd.Unattributed)
 	}
-	if bd.Component(CompQueue) != 70*time.Nanosecond {
-		t.Fatalf("queue = %v; want the 70ns gap", bd.Component(CompQueue))
+	if bd.ByComponent[CompQueue] != 70*time.Nanosecond {
+		t.Fatalf("queue = %v; want the 70ns gap", bd.ByComponent[CompQueue])
 	}
 }
 
@@ -169,10 +171,7 @@ func TestAnalyzeGapFallsToQueue(t *testing.T) {
 func TestAnalyzeMissingInvocation(t *testing.T) {
 	l := NewTraceLog()
 	l.Record(InvocationEvent{Inv: 7, At: 0})
-	bds, err := AnalyzeAll(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bds := AnalyzeAll(l)
 	if len(bds) != 0 {
 		t.Fatalf("incomplete invocation analyzed: %+v", bds[0])
 	}

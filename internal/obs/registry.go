@@ -125,13 +125,6 @@ func (c *Counter) Add(v float64, labelValues ...string) {
 // Inc adds 1 to the series identified by labelValues.
 func (c *Counter) Inc(labelValues ...string) { c.Add(1, labelValues...) }
 
-// Value reads a series' current value (0 if never touched).
-func (c *Counter) Value(labelValues ...string) float64 {
-	c.r.mu.Lock()
-	defer c.r.mu.Unlock()
-	return c.f.at(labelValues).value
-}
-
 // Gauge is a settable metric vector.
 type Gauge struct {
 	r *Registry
@@ -148,20 +141,6 @@ func (g *Gauge) Set(v float64, labelValues ...string) {
 	g.r.mu.Lock()
 	defer g.r.mu.Unlock()
 	g.f.at(labelValues).value = v
-}
-
-// Add shifts the series' current value by v (may be negative).
-func (g *Gauge) Add(v float64, labelValues ...string) {
-	g.r.mu.Lock()
-	defer g.r.mu.Unlock()
-	g.f.at(labelValues).value += v
-}
-
-// Value reads a series' current value.
-func (g *Gauge) Value(labelValues ...string) float64 {
-	g.r.mu.Lock()
-	defer g.r.mu.Unlock()
-	return g.f.at(labelValues).value
 }
 
 // Histogram is a bucketed distribution vector.
@@ -199,13 +178,6 @@ func (h *Histogram) Observe(v float64, labelValues ...string) {
 			s.bucketCount[i]++
 		}
 	}
-}
-
-// Count reads a series' observation count.
-func (h *Histogram) Count(labelValues ...string) uint64 {
-	h.r.mu.Lock()
-	defer h.r.mu.Unlock()
-	return h.f.at(labelValues).count
 }
 
 // ZeroGauges resets every gauge series to zero while keeping the series

@@ -336,13 +336,3 @@ func (s *Snapshot) Log() *TraceLog {
 	}
 	return l
 }
-
-// Stats looks up one (workflow, mode) group's stats.
-func (s *Snapshot) Stats(workflow, mode string) (WorkflowStats, bool) {
-	for _, ws := range s.Workflows {
-		if ws.Workflow == workflow && ws.Mode == mode {
-			return ws, true
-		}
-	}
-	return WorkflowStats{}, false
-}

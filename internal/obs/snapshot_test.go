@@ -55,8 +55,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if len(back.Workflows) != 1 || back.Workflows[0].Count != 1 || back.Workflows[0].P50Ns != 110 {
 		t.Fatalf("workflow stats = %+v", back.Workflows)
 	}
-	if _, ok := back.Stats("wf", "WorkerSP"); !ok {
-		t.Fatal("Stats lookup failed")
+	if ws := back.Workflows[0]; ws.Workflow != "wf" || ws.Mode != "WorkerSP" {
+		t.Fatalf("workflow stats keyed %q/%q, want wf/WorkerSP", back.Workflows[0].Workflow, back.Workflows[0].Mode)
 	}
 	if len(back.Utilization) == 0 {
 		t.Fatal("snapshot lost utilization summaries")
@@ -175,7 +175,6 @@ func TestTraceLogConcurrentReadDuringPublish(t *testing.T) {
 			for _, ev := range l.Events() {
 				_ = ev.Kind()
 			}
-			l.Invocations()
 			l.Workflows()
 			_ = l.Len()
 		}

@@ -222,9 +222,6 @@ func (u *Utilization) Names() []string {
 	return out
 }
 
-// Resource looks a resource up by name (nil when absent).
-func (u *Utilization) Resource(name string) *Resource { return u.Resources[name] }
-
 // ResourceSummary condenses one resource's timeline for reports and
 // snapshots. Mean/Peak/P95 are in native units (tasks, bytes, bytes/sec,
 // containers, queue depth); MeanOcc/PeakOcc normalize by capacity into
@@ -538,16 +535,10 @@ func (u *Utilization) componentResource(comp Component, windows []PathSegment) (
 }
 
 // AttributeBottlenecks joins every completed invocation's critical path
-// with resource saturation. Pass a precomputed Utilization to amortize it
-// across calls, or nil to compute one from the log.
-func AttributeBottlenecks(l *TraceLog, u *Utilization) ([]*InvBottlenecks, error) {
-	if u == nil {
-		u = ComputeUtilization(l)
-	}
-	bds, err := AnalyzeAll(l)
-	if err != nil {
-		return nil, err
-	}
+// with the resource saturation of the same log.
+func AttributeBottlenecks(l *TraceLog) []*InvBottlenecks {
+	u := ComputeUtilization(l)
+	bds := AnalyzeAll(l)
 	out := make([]*InvBottlenecks, 0, len(bds))
 	for _, bd := range bds {
 		ib := &InvBottlenecks{Workflow: bd.Workflow, Inv: bd.Inv, Mode: bd.Mode, Total: bd.Total}
@@ -572,7 +563,7 @@ func AttributeBottlenecks(l *TraceLog, u *Utilization) ([]*InvBottlenecks, error
 		})
 		out = append(out, ib)
 	}
-	return out, nil
+	return out
 }
 
 // BottleneckSummary aggregates bottleneck attributions per workflow/mode.

@@ -90,7 +90,7 @@ func TestComputeUtilization(t *testing.T) {
 	if u.Start != 0 || u.End != sec(5) {
 		t.Fatalf("window = [%v, %v]; want [0, 5s]", u.Start, u.End)
 	}
-	cpu := u.Resource("node:w0:cpu")
+	cpu := u.Resources["node:w0:cpu"]
 	if cpu == nil {
 		t.Fatal("missing cpu resource")
 	}
@@ -108,7 +108,7 @@ func TestComputeUtilization(t *testing.T) {
 	}
 
 	// Link: 100 bytes spread over [2s,4s] = 50 B/s on both endpoints.
-	in := u.Resource("link:w0:ingress")
+	in := u.Resources["link:w0:ingress"]
 	if in == nil || in.Bytes != 100 {
 		t.Fatalf("ingress bytes = %+v; want 100", in)
 	}
@@ -126,11 +126,11 @@ func TestComputeUtilization(t *testing.T) {
 	}
 
 	// Queue depth and warm counts come from container events.
-	q := u.Resource("queue:w0:f")
+	q := u.Resources["queue:w0:f"]
 	if q == nil || q.Series.ValueAt(sec(2)) != 2 || q.Series.ValueAt(sec(5)) != 0 {
 		t.Fatalf("queue series wrong: %+v", q)
 	}
-	warm := u.Resource("node:w0:warm")
+	warm := u.Resources["node:w0:warm"]
 	if warm == nil || warm.Series.ValueAt(sec(5)) != 1 {
 		t.Fatalf("warm series wrong: %+v", warm)
 	}
@@ -180,10 +180,7 @@ func bottleneckLog() *TraceLog {
 
 func TestAttributeBottlenecks(t *testing.T) {
 	l := bottleneckLog()
-	ibs, err := AttributeBottlenecks(l, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ibs := AttributeBottlenecks(l)
 	if len(ibs) != 1 {
 		t.Fatalf("got %d attributions; want 1", len(ibs))
 	}

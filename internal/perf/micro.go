@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/harness"
-	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -73,7 +72,7 @@ const fairShareFlows = 32
 // ~2×fairShareFlows solver passes at realistic set sizes.
 func BenchNetworkFairShare(b *testing.B) {
 	env := sim.NewEnv()
-	fab := network.New(env, network.DefaultConfig())
+	fab := network.New(env)
 	fab.AddNode("sink", network.MBps(100), network.MBps(100))
 	sources := make([]string, 8)
 	for i := range sources {
@@ -213,7 +212,7 @@ func benchInvocations(b *testing.B, tb *harness.Testbed, d *engine.Deployment) {
 // remote path through the fair-share fabric and the DB's op latency.
 func BenchStoreHybrid(b *testing.B, local bool) {
 	env := sim.NewEnv()
-	fab := network.New(env, network.DefaultConfig())
+	fab := network.New(env)
 	fab.AddNode("master", network.MBps(50), network.MBps(50))
 	mems := map[string]*store.MemKV{}
 	for i := 0; i < 4; i++ {
@@ -249,24 +248,6 @@ func BenchStoreHybrid(b *testing.B, local bool) {
 	reportRate(b, 2*float64(b.N), "ops/sec")
 }
 
-// BenchMetricsHistogram measures the exponential-bucket Observe path that
-// long-running collectors sit on.
-func BenchMetricsHistogram(b *testing.B) {
-	h := metrics.NewHistogram(0.001, 2, 20)
-	b.ReportAllocs()
-	v := 0.0001
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Observe(v)
-		v *= 1.3
-		if v > 100 {
-			v = 0.0001
-		}
-	}
-	b.StopTimer()
-	reportRate(b, float64(b.N), "observe/sec")
-}
-
 // reportRate reports count/elapsed under the given unit, guarding the
 // -benchtime=1x case where elapsed can round to zero.
 func reportRate(b *testing.B, count float64, unit string) {
@@ -295,6 +276,5 @@ func microSuite() []microBench {
 		{"engine/dispatch-storage", BenchDispatchStorage},
 		{"store/hybrid-local", func(b *testing.B) { BenchStoreHybrid(b, true) }},
 		{"store/hybrid-remote", func(b *testing.B) { BenchStoreHybrid(b, false) }},
-		{"metrics/hist-observe", BenchMetricsHistogram},
 	}
 }

@@ -134,7 +134,7 @@ func TestStorageDispatchAllocs(t *testing.T) {
 func TestHybridRemotePairAllocs(t *testing.T) {
 	const limit = 6
 	env := sim.NewEnv()
-	fab := network.New(env, network.DefaultConfig())
+	fab := network.New(env)
 	fab.AddNode("master", network.MBps(50), network.MBps(50))
 	mems := map[string]*store.MemKV{}
 	for _, w := range []string{"w0", "w1"} {
@@ -168,7 +168,7 @@ func TestHybridRemotePairAllocs(t *testing.T) {
 func TestFabricSendAllocs(t *testing.T) {
 	const limit = 3
 	env := sim.NewEnv()
-	fab := network.New(env, network.DefaultConfig())
+	fab := network.New(env)
 	fab.AddNode("a", network.MBps(100), network.MBps(100))
 	fab.AddNode("b", network.MBps(100), network.MBps(100))
 	done := func() {}

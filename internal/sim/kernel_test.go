@@ -203,8 +203,8 @@ func TestRescheduleCanceledRequeues(t *testing.T) {
 		t.Fatalf("Pending = %d after Cancel, want 0", env.Pending())
 	}
 	env.Reschedule(ev, Time(5*time.Millisecond))
-	if !ev.Queued() || env.Pending() != 1 || ev.At() != Time(5*time.Millisecond) {
-		t.Fatalf("after Reschedule: Queued=%v Pending=%d At=%v", ev.Queued(), env.Pending(), ev.At())
+	if !ev.Queued() || env.Pending() != 1 || ev.at != Time(5*time.Millisecond) {
+		t.Fatalf("after Reschedule: Queued=%v Pending=%d At=%v", ev.Queued(), env.Pending(), ev.at)
 	}
 	env.Run()
 	if fired != Time(5*time.Millisecond) {
@@ -220,7 +220,7 @@ func TestRescheduleTakesFreshSequence(t *testing.T) {
 	env.Schedule(time.Millisecond, func() { got = append(got, 2) })
 	// Same instant: a re-keyed event queues behind everything already
 	// scheduled for it, exactly as Cancel plus a new Schedule would.
-	env.Reschedule(a, a.At())
+	env.Reschedule(a, a.at)
 	env.Run()
 	if fmt.Sprint(got) != "[2 1]" {
 		t.Fatalf("fired %v, want [2 1]", got)

@@ -30,9 +30,6 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // Seconds reports the instant as floating-point seconds since the epoch.
 func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
 
-// Milliseconds reports the instant as floating-point milliseconds.
-func (t Time) Milliseconds() float64 { return float64(t) / float64(time.Millisecond) }
-
 func (t Time) String() string { return time.Duration(t).String() }
 
 // MaxTime is the largest representable virtual instant.
@@ -48,9 +45,6 @@ type Event struct {
 	index int  // heap index, -1 when not queued
 	owned bool // made by NewEvent: the kernel never recycles it
 }
-
-// At reports the virtual instant the event will fire.
-func (ev *Event) At() Time { return ev.at }
 
 // Cancel prevents the event from firing and removes it from the queue.
 // Canceling an already-fired or already-canceled event is a no-op.

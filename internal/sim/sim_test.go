@@ -196,9 +196,6 @@ func TestTimeHelpers(t *testing.T) {
 	if tm.Seconds() != 1.5 {
 		t.Fatalf("Seconds = %v, want 1.5", tm.Seconds())
 	}
-	if tm.Milliseconds() != 1500 {
-		t.Fatalf("Milliseconds = %v, want 1500", tm.Milliseconds())
-	}
 	if tm.Duration() != 1500*time.Millisecond {
 		t.Fatalf("Duration = %v", tm.Duration())
 	}

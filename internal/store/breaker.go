@@ -74,14 +74,6 @@ func (c BreakerConfig) Validate() error {
 	return nil
 }
 
-// BreakerStats aggregates lifetime counters.
-type BreakerStats struct {
-	Trips     int64 // closed/half-open -> open transitions
-	FastFails int64 // operations rejected while open
-	Timeouts  int64 // operations abandoned by the watchdog
-	Probes    int64 // half-open trial operations issued
-}
-
 // Breaker is a consecutive-timeout circuit breaker on the simulation
 // clock. A nil *Breaker is valid and inert: Admit always allows and Track
 // never times out, so Hybrid call sites need no gating.
@@ -102,7 +94,6 @@ type Breaker struct {
 	// stale pre-trip operation settling during half-open would clear the
 	// probe slot and let a second concurrent probe through.
 	pendingProbe bool
-	stats        BreakerStats
 }
 
 // NewBreaker builds a breaker in the closed state.
@@ -121,14 +112,6 @@ func (b *Breaker) SetBus(bus *obs.Bus) {
 	}
 }
 
-// State reports the current state name ("closed" | "open" | "half_open").
-func (b *Breaker) State() string {
-	if b == nil {
-		return "closed"
-	}
-	return stateName(b.state)
-}
-
 func stateName(s int) string {
 	switch s {
 	case breakerOpen:
@@ -138,14 +121,6 @@ func stateName(s int) string {
 	default:
 		return "closed"
 	}
-}
-
-// Stats returns a snapshot of lifetime counters.
-func (b *Breaker) Stats() BreakerStats {
-	if b == nil {
-		return BreakerStats{}
-	}
-	return b.stats
 }
 
 // Admit decides whether an operation may be issued now. Open circuits
@@ -163,19 +138,15 @@ func (b *Breaker) Admit() error {
 			b.transition(breakerHalfOpen)
 			b.probing = true
 			b.pendingProbe = true
-			b.stats.Probes++
 			return nil
 		}
-		b.stats.FastFails++
 		return ErrBreakerOpen
 	default: // half-open
 		if !b.probing {
 			b.probing = true
 			b.pendingProbe = true
-			b.stats.Probes++
 			return nil
 		}
-		b.stats.FastFails++
 		return ErrBreakerOpen
 	}
 }
@@ -193,7 +164,6 @@ func (b *Breaker) Track(onTimeout func()) func() {
 	expired := false
 	ev := b.env.NewEvent(func() {
 		expired = true
-		b.stats.Timeouts++
 		b.recordFailure(isProbe)
 		onTimeout()
 	})
@@ -212,14 +182,12 @@ func (b *Breaker) recordFailure(isProbe bool) {
 	if isProbe {
 		// The probe failed: straight back to open, cooldown restarts.
 		b.probing = false
-		b.stats.Trips++
 		b.transition(breakerOpen)
 		return
 	}
 	switch b.state {
 	case breakerClosed:
 		if b.consecFails >= b.cfg.Threshold {
-			b.stats.Trips++
 			b.transition(breakerOpen)
 		}
 	case breakerHalfOpen:

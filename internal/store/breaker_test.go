@@ -31,37 +31,75 @@ func TestBreakerNilIsInert(t *testing.T) {
 		t.Fatalf("nil Admit = %v", err)
 	}
 	b.Track(func() { t.Fatal("nil breaker timed out") })()
-	if b.State() != "closed" || b.Stats() != (BreakerStats{}) {
+	if state(b) != "closed" {
 		t.Fatal("nil breaker not inert")
 	}
 }
 
-// timeoutOnce lets one tracked op expire on the virtual clock.
-func timeoutOnce(env *sim.Env, b *Breaker) {
-	settle := b.Track(func() {})
-	_ = settle
+// state reports the breaker's current state name.
+func state(b *Breaker) string {
+	if b == nil {
+		return "closed"
+	}
+	return stateName(b.state)
+}
+
+// transitions records every state the breaker publishes from now on.
+func transitions(b *Breaker) *[]string {
+	var states []string
+	bus := obs.NewBus()
+	bus.Subscribe(func(ev obs.Event) {
+		if e, ok := ev.(obs.BreakerEvent); ok {
+			states = append(states, e.State)
+		}
+	})
+	b.SetBus(bus)
+	return &states
+}
+
+// count reports how often s occurs in states.
+func count(states []string, s string) int {
+	n := 0
+	for _, x := range states {
+		if x == s {
+			n++
+		}
+	}
+	return n
+}
+
+// timeoutOnce lets one tracked op expire on the virtual clock and reports
+// whether its timeout callback ran.
+func timeoutOnce(env *sim.Env, b *Breaker) bool {
+	timedOut := false
+	b.Track(func() { timedOut = true })
 	env.Run()
+	return timedOut
 }
 
 func TestBreakerOpensAfterConsecutiveTimeouts(t *testing.T) {
 	env := sim.NewEnv()
 	b, _ := NewBreaker(env, BreakerConfig{Timeout: 10 * time.Millisecond, Threshold: 3})
+	states := transitions(b)
 	for i := 0; i < 2; i++ {
-		timeoutOnce(env, b)
-		if b.State() != "closed" {
+		if !timeoutOnce(env, b) {
+			t.Fatalf("op %d did not time out", i+1)
+		}
+		if state(b) != "closed" {
 			t.Fatalf("opened after %d failures, threshold 3", i+1)
 		}
 	}
-	timeoutOnce(env, b)
-	if b.State() != "open" {
-		t.Fatalf("state = %q after 3 consecutive timeouts", b.State())
+	if !timeoutOnce(env, b) {
+		t.Fatal("op 3 did not time out")
+	}
+	if state(b) != "open" {
+		t.Fatalf("state = %q after 3 consecutive timeouts", state(b))
 	}
 	if err := b.Admit(); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("Admit while open = %v", err)
 	}
-	st := b.Stats()
-	if st.Trips != 1 || st.Timeouts != 3 || st.FastFails != 1 {
-		t.Fatalf("stats = %+v", st)
+	if len(*states) != 1 || (*states)[0] != "open" {
+		t.Fatalf("transitions = %v, want one trip", *states)
 	}
 }
 
@@ -73,11 +111,11 @@ func TestBreakerSuccessResetsFailureStreak(t *testing.T) {
 	b.Track(func() { t.Fatal("settled op timed out") })() // immediate success
 	timeoutOnce(env, b)
 	timeoutOnce(env, b)
-	if b.State() != "closed" {
+	if state(b) != "closed" {
 		t.Fatal("streak not reset by success")
 	}
 	timeoutOnce(env, b)
-	if b.State() != "open" {
+	if state(b) != "open" {
 		t.Fatal("did not open after a fresh streak of 3")
 	}
 }
@@ -88,8 +126,8 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 		Timeout: 10 * time.Millisecond, Threshold: 1, Cooldown: 100 * time.Millisecond,
 	})
 	timeoutOnce(env, b)
-	if b.State() != "open" {
-		t.Fatalf("state = %q", b.State())
+	if state(b) != "open" {
+		t.Fatalf("state = %q", state(b))
 	}
 	// Before the cooldown: still failing fast.
 	if err := b.Admit(); !errors.Is(err, ErrBreakerOpen) {
@@ -101,16 +139,16 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 		if err := b.Admit(); err != nil {
 			t.Fatalf("probe Admit = %v", err)
 		}
-		if b.State() != "half_open" {
-			t.Fatalf("state = %q, want half_open", b.State())
+		if state(b) != "half_open" {
+			t.Fatalf("state = %q, want half_open", state(b))
 		}
 		if err := b.Admit(); !errors.Is(err, ErrBreakerOpen) {
 			t.Fatalf("second Admit during probe = %v", err)
 		}
 		// The probe succeeds: circuit closes.
 		b.Track(func() {})()
-		if b.State() != "closed" {
-			t.Fatalf("state = %q after successful probe", b.State())
+		if state(b) != "closed" {
+			t.Fatalf("state = %q after successful probe", state(b))
 		}
 	})
 	env.Run()
@@ -121,6 +159,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	b, _ := NewBreaker(env, BreakerConfig{
 		Timeout: 10 * time.Millisecond, Threshold: 1, Cooldown: 50 * time.Millisecond,
 	})
+	states := transitions(b)
 	timeoutOnce(env, b)
 	env.Schedule(100*time.Millisecond, func() {
 		if err := b.Admit(); err != nil {
@@ -129,11 +168,11 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 		b.Track(func() {}) // never settled: the probe times out
 	})
 	env.Run()
-	if b.State() != "open" {
-		t.Fatalf("state = %q after failed probe, want open", b.State())
+	if state(b) != "open" {
+		t.Fatalf("state = %q after failed probe, want open", state(b))
 	}
-	if b.Stats().Trips != 2 {
-		t.Fatalf("trips = %d, want 2", b.Stats().Trips)
+	if trips := count(*states, "open"); trips != 2 {
+		t.Fatalf("trips = %d, want 2 (transitions %v)", trips, *states)
 	}
 }
 
@@ -183,8 +222,8 @@ func TestBreakerFailsFastDuringBrownout(t *testing.T) {
 	if p := remote.PendingOps(); p != 2 {
 		t.Fatalf("outage queue = %d ops, want 2 (fast-fails never issued)", p)
 	}
-	if h.Breaker().State() != "open" {
-		t.Fatalf("state = %q", h.Breaker().State())
+	if state(h.breaker) != "open" {
+		t.Fatalf("state = %q", state(h.breaker))
 	}
 }
 
@@ -232,10 +271,10 @@ func TestBreakerRecoversAfterBrownout(t *testing.T) {
 	if !probed || proberErr != nil {
 		t.Fatalf("probe: done=%v err=%v", probed, proberErr)
 	}
-	if h.Breaker().State() != "closed" {
-		t.Fatalf("state = %q after recovery", h.Breaker().State())
+	if state(h.breaker) != "closed" {
+		t.Fatalf("state = %q after recovery", state(h.breaker))
 	}
-	if !remote.Has("c") {
+	if !stored(remote, "c") {
 		t.Fatal("probe value not stored")
 	}
 }
@@ -250,8 +289,8 @@ func TestBreakerLatePutCompletionRerecordsPlacement(t *testing.T) {
 	})
 	// While the write is timed out, the placement must not claim the key.
 	env.Schedule(60*time.Millisecond, func() {
-		if h.Where("k") != LocNone {
-			t.Errorf("placement = %v while write unacknowledged", h.Where("k"))
+		if h.placements["k"] != LocNone {
+			t.Errorf("placement = %v while write unacknowledged", h.placements["k"])
 		}
 	})
 	env.Schedule(200*time.Millisecond, func() { remote.SetAvailable(true) })
@@ -260,15 +299,15 @@ func TestBreakerLatePutCompletionRerecordsPlacement(t *testing.T) {
 		t.Fatalf("calls=%d err=%v", calls, first)
 	}
 	// The late completion landed: placement re-recorded, value present.
-	if h.Where("k") != LocRemote || !remote.Has("k") {
-		t.Fatalf("late write lost: Where=%v Has=%v", h.Where("k"), remote.Has("k"))
+	if h.placements["k"] != LocRemote || !stored(remote, "k") {
+		t.Fatalf("late write lost: Where=%v Has=%v", h.placements["k"], stored(remote, "k"))
 	}
 }
 
 func TestBreakerPublishesTransitions(t *testing.T) {
 	env, h, remote := brownedOutHybrid(t)
 	bus := obs.NewBus()
-	h.Breaker().SetBus(bus)
+	h.breaker.SetBus(bus)
 	var states []string
 	bus.Subscribe(func(ev obs.Event) {
 		if e, ok := ev.(obs.BreakerEvent); ok {
@@ -302,8 +341,8 @@ func TestBreakerLocalPathNotGated(t *testing.T) {
 	// Trip the breaker with one remote op.
 	h.Put(workerA, "remote-k", 100, []string{workerB}, nil)
 	env.Run()
-	if b.State() != "open" {
-		t.Fatalf("state = %q", b.State())
+	if state(b) != "open" {
+		t.Fatalf("state = %q", state(b))
 	}
 	var loc Location
 	var putErr error
@@ -330,6 +369,7 @@ func TestBreakerStaleSettleDoesNotFreeProbeSlot(t *testing.T) {
 	b, _ := NewBreaker(env, BreakerConfig{
 		Timeout: 10 * time.Millisecond, Threshold: 1, Cooldown: 2 * time.Millisecond,
 	})
+	states := transitions(b)
 	// Op B: admitted while closed, times out at t=10ms and trips the breaker.
 	b.Track(func() {})
 	// Op A: admitted while closed at t=5ms, still in flight when the
@@ -346,8 +386,8 @@ func TestBreakerStaleSettleDoesNotFreeProbeSlot(t *testing.T) {
 		env.Schedule(time.Millisecond, func() {
 			// The stale pre-trip op settles while the probe is in flight.
 			settleA()
-			if b.State() != "half_open" {
-				t.Fatalf("state = %q after stale settle, want half_open", b.State())
+			if state(b) != "half_open" {
+				t.Fatalf("state = %q after stale settle, want half_open", state(b))
 			}
 			if err := b.Admit(); !errors.Is(err, ErrBreakerOpen) {
 				t.Fatalf("Admit after stale settle = %v, want ErrBreakerOpen", err)
@@ -355,14 +395,15 @@ func TestBreakerStaleSettleDoesNotFreeProbeSlot(t *testing.T) {
 		})
 		env.Schedule(3*time.Millisecond, func() {
 			settleProbe()
-			if b.State() != "closed" {
-				t.Fatalf("state = %q after probe success, want closed", b.State())
+			if state(b) != "closed" {
+				t.Fatalf("state = %q after probe success, want closed", state(b))
 			}
 		})
 	})
 	env.Run()
-	if st := b.Stats(); st.Trips != 1 || st.Probes != 1 {
-		t.Fatalf("stats = %+v, want 1 trip / 1 probe", st)
+	// Every probe starts with the open -> half_open transition.
+	if count(*states, "open") != 1 || count(*states, "half_open") != 1 {
+		t.Fatalf("transitions = %v, want 1 trip / 1 probe", *states)
 	}
 }
 
@@ -374,6 +415,7 @@ func TestBreakerStaleTimeoutDuringProbeIgnored(t *testing.T) {
 	b, _ := NewBreaker(env, BreakerConfig{
 		Timeout: 10 * time.Millisecond, Threshold: 1, Cooldown: 2 * time.Millisecond,
 	})
+	states := transitions(b)
 	b.Track(func() {}) // times out at t=10ms and trips
 	// Op A tracked at t=5ms; its watchdog fires at t=15ms, mid-probe.
 	env.Schedule(5*time.Millisecond, func() { b.Track(func() {}) })
@@ -383,20 +425,20 @@ func TestBreakerStaleTimeoutDuringProbeIgnored(t *testing.T) {
 		}
 		settleProbe := b.Track(func() { t.Fatal("probe timed out") })
 		env.Schedule(4*time.Millisecond, func() {
-			if b.State() != "half_open" {
-				t.Fatalf("state = %q after stale timeout, want half_open", b.State())
+			if state(b) != "half_open" {
+				t.Fatalf("state = %q after stale timeout, want half_open", state(b))
 			}
 			if err := b.Admit(); !errors.Is(err, ErrBreakerOpen) {
 				t.Fatalf("Admit after stale timeout = %v, want ErrBreakerOpen", err)
 			}
 			settleProbe()
-			if b.State() != "closed" {
-				t.Fatalf("state = %q after probe success, want closed", b.State())
+			if state(b) != "closed" {
+				t.Fatalf("state = %q after probe success, want closed", state(b))
 			}
 		})
 	})
 	env.Run()
-	if st := b.Stats(); st.Trips != 1 {
-		t.Fatalf("stale timeout re-tripped: %+v", st)
+	if trips := count(*states, "open"); trips != 1 {
+		t.Fatalf("stale timeout re-tripped: transitions %v", *states)
 	}
 }

@@ -17,8 +17,8 @@ func TestPushDirectPlacesOnTargets(t *testing.T) {
 	if !done {
 		t.Fatal("done never fired")
 	}
-	if h.Where("k") != LocMemory {
-		t.Fatalf("placement = %v, want memory", h.Where("k"))
+	if h.placements["k"] != LocMemory {
+		t.Fatalf("placement = %v, want memory", h.placements["k"])
 	}
 	if got := h.direct["k"]; len(got) != 2 || got[0] != workerA || got[1] != workerB {
 		t.Fatalf("holders = %v", got)
@@ -59,8 +59,8 @@ func TestPushDirectAllOrNothing(t *testing.T) {
 	if h.mem[workerA].Has("k") || h.mem[workerB].Has("k") {
 		t.Fatal("partial placement after rejected push")
 	}
-	if h.Where("k") != LocNone {
-		t.Fatalf("placement = %v, want none", h.Where("k"))
+	if h.placements["k"] != LocNone {
+		t.Fatalf("placement = %v, want none", h.placements["k"])
 	}
 	if st := h.DirectStats(); st.Pushes != 0 || st.Copies != 0 {
 		t.Fatalf("stats after rejected push = %+v", st)
@@ -145,7 +145,7 @@ func TestPushDirectDeleteReleasesEveryCopy(t *testing.T) {
 	if h.mem[workerA].Used() != 0 || h.mem[workerB].Used() != 0 {
 		t.Fatal("quota not released")
 	}
-	if h.direct["k"] != nil || h.Where("k") != LocNone {
+	if h.direct["k"] != nil || h.placements["k"] != LocNone {
 		t.Fatal("bookkeeping survived delete")
 	}
 }

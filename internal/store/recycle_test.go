@@ -37,11 +37,11 @@ func TestRecycledTimedOutWriteCompletesOnce(t *testing.T) {
 	if len(secondErrs) != 1 || secondErrs[0] != nil || secondLoc != LocRemote {
 		t.Fatalf("second write done calls = %v (loc %v), want one nil at LocRemote", secondErrs, secondLoc)
 	}
-	if h.Where("k1") != LocRemote || !remote.Has("k1") {
-		t.Fatalf("late write not restored: Where=%v Has=%v", h.Where("k1"), remote.Has("k1"))
+	if h.placements["k1"] != LocRemote || !stored(remote, "k1") {
+		t.Fatalf("late write not restored: Where=%v Has=%v", h.placements["k1"], stored(remote, "k1"))
 	}
-	if h.Where("k2") != LocRemote || !remote.Has("k2") {
-		t.Fatalf("second write lost: Where=%v Has=%v", h.Where("k2"), remote.Has("k2"))
+	if h.placements["k2"] != LocRemote || !stored(remote, "k2") {
+		t.Fatalf("second write lost: Where=%v Has=%v", h.placements["k2"], stored(remote, "k2"))
 	}
 	// Both ops are free again, so a third write reuses one of them and
 	// still completes once.

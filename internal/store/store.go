@@ -112,9 +112,6 @@ func NewRemoteKV(env *sim.Env, fab *network.Fabric, node string, opLatency time.
 	return &RemoteKV{env: env, fab: fab, node: node, OpLatency: opLatency, values: map[string]int64{}}
 }
 
-// Node reports the fabric node the store is attached to.
-func (s *RemoteKV) Node() string { return s.node }
-
 // SetAvailable toggles the database's availability (the fault injector's
 // storage-outage window). While down, Put/Get requests queue instead of
 // touching the fabric; restoring availability drains them in arrival order.
@@ -239,15 +236,6 @@ func (s *RemoteKV) Get(to, key string, done func(size int64, ok bool)) {
 // existing control traffic).
 func (s *RemoteKV) Delete(key string) { delete(s.values, key) }
 
-// Has reports whether key is stored.
-func (s *RemoteKV) Has(key string) bool {
-	_, ok := s.values[key]
-	return ok
-}
-
-// Len reports the number of stored keys.
-func (s *RemoteKV) Len() int { return len(s.values) }
-
 // Stats returns cumulative counters.
 func (s *RemoteKV) Stats() Stats { return s.stats }
 
@@ -335,9 +323,6 @@ func NewMemKV(env *sim.Env, node string, quota int64) *MemKV {
 	}
 }
 
-// Node reports the worker this store belongs to.
-func (s *MemKV) Node() string { return s.node }
-
 // Quota reports the current capacity in bytes.
 func (s *MemKV) Quota() int64 { return s.quota }
 
@@ -411,9 +396,6 @@ func (s *MemKV) Clear() {
 	s.used = 0
 	s.values = map[string]int64{}
 }
-
-// Len reports the number of resident keys.
-func (s *MemKV) Len() int { return len(s.values) }
 
 // Stats returns cumulative counters.
 func (s *MemKV) Stats() Stats { return s.stats }
@@ -555,6 +537,11 @@ func (op *hybridOp) remotePutDone() {
 		// at least findable; don't call done twice.
 		op.h.placements[op.key] = LocRemote
 	} else {
+		if op.h.placements[op.key] != LocRemote {
+			// Deleted (or rewritten elsewhere) while this write was in
+			// flight: drop the copy that just landed, or nothing frees it.
+			op.h.remote.Delete(op.key)
+		}
 		op.h.pubOp("put", op.key, op.worker, obs.TierRemote, op.size, true, op.start)
 		op.putDone(LocRemote, nil)
 	}
@@ -587,9 +574,6 @@ func (h *Hybrid) SetBus(b *obs.Bus) { h.bus = b }
 // Local-memory operations are never gated — only remote round-trips can
 // brown out.
 func (h *Hybrid) SetBreaker(b *Breaker) { h.breaker = b }
-
-// Breaker exposes the attached circuit breaker (nil when disabled).
-func (h *Hybrid) Breaker() *Breaker { return h.breaker }
 
 // SetReplication turns on k-way replicated memory placement. With factor
 // k >= 2, Put writes up to k copies to worker shards chosen by graph
@@ -897,9 +881,6 @@ func (h *Hybrid) pickReplica(at, key string) string {
 	}
 	return ""
 }
-
-// Where reports a key's recorded placement.
-func (h *Hybrid) Where(key string) Location { return h.placements[key] }
 
 // Delete releases a key from whichever store holds it.
 func (h *Hybrid) Delete(key string) {

@@ -16,10 +16,16 @@ const (
 	workerB     = "w2"
 )
 
+// stored reports whether the remote store holds key.
+func stored(s *RemoteKV, key string) bool {
+	_, ok := s.values[key]
+	return ok
+}
+
 func testRig(t *testing.T) (*sim.Env, *network.Fabric, *RemoteKV) {
 	t.Helper()
 	env := sim.NewEnv()
-	fab := network.New(env, network.DefaultConfig())
+	fab := network.New(env)
 	fab.AddNode(storageNode, network.MBps(50), network.MBps(50))
 	fab.AddNode(workerA, network.MBps(100), network.MBps(100))
 	fab.AddNode(workerB, network.MBps(100), network.MBps(100))
@@ -76,11 +82,11 @@ func TestRemoteDelete(t *testing.T) {
 	env, _, remote := testRig(t)
 	remote.Put(workerA, "k", 100, nil)
 	env.Run()
-	if !remote.Has("k") {
+	if !stored(remote, "k") {
 		t.Fatal("key missing after put")
 	}
 	remote.Delete("k")
-	if remote.Has("k") || remote.Len() != 0 {
+	if stored(remote, "k") || len(remote.values) != 0 {
 		t.Fatal("key survived delete")
 	}
 }
@@ -135,7 +141,7 @@ func TestMemKVIsFastLocally(t *testing.T) {
 	var doneAt sim.Time
 	m.TryPut("k", 30_000_000, func() { doneAt = env.Now() }) // 30MB at 150MB/s = 200ms
 	env.Run()
-	if ms := doneAt.Milliseconds(); ms < 150 || ms > 300 {
+	if ms := doneAt.Duration().Milliseconds(); ms < 150 || ms > 300 {
 		t.Fatalf("local put of 30MB took %vms, want ~200ms", ms)
 	}
 }
@@ -236,7 +242,7 @@ func TestHybridRemoteOnlyMode(t *testing.T) {
 	if loc != LocRemote {
 		t.Fatalf("remote-only placement = %v", loc)
 	}
-	if h.mem[workerA].Len() != 0 {
+	if len(h.mem[workerA].values) != 0 {
 		t.Fatal("remote-only mode touched worker memory")
 	}
 }
@@ -249,14 +255,31 @@ func TestHybridDeleteReleasesQuota(t *testing.T) {
 	if h.mem[workerA].Used() != 0 {
 		t.Fatalf("used = %d after delete", h.mem[workerA].Used())
 	}
-	if h.Where("a") != LocNone {
-		t.Fatalf("Where = %v after delete", h.Where("a"))
+	if h.placements["a"] != LocNone {
+		t.Fatalf("Where = %v after delete", h.placements["a"])
 	}
 	ok := true
 	h.Get(workerA, "a", func(s int64, o bool, _ error) { ok = o })
 	env.Run()
 	if ok {
 		t.Fatal("deleted key still readable")
+	}
+}
+
+// TestHybridDeleteDuringRemoteWrite: a key deleted while its remote write
+// is still in flight (its invocation finished first) must not be left in
+// the database when the write lands.
+func TestHybridDeleteDuringRemoteWrite(t *testing.T) {
+	env, h := newHybridRig(t, false, 1<<20)
+	var loc Location
+	h.Put(workerA, "k", 1_000_000, nil, func(l Location, _ error) { loc = l })
+	env.Schedule(time.Millisecond, func() { h.Delete("k") })
+	env.Run()
+	if loc != LocRemote {
+		t.Fatalf("write completed at %v, want remote", loc)
+	}
+	if stored(h.remote, "k") || h.placements["k"] != LocNone {
+		t.Fatalf("deleted key survived its late write: stored=%v placement=%v", stored(h.remote, "k"), h.placements["k"])
 	}
 }
 
@@ -386,7 +409,7 @@ func TestMemKVInvariantProperty(t *testing.T) {
 
 func BenchmarkHybridLocalPutGet(b *testing.B) {
 	env := sim.NewEnv()
-	fab := network.New(env, network.DefaultConfig())
+	fab := network.New(env)
 	fab.AddNode(storageNode, network.MBps(50), network.MBps(50))
 	fab.AddNode(workerA, network.MBps(100), network.MBps(100))
 	remote := NewRemoteKV(env, fab, storageNode, time.Millisecond)

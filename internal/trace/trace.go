@@ -229,8 +229,6 @@ func FromBenchmark(b *workloads.Benchmark) (*Trace, error) {
 
 // GenerateOptions controls the synthetic Pegasus-shaped generator.
 type GenerateOptions struct {
-	// Name of the generated trace.
-	Name string
 	// Jobs is the total job count (>= 4).
 	Jobs int
 	// Stages is the pipeline depth between the split and merge stages
@@ -247,12 +245,10 @@ type GenerateOptions struct {
 // Generate fabricates a Pegasus-shaped instance: a split job fans out to
 // parallel lanes of Stages chained jobs, which merge into a short tail —
 // the dominant shape of the Pegasus epigenomics/genome/soykb instances.
+// The trace is named pegasus-synthetic-<Jobs>.
 func Generate(opts GenerateOptions) (*Trace, error) {
 	if opts.Jobs < 4 {
 		return nil, fmt.Errorf("trace: need at least 4 jobs, got %d", opts.Jobs)
-	}
-	if opts.Name == "" {
-		opts.Name = fmt.Sprintf("pegasus-synthetic-%d", opts.Jobs)
 	}
 	if opts.Stages <= 0 {
 		opts.Stages = 3
@@ -270,7 +266,7 @@ func Generate(opts GenerateOptions) (*Trace, error) {
 	jitter := func(mean float64) float64 {
 		return mean * (0.5 + rng.Float64())
 	}
-	t := &Trace{Name: opts.Name}
+	t := &Trace{Name: fmt.Sprintf("pegasus-synthetic-%d", opts.Jobs)}
 	add := func(name, task string, parents ...string) {
 		t.Jobs = append(t.Jobs, Job{
 			Name:           name,

@@ -428,13 +428,3 @@ func Seq(m map[string]any, key string) ([]any, bool) {
 	s, ok := v.([]any)
 	return s, ok
 }
-
-// Map extracts a nested mapping field.
-func Map(m map[string]any, key string) (map[string]any, bool) {
-	v, ok := m[key]
-	if !ok {
-		return nil, false
-	}
-	mm, ok := v.(map[string]any)
-	return mm, ok
-}

@@ -263,8 +263,8 @@ func TestAccessors(t *testing.T) {
 	if s, ok := Seq(m, "seq"); !ok || len(s) != 1 {
 		t.Fatal("Seq accessor failed")
 	}
-	if sub, ok := Map(m, "sub"); !ok || sub["k"] != "v" {
-		t.Fatal("Map accessor failed")
+	if sub, ok := m["sub"].(map[string]any); !ok || sub["k"] != "v" {
+		t.Fatalf("sub parsed as %#v, want a nested mapping", m["sub"])
 	}
 	if _, ok := String(m, "missing"); ok {
 		t.Fatal("String on missing key reported ok")

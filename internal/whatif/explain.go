@@ -121,17 +121,13 @@ func Explain(sc Scenario, factors []float64, tolerance float64) (*Explanation, e
 }
 
 // baselineEvidence aggregates the baseline run's bottleneck attribution
-// (critical-path components joined with saturated resources). Nil when
-// attribution fails — evidence is advisory, not load-bearing.
+// (critical-path components joined with saturated resources); nil without
+// a baseline log.
 func baselineEvidence(blog *obs.TraceLog) []obs.Hotspot {
 	if blog == nil {
 		return nil
 	}
-	ibs, err := obs.AttributeBottlenecks(blog, nil)
-	if err != nil {
-		return nil
-	}
-	sums := obs.SummarizeBottlenecks(ibs)
+	sums := obs.SummarizeBottlenecks(obs.AttributeBottlenecks(blog))
 	var all []obs.Hotspot
 	for _, s := range sums {
 		all = append(all, s.Hotspots...)

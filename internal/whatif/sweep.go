@@ -72,16 +72,6 @@ type Profile struct {
 	Curves   []Curve      `json:"curves"`
 }
 
-// Curve returns the profile's curve for dim (nil if absent).
-func (p *Profile) Curve(dim Dimension) *Curve {
-	for i := range p.Curves {
-		if p.Curves[i].Dim == dim {
-			return &p.Curves[i]
-		}
-	}
-	return nil
-}
-
 // Marshal renders the profile as deterministic indented JSON.
 func (p *Profile) Marshal() ([]byte, error) {
 	data, err := json.MarshalIndent(p, "", "  ")

@@ -206,11 +206,7 @@ func runScenario(sc Scenario, p *Perturbation) (*RunResult, *obs.TraceLog, error
 	if rec.Count() != sc.N {
 		return nil, nil, fmt.Errorf("whatif: %d/%d invocations completed under %v", rec.Count(), sc.N, p)
 	}
-	bds, err := obs.AnalyzeAll(tlog)
-	if err != nil {
-		return nil, nil, fmt.Errorf("whatif: critical-path analysis: %w", err)
-	}
-	sum := obs.Summarize(dropWarmup(bds, sc.Warmup))
+	sum := obs.Summarize(dropWarmup(obs.AnalyzeAll(tlog), sc.Warmup))
 	res := &RunResult{
 		Perturbation: p,
 		Count:        rec.Count(),

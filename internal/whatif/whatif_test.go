@@ -6,6 +6,16 @@ import (
 )
 
 // small returns a fast scenario for unit tests.
+// curve returns the profile's curve for dim (nil if absent).
+func curve(p *Profile, dim Dimension) *Curve {
+	for i := range p.Curves {
+		if p.Curves[i].Dim == dim {
+			return &p.Curves[i]
+		}
+	}
+	return nil
+}
+
 func small() Scenario { return GenomeScenario(10, 5) }
 
 func TestPerturbationValidate(t *testing.T) {
@@ -163,7 +173,7 @@ func TestPathMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	free := prof.Curve(DimExec).Point(0)
+	free := curve(prof, DimExec).Point(0)
 	if free == nil {
 		t.Fatal("missing exec ×0 point")
 	}

@@ -27,11 +27,9 @@ type FunctionSpec struct {
 	// ExecSeconds is the CPU time of one invocation on an uncontended core.
 	ExecSeconds float64
 	// MemPeak is the function's memory high-water mark (the S in the
-	// FaaStore reclamation equation).
+	// FaaStore reclamation equation). The container memory limit Mem(v) is
+	// the cluster's per-container memory, the same for every function.
 	MemPeak int64
-	// MemProvision is the container memory limit Mem(v); zero means the
-	// cluster default (256 MB).
-	MemProvision int64
 }
 
 // Benchmark is one complete workflow workload.
@@ -80,20 +78,17 @@ func (b *Benchmark) Validate() error {
 
 // MemProfiles converts the function specs of the nodes in the graph into
 // FaaStore quota inputs (one entry per graph node, honoring foreach
-// widths as the Map(v) factor).
-func (b *Benchmark) MemProfiles(defaultProvision int64) []store.FunctionMem {
+// widths as the Map(v) factor), each provisioned with the container
+// memory limit provision.
+func (b *Benchmark) MemProfiles(provision int64) []store.FunctionMem {
 	var out []store.FunctionMem
 	for _, n := range b.Graph.Nodes() {
 		if n.Kind != dag.KindTask {
 			continue
 		}
 		spec := b.Functions[n.Function]
-		prov := spec.MemProvision
-		if prov == 0 {
-			prov = defaultProvision
-		}
 		out = append(out, store.FunctionMem{
-			Provisioned: prov,
+			Provisioned: provision,
 			PeakUsage:   spec.MemPeak,
 			Map:         float64(n.Width),
 		})
